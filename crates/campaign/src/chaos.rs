@@ -12,7 +12,14 @@
 //!   SIGINT (journal sync, partial report, resumable exit);
 //! * **torn writes** — [`ChaosPlan::truncate_journal`] chops the journal
 //!   at a seeded byte offset *between* runs, exercising the framed
-//!   journal's truncate-at-first-corruption replay.
+//!   journal's truncate-at-first-corruption replay;
+//! * **torn responses** — [`ChaosPlan::should_tear_response`] makes the
+//!   service write half of a response and slam the connection, exercising
+//!   client retries while the job behind the response stays resolvable.
+//!
+//! The service consults the same plan: [`ChaosPlan::should_panic`] keyed
+//! by the job's cache key fires inside its pool's `catch_unwind` region,
+//! exercising the same retry-with-backoff path.
 //!
 //! All decisions are pure functions of `(seed, spec, k, attempt)` hashed
 //! with FNV-1a, plus bounded budgets derived from the seed — so a chaos
@@ -21,8 +28,9 @@
 //! anywhere, resume, and the final report is byte-identical to the
 //! fault-free run** (see `tests/chaos.rs`).
 //!
-//! The plan is surfaced two ways: the hidden `selfstab sweep --chaos
-//! <seed>` flag (builds [`ChaosPlan::from_seed`]) and this test API.
+//! The plan is surfaced three ways: the hidden `selfstab sweep --chaos
+//! <seed>` and `selfstab serve --chaos <seed>` flags (both build
+//! [`ChaosPlan::from_seed`]) and this test API.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,6 +41,7 @@ use std::sync::Arc;
 struct ChaosState {
     panics_left: AtomicU64,
     cancels_left: AtomicU64,
+    tears_left: AtomicU64,
 }
 
 /// A seeded, budgeted fault-injection plan (see the module docs).
@@ -47,21 +56,24 @@ pub struct ChaosPlan {
 
 impl ChaosPlan {
     /// A plan whose budgets are derived from `seed`: up to 4 injected
-    /// panics and up to 1 forced cancellation per run.
+    /// panics, up to 1 forced cancellation and up to 3 torn responses per
+    /// run.
     pub fn from_seed(seed: u64) -> Self {
         let panics = fnv(&[seed, 0x70616e6963]) % 5; // 0..=4
         let cancels = fnv(&[seed, 0x63616e63656c]) % 2; // 0..=1
-        ChaosPlan::with_budgets(seed, panics, cancels)
+        let tears = fnv(&[seed, 0x7465_6172]) % 4; // 0..=3
+        ChaosPlan::with_budgets(seed, panics, cancels, tears)
     }
 
     /// A plan with explicit budgets (test API).
-    pub fn with_budgets(seed: u64, panics: u64, cancels: u64) -> Self {
+    pub fn with_budgets(seed: u64, panics: u64, cancels: u64, tears: u64) -> Self {
         ChaosPlan {
             seed,
             always_panic: false,
             state: Arc::new(ChaosState {
                 panics_left: AtomicU64::new(panics),
                 cancels_left: AtomicU64::new(cancels),
+                tears_left: AtomicU64::new(tears),
             }),
         }
     }
@@ -87,7 +99,7 @@ impl ChaosPlan {
         let h = fnv(&[
             self.seed,
             0x0070_616e_6963,
-            fnv_str(spec),
+            fnv1a(spec.bytes()),
             k as u64,
             attempt as u64,
         ]);
@@ -98,8 +110,16 @@ impl ChaosPlan {
     /// analogue of a SIGINT landing mid-run)? Decided by seed hash
     /// (roughly one job in four), gated by the cancel budget.
     pub fn should_cancel(&self, spec: &str, k: usize) -> bool {
-        let h = fnv(&[self.seed, 0x6361_6e63_656c, fnv_str(spec), k as u64]);
+        let h = fnv(&[self.seed, 0x6361_6e63_656c, fnv1a(spec.bytes()), k as u64]);
         h.is_multiple_of(4) && take(&self.state.cancels_left)
+    }
+
+    /// Should the service tear its `index`-th response mid-write? Decided
+    /// by seed hash (roughly one response in three), gated by the tear
+    /// budget.
+    pub fn should_tear_response(&self, index: u64) -> bool {
+        let h = fnv(&[self.seed, 0x746f_726e, index]);
+        h.is_multiple_of(3) && take(&self.state.tears_left)
     }
 
     /// Torn-write injection: truncates the file at a seeded byte offset
@@ -128,26 +148,16 @@ fn take(budget: &AtomicU64) -> bool {
         .is_ok()
 }
 
-/// FNV-1a over a word sequence (the repo's standard no-dependency hash).
-fn fnv(words: &[u64]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
+/// FNV-1a-64 over a byte stream (the repo's standard no-dependency hash).
+pub(crate) fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, b| {
+        (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
-/// FNV-1a over a string's bytes.
-fn fnv_str(s: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+/// FNV-1a-64 over a word sequence's little-endian bytes.
+fn fnv(words: &[u64]) -> u64 {
+    fnv1a(words.iter().flat_map(|w| w.to_le_bytes()))
 }
 
 #[cfg(test)]
@@ -174,13 +184,16 @@ mod tests {
         assert!(fired_a.iter().filter(|&&f| f).count() <= 4);
         let cancels = jobs.iter().filter(|(s, k)| a.should_cancel(s, *k)).count();
         assert!(cancels <= 1);
+        let tears = |p: &ChaosPlan| (0..100).filter(|&i| p.should_tear_response(i)).count();
+        let (ta, tb) = (tears(&a), tears(&b));
+        assert!(ta == tb && ta <= 3, "{ta} vs {tb}");
     }
 
     #[test]
     fn budgets_are_shared_across_clones() {
         // Clones share state (as the workers of one run do): the budget is
         // global to the plan, not per-clone.
-        let plan = ChaosPlan::with_budgets(7, 1, 0);
+        let plan = ChaosPlan::with_budgets(7, 1, 0, 0);
         let clone = plan.clone();
         let mut fired = 0;
         for k in 0..100 {
@@ -189,6 +202,19 @@ mod tests {
             }
         }
         assert_eq!(fired, 1);
+        assert!(!plan.should_tear_response(0), "no tear budget");
+        let plan = ChaosPlan::with_budgets(5, 0, 0, 2);
+        let torn = (0..100).filter(|&i| plan.should_tear_response(i)).count();
+        assert_eq!(torn, 2, "an explicit tear budget is spent exactly");
+    }
+
+    #[test]
+    fn retries_outlast_a_finite_panic_budget() {
+        // Every injection spends budget, so some attempt of every job runs.
+        let plan = ChaosPlan::with_budgets(11, 4, 0, 0);
+        for job in 0..10 {
+            assert!((0..16).any(|a| !plan.should_panic(&format!("job-{job}"), 4, a)));
+        }
     }
 
     #[test]

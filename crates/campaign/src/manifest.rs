@@ -190,12 +190,7 @@ impl Manifest {
             "k={}..={};max_states={};timeout_ms={:?}",
             self.k_from, self.k_to, self.max_states, self.timeout_ms
         ));
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in canon.bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        format!("{hash:016x}")
+        format!("{:016x}", crate::chaos::fnv1a(canon.bytes()))
     }
 }
 

@@ -11,17 +11,16 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use selfstab_core::report::StabilizationReport;
-use selfstab_global::engine::{find_livelock_metered, fused_scan_metered};
-use selfstab_global::{CancelToken, EngineConfig, GlobalError, RingInstance};
+use selfstab_global::{CancelToken, ConvergenceReport, EngineConfig, GlobalError, RingInstance};
 use selfstab_protocol::Protocol;
-use selfstab_telemetry::{EngineCounters, Phase, Progress, TraceCollector};
+use selfstab_telemetry::{span, EngineCounters, Phase, PhaseSink, Progress, TraceCollector};
 use serde_json::Value;
 
 use crate::chaos::ChaosPlan;
 use crate::job::{JobResult, JobSpec, LocalVerdict, Outcome};
 use crate::journal::{self, FsyncPolicy, Journal};
 use crate::manifest::Manifest;
-use crate::telemetry::{timed, CampaignTelemetry, JobScope, JobTelemetry};
+use crate::telemetry::{CampaignTelemetry, JobScope, JobTelemetry};
 use crate::{pool, report};
 
 /// Errors of the campaign subsystem.
@@ -287,6 +286,7 @@ pub fn run_campaign(
                 _ => None,
             };
             let scope = scope.as_ref();
+            let sink = scope.map(|s| s as &dyn PhaseSink);
             let record = |result: JobResult| {
                 if let (Some(t), Some(jt)) = (&tele, &job_tele) {
                     t.finish_job(&result, jt);
@@ -309,7 +309,7 @@ pub fn run_campaign(
                         .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 }
                 if let Some(j) = &journal {
-                    timed(scope, Phase::JournalAppend, || {
+                    span(sink, Phase::JournalAppend, || {
                         j.event(&journal::started_event(&job.spec, job.k, worker, attempt));
                     });
                 }
@@ -324,13 +324,13 @@ pub fn run_campaign(
                         }
                     }
                     let data = slots[job.spec_index].get_or_init(|| {
-                        let data = prepare_spec(manifest, job.spec_index, scope);
+                        let data = prepare_spec(manifest, job.spec_index, sink);
                         if let Some(j) = &journal {
                             let verdict = match &data {
                                 Ok((_, verdict)) => verdict.clone(),
                                 Err(_) => LocalVerdict::Error,
                             };
-                            timed(scope, Phase::JournalAppend, || {
+                            span(sink, Phase::JournalAppend, || {
                                 j.event(&journal::analyzed_event(&job.spec, &verdict));
                             });
                         }
@@ -342,7 +342,7 @@ pub fn run_campaign(
                     Ok(Attempt::Done(result)) => {
                         if let Some(j) = &journal {
                             let phases = job_tele.as_ref().map(|jt| jt.phases.snapshot().to_json());
-                            timed(scope, Phase::JournalAppend, || {
+                            span(sink, Phase::JournalAppend, || {
                                 j.event(&journal::finished_event_with_phases(
                                     &result,
                                     worker,
@@ -365,7 +365,7 @@ pub fn run_campaign(
                                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                         }
                         if let Some(j) = &journal {
-                            timed(scope, Phase::JournalAppend, || {
+                            span(sink, Phase::JournalAppend, || {
                                 j.event(&journal::panic_event(&job.spec, job.k, attempt, &message));
                             });
                         }
@@ -382,7 +382,7 @@ pub fn run_campaign(
                             let delay =
                                 config.backoff * (1u32 << attempt.min(BACKOFF_EXPONENT_CAP));
                             if !delay.is_zero() {
-                                timed(scope, Phase::RetryBackoff, || std::thread::sleep(delay));
+                                span(sink, Phase::RetryBackoff, || std::thread::sleep(delay));
                             }
                             attempt += 1;
                             continue;
@@ -510,15 +510,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Parses and locally analyzes one spec (the once-per-spec shared work).
 /// The `parse` and `local_analysis` phases are attributed to the job whose
 /// worker happened to trigger the shared preparation.
-fn prepare_spec(manifest: &Manifest, spec_index: usize, scope: Option<&JobScope<'_>>) -> SpecData {
+fn prepare_spec(manifest: &Manifest, spec_index: usize, sink: Option<&dyn PhaseSink>) -> SpecData {
     let path = manifest.spec_path(spec_index);
-    let protocol = timed(scope, Phase::Parse, || -> Result<Protocol, String> {
+    let protocol = span(sink, Phase::Parse, || -> Result<Protocol, String> {
         let source = std::fs::read_to_string(&path)
             .map_err(|e| format!("cannot read `{}`: {e}", path.display()))?;
         selfstab_protocol::file::parse_protocol_file(&source)
             .map_err(|e| format!("{}: {e}", manifest.specs[spec_index]))
     })?;
-    let local = timed(scope, Phase::LocalAnalysis, || {
+    let local = span(sink, Phase::LocalAnalysis, || {
         StabilizationReport::analyze(&protocol)
     });
     let verdict = if local.is_self_stabilizing_for_all_k() {
@@ -598,44 +598,29 @@ fn execute_job(
         (None, Some(d)) => CancelToken::with_deadline(d),
         (None, None) => CancelToken::new(),
     };
-    // The check, decomposed so the two engine passes get their own phase
-    // spans. Counters exist only when telemetry is on; `None` keeps the
-    // metered engine on its zero-overhead path. The composition is exactly
-    // `ConvergenceReport::check_metered` — verdict semantics unchanged.
+    // Counters exist only when telemetry is on; `None` keeps the metered
+    // engine on its zero-overhead path.
     let counters = scope.map(|_| EngineCounters::new());
     let counters = counters.as_ref();
-    let cancelled = |result: JobResult| {
+    let sink = scope.map(|s| s as &dyn PhaseSink);
+    let Ok(report) = ConvergenceReport::check_metered(&ring, engine, &token, counters, sink) else {
         if interrupt.is_some_and(|t| t.is_cancelled()) {
             return Attempt::Interrupted;
         }
-        let mut result = result;
         result.outcome = Outcome::OverBudget {
             reason: "deadline".into(),
         };
-        Attempt::Done(Box::new(result))
+        return Attempt::Done(Box::new(result));
     };
-    let scan = match timed(scope, Phase::FusedScan, || {
-        fused_scan_metered(&ring, engine, &token, counters)
-    }) {
-        Ok(scan) => scan,
-        Err(_) => return cancelled(result),
-    };
-    let livelock = match timed(scope, Phase::LivelockDfs, || {
-        find_livelock_metered(&ring, &scan, &token, counters)
-    }) {
-        Ok(livelock) => livelock,
-        Err(_) => return cancelled(result),
-    };
-    result.states = ring.space().len();
-    result.legit = scan.legit_count;
-    let closure_ok = scan.first_closure_violation.is_none();
-    result.outcome = if closure_ok && scan.illegitimate_deadlocks.is_empty() && livelock.is_none() {
+    result.states = report.state_count;
+    result.legit = report.legit_count;
+    result.outcome = if report.self_stabilizing() {
         Outcome::Verified
     } else {
         Outcome::Failed {
-            closure_ok,
-            deadlocks: scan.illegitimate_deadlocks.len() as u64,
-            livelock_len: livelock.as_ref().map(|c| c.len() as u64),
+            closure_ok: report.closure_violation.is_none(),
+            deadlocks: report.illegitimate_deadlocks.len() as u64,
+            livelock_len: report.livelock.as_ref().map(|c| c.len() as u64),
         }
     };
     // Counters land on the job only once the check completed — a cancelled

@@ -14,7 +14,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use selfstab_telemetry::{
-    EngineCountersSnapshot, Phase, PhaseSnapshot, PhaseTimes, Registry, TraceCollector,
+    EngineCountersSnapshot, Phase, PhaseSink, PhaseSnapshot, PhaseTimes, Registry, TraceCollector,
 };
 use serde_json::{json, Value};
 
@@ -224,8 +224,8 @@ fn phase_histogram_name(phase: Phase) -> &'static str {
     }
 }
 
-/// A job's telemetry context on one worker: everything [`timed`] needs to
-/// attribute a span.
+/// A job's telemetry context on one worker: everything a [`PhaseSink`]
+/// needs to attribute a span.
 pub(crate) struct JobScope<'a> {
     /// The campaign-wide sinks.
     pub tele: &'a CampaignTelemetry,
@@ -239,12 +239,8 @@ pub(crate) struct JobScope<'a> {
     pub k: usize,
 }
 
-/// Runs `f`, timing it as `phase` when a scope is present — the single
-/// seam through which the runner instruments without branching at every
-/// call site.
-pub(crate) fn timed<T>(scope: Option<&JobScope<'_>>, phase: Phase, f: impl FnOnce() -> T) -> T {
-    match scope {
-        Some(s) => s.tele.time(s, phase, f),
-        None => f(),
+impl PhaseSink for JobScope<'_> {
+    fn span(&self, phase: Phase, f: &mut dyn FnMut()) {
+        self.tele.time(self, phase, f);
     }
 }

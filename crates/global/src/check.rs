@@ -1,53 +1,27 @@
 //! Global model checking: deadlocks, livelocks, closure, convergence.
 
-use crate::engine::{fused_scan, CancelToken, Cancelled, EngineConfig};
+use crate::engine::{CancelToken, Cancelled, EngineConfig};
 use crate::instance::{Move, RingInstance};
 use crate::state::GlobalStateId;
-
-/// All global deadlock states of the instance.
-pub fn global_deadlocks(ring: &RingInstance) -> Vec<GlobalStateId> {
-    ring.space()
-        .ids()
-        .filter(|&s| ring.is_deadlock(s))
-        .collect()
-}
+use selfstab_telemetry::{span, EngineCounters, Phase, PhaseSink};
 
 /// Global deadlock states outside `I(K)` — the witnesses Theorem 4.2 is
 /// about.
 pub fn illegitimate_deadlocks(ring: &RingInstance) -> Vec<GlobalStateId> {
-    ring.space()
-        .ids()
-        .filter(|&s| ring.is_deadlock(s) && !ring.is_legit(s))
-        .collect()
+    illegitimate_deadlocks_where(ring, |s| ring.is_legit(s))
 }
 
 /// Closure violations: transitions that leave `I(K)` from inside it.
 /// An empty result means `I(K)` is closed in the protocol.
 pub fn closure_violations(ring: &RingInstance) -> Vec<(GlobalStateId, Move)> {
-    let mut out = Vec::new();
-    for s in ring.space().ids() {
-        if !ring.is_legit(s) {
-            continue;
-        }
-        ring.for_each_move(s, |m| {
-            if !ring.is_legit(ring.apply(s, m)) {
-                out.push((s, m));
-            }
-        });
-    }
-    out
+    closure_violations_where(ring, |s| ring.is_legit(s))
 }
 
-/// The first closure violation in (state, process, target) order, or
-/// `None` if `I(K)` is closed. Unlike [`closure_violations`] this stops at
-/// the first witness, so it is the right call when only a yes/no answer
-/// (plus one counterexample) is needed.
-pub fn first_closure_violation(ring: &RingInstance) -> Option<(GlobalStateId, Move)> {
-    first_closure_violation_where(ring, |s| ring.is_legit(s))
-}
-
-/// Like [`first_closure_violation`], with an arbitrary legitimate-state
-/// predicate.
+/// The first closure violation of an arbitrary legitimate-state predicate
+/// in (state, process, target) order, or `None` if it is closed. Unlike
+/// [`closure_violations_where`] this stops at the first witness, so it is
+/// the right call when only a yes/no answer (plus one counterexample) is
+/// needed.
 pub fn first_closure_violation_where<F>(
     ring: &RingInstance,
     is_legit: F,
@@ -239,58 +213,47 @@ impl ConvergenceReport {
         Self::check_with(ring, &EngineConfig::sequential())
     }
 
-    /// Runs the full check through the fused engine: the legitimacy count,
-    /// illegitimate deadlocks and first closure violation come from one
-    /// scan over the state space ([`fused_scan`]), and the livelock search
-    /// reuses that scan's legitimacy bitmap. The report is identical for
-    /// every `config.threads` value.
+    /// [`ConvergenceReport::check_metered`] without a deadline or
+    /// telemetry. The report is identical for every `config.threads`
+    /// value.
     pub fn check_with(ring: &RingInstance, config: &EngineConfig) -> Self {
-        let scan = fused_scan(ring, config);
-        let livelock = crate::engine::find_livelock_with(ring, &scan);
-        ConvergenceReport {
-            ring_size: ring.ring_size(),
-            state_count: ring.space().len(),
-            legit_count: scan.legit_count,
-            closure_violation: scan.first_closure_violation,
-            illegitimate_deadlocks: scan.illegitimate_deadlocks,
-            livelock,
-        }
+        Self::check_metered(ring, config, &CancelToken::new(), None, None)
+            .expect("a fresh token never cancels the check")
     }
 
-    /// Like [`ConvergenceReport::check_with`], aborting early if `cancel`
-    /// fires (explicitly or by wall-clock deadline) mid-check. A completed
-    /// check is identical to an unbounded one; a cancelled check yields
-    /// [`Cancelled`] and no partial report, so callers can degrade to an
-    /// "over budget" outcome instead of wedging on an oversized instance.
+    /// Runs the full check through the fused engine — the one composition
+    /// of its two passes every caller shares. The legitimacy count,
+    /// illegitimate deadlocks and first closure violation come from one
+    /// scan over the state space
+    /// ([`fused_scan_metered`](crate::engine::fused_scan_metered)), and the
+    /// livelock search
+    /// ([`find_livelock_metered`](crate::engine::find_livelock_metered))
+    /// reuses that scan's legitimacy bitmap.
+    ///
+    /// `cancel` aborts the check early (explicitly or by wall-clock
+    /// deadline); a completed check is identical to an unbounded one.
+    /// `counters` receives the engine's work counters (see the two passes
+    /// for what is counted and which values are thread-count-invariant),
+    /// and `phases` times each pass as one [`Phase::FusedScan`] and one
+    /// [`Phase::LivelockDfs`] span. Neither changes the report.
     ///
     /// # Errors
     ///
-    /// Returns [`Cancelled`] if the token fired before the check finished.
-    pub fn check_bounded(
-        ring: &RingInstance,
-        config: &EngineConfig,
-        cancel: &CancelToken,
-    ) -> Result<Self, Cancelled> {
-        Self::check_metered(ring, config, cancel, None)
-    }
-
-    /// Like [`ConvergenceReport::check_bounded`], optionally flushing the
-    /// engine's work counters into `counters` (see
-    /// [`fused_scan_metered`](crate::engine::fused_scan_metered) and
-    /// [`find_livelock_metered`](crate::engine::find_livelock_metered)
-    /// for what is counted and which values are thread-count-invariant).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Cancelled`] if the token fired before the check finished.
+    /// Returns [`Cancelled`] if the token fired before the check finished;
+    /// there is no partial report.
     pub fn check_metered(
         ring: &RingInstance,
         config: &EngineConfig,
         cancel: &CancelToken,
-        counters: Option<&selfstab_telemetry::EngineCounters>,
+        counters: Option<&EngineCounters>,
+        phases: Option<&dyn PhaseSink>,
     ) -> Result<Self, Cancelled> {
-        let scan = crate::engine::fused_scan_metered(ring, config, cancel, counters)?;
-        let livelock = crate::engine::find_livelock_metered(ring, &scan, cancel, counters)?;
+        let scan = span(phases, Phase::FusedScan, || {
+            crate::engine::fused_scan_metered(ring, config, cancel, counters)
+        })?;
+        let livelock = span(phases, Phase::LivelockDfs, || {
+            crate::engine::find_livelock_metered(ring, &scan, cancel, counters)
+        })?;
         Ok(ConvergenceReport {
             ring_size: ring.ring_size(),
             state_count: ring.space().len(),
@@ -439,7 +402,7 @@ mod tests {
             .build()
             .unwrap();
         let ring = RingInstance::symmetric(&p, 3).unwrap();
-        assert_eq!(global_deadlocks(&ring).len(), 8);
+        assert_eq!(illegitimate_deadlocks_where(&ring, |_| false).len(), 8);
         let bad = illegitimate_deadlocks(&ring);
         assert_eq!(bad.len(), 6); // all but 000 and 111
         assert!(!weakly_converges(&ring));

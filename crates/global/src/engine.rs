@@ -599,30 +599,17 @@ fn scan_reduced(
 /// scoped worker threads and merged in ascending chunk order, so the
 /// result is identical to the sequential one.
 pub fn fused_scan(ring: &RingInstance, config: &EngineConfig) -> FusedScan {
-    fused_scan_bounded(ring, config, &CancelToken::new())
+    fused_scan_metered(ring, config, &CancelToken::new(), None)
         .expect("a fresh token never cancels the scan")
 }
 
 /// Like [`fused_scan`], aborting early with [`Cancelled`] if `cancel` fires
-/// (explicitly or by deadline) before the sweep completes. A completed
-/// sweep is identical to an unbounded one.
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] if the token fired before the scan finished.
-pub fn fused_scan_bounded(
-    ring: &RingInstance,
-    config: &EngineConfig,
-    cancel: &CancelToken,
-) -> Result<FusedScan, Cancelled> {
-    fused_scan_metered(ring, config, cancel, None)
-}
-
-/// Like [`fused_scan_bounded`], optionally flushing work counters into
-/// `counters` (states visited, legitimate states, deadlocks, closure
-/// checks, cancel polls). Counters are accumulated per chunk in plain
-/// locals and flushed once at chunk end, so the scan loop pays nothing;
-/// with `counters: None` this **is** [`fused_scan_bounded`].
+/// (explicitly or by deadline) before the sweep completes, and optionally
+/// flushing work counters into `counters` (states visited, legitimate
+/// states, deadlocks, closure checks, cancel polls). A completed sweep is
+/// identical to an unbounded one. Counters are accumulated per chunk in
+/// plain locals and flushed once at chunk end, so the scan loop pays
+/// nothing; `counters: None` does no telemetry work at all.
 ///
 /// For a *completed* scan every flushed counter except `closure_checks`
 /// is identical for every `config.threads` value (`closure_checks`
@@ -719,31 +706,18 @@ pub fn fused_scan_metered(
 /// [`find_livelock_where`](crate::check::find_livelock_where), so both
 /// return the same cycle witness.
 pub fn find_livelock_with(ring: &RingInstance, scan: &FusedScan) -> Option<Vec<GlobalStateId>> {
-    find_livelock_bounded(ring, scan, &CancelToken::new())
+    find_livelock_metered(ring, scan, &CancelToken::new(), None)
         .expect("a fresh token never cancels the search")
 }
 
 /// Like [`find_livelock_with`], aborting early with [`Cancelled`] if
-/// `cancel` fires before the search completes. A completed search returns
-/// the same witness as the unbounded one.
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] if the token fired before the search finished.
-pub fn find_livelock_bounded(
-    ring: &RingInstance,
-    scan: &FusedScan,
-    cancel: &CancelToken,
-) -> Result<Option<Vec<GlobalStateId>>, Cancelled> {
-    find_livelock_metered(ring, scan, cancel, None)
-}
-
-/// Like [`find_livelock_bounded`], optionally flushing work counters into
-/// `counters` (DFS steps, deepest stack, cancel polls). The search is
-/// sequential, so for a completed search every flushed value is a pure
-/// function of the instance (and of the scan's symmetry mode). Counters
-/// accumulate in plain locals and flush once when the search completes; a
-/// [`Cancelled`] search flushes nothing.
+/// `cancel` fires before the search completes, and optionally flushing
+/// work counters into `counters` (DFS steps, deepest stack, cancel polls).
+/// A completed search returns the same witness as the unbounded one. The
+/// search is sequential, so for a completed search every flushed value is
+/// a pure function of the instance (and of the scan's symmetry mode).
+/// Counters accumulate in plain locals and flush once when the search
+/// completes; a [`Cancelled`] search flushes nothing.
 ///
 /// When `scan` came from the reduced sweep (it carries a frontier of
 /// illegitimate necklaces), the search runs **verdict-first**: a tricolor
@@ -1200,16 +1174,16 @@ mod tests {
         fired.cancel();
         for threads in [1, 3] {
             assert_eq!(
-                fused_scan_bounded(&ring, &EngineConfig::with_threads(threads), &fired).err(),
+                fused_scan_metered(&ring, &EngineConfig::with_threads(threads), &fired, None).err(),
                 Some(Cancelled)
             );
         }
         let scan = fused_scan(&ring, &EngineConfig::sequential());
-        assert_eq!(find_livelock_bounded(&ring, &scan, &fired), Err(Cancelled));
+        assert!(find_livelock_metered(&ring, &scan, &fired, None).is_err());
         // An expired deadline behaves like an explicit cancel.
         let expired = CancelToken::with_deadline(Instant::now());
         assert!(expired.is_cancelled());
-        assert!(fused_scan_bounded(&ring, &EngineConfig::sequential(), &expired).is_err());
+        assert!(fused_scan_metered(&ring, &EngineConfig::sequential(), &expired, None).is_err());
     }
 
     #[test]
@@ -1245,12 +1219,12 @@ mod tests {
         let p = agreement(&["x[r-1] == 1 && x[r] == 0 -> x[r] := 1"]);
         let ring = RingInstance::symmetric(&p, 5).unwrap();
         let token = CancelToken::with_deadline(Instant::now() + std::time::Duration::from_secs(60));
-        let bounded = fused_scan_bounded(&ring, &EngineConfig::sequential(), &token).unwrap();
+        let bounded = fused_scan_metered(&ring, &EngineConfig::sequential(), &token, None).unwrap();
         let plain = fused_scan(&ring, &EngineConfig::sequential());
         assert_eq!(bounded.legit_count, plain.legit_count);
         assert_eq!(bounded.illegitimate_deadlocks, plain.illegitimate_deadlocks);
         assert_eq!(
-            find_livelock_bounded(&ring, &bounded, &token).unwrap(),
+            find_livelock_metered(&ring, &bounded, &token, None).unwrap(),
             find_livelock_with(&ring, &plain)
         );
     }
@@ -1445,11 +1419,11 @@ mod tests {
         fired.cancel();
         let cfg = EngineConfig::sequential().with_symmetry(SymmetryMode::Reduced);
         assert_eq!(
-            fused_scan_bounded(&ring, &cfg, &fired).err(),
+            fused_scan_metered(&ring, &cfg, &fired, None).err(),
             Some(Cancelled)
         );
         let scan = fused_scan(&ring, &cfg);
-        assert_eq!(find_livelock_bounded(&ring, &scan, &fired), Err(Cancelled));
+        assert!(find_livelock_metered(&ring, &scan, &fired, None).is_err());
     }
 
     #[test]

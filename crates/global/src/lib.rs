@@ -59,10 +59,9 @@ pub mod sim;
 pub mod state;
 pub mod symmetry;
 
-pub use check::{find_livelock, global_deadlocks, ConvergenceReport};
+pub use check::{find_livelock, ConvergenceReport};
 pub use engine::{
-    fused_scan, fused_scan_bounded, fused_scan_metered, CancelToken, Cancelled, EngineConfig,
-    FusedScan, SymmetryMode,
+    fused_scan, fused_scan_metered, CancelToken, Cancelled, EngineConfig, FusedScan, SymmetryMode,
 };
 pub use error::GlobalError;
 pub use instance::{Move, RingInstance};

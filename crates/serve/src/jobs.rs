@@ -6,25 +6,24 @@
 //! unparsable/over-budget spec is rejected with a structured error before
 //! anything reaches the pool, so queued work is always runnable.
 //!
-//! Execution ([`execute`]) is the CLI's own pipeline re-expressed for a
-//! service: the same fused scan + livelock DFS (or Section-6 synthesis)
-//! under a [`CancelToken`], with per-phase durations accumulated into the
-//! job's [`JobTelemetry`] so `GET /v1/jobs/:id` can show where the time
-//! went. A deadline that fires mid-run yields the rows completed so far
-//! as a *partial* document — served with 504, never cached.
+//! Execution ([`execute`]) is the CLI's own pipeline under a
+//! [`CancelToken`]: [`ConvergenceReport::check_metered`] per K (or
+//! Section-6 synthesis), reporting its phase spans to the job's lane so
+//! `GET /v1/jobs/:id` can show where the time went. A deadline that fires
+//! mid-run yields the rows completed so far as a *partial* document —
+//! served with 504, never cached.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use selfstab_campaign::telemetry::JobTelemetry;
 use selfstab_core::{spec_hash, SpecHash};
 use selfstab_global::check::ConvergenceReport;
-use selfstab_global::engine::{find_livelock_metered, fused_scan_metered};
 use selfstab_global::{instance, CancelToken, EngineConfig, RingInstance, SymmetryMode};
 use selfstab_protocol::file::parse_protocol_file;
 use selfstab_protocol::Protocol;
 use selfstab_synth::{LocalSynthesizer, SynthesisConfig};
-use selfstab_telemetry::{EngineCounters, Phase, SynthesisCounters};
+use selfstab_telemetry::{EngineCounters, Phase, PhaseSink, SynthesisCounters};
 use serde_json::{json, Value};
 
 use crate::cache::CachedDoc;
@@ -126,11 +125,13 @@ pub struct JobRequest {
     pub k_from: usize,
     /// Last ring size, inclusive (equals `k_from` for `verify`).
     pub k_to: usize,
-    /// Per-instance global-state budget.
+    /// Per-instance global-state budget, at most
+    /// [`instance::DEFAULT_MAX_STATES`].
     pub max_states: u64,
     /// Rotation-symmetry policy for the scan.
     pub symmetry: SymmetryMode,
-    /// Engine threads per job (results are thread-count-invariant).
+    /// Engine threads per job, at most the host's available parallelism
+    /// (results are thread-count-invariant).
     pub threads: usize,
     /// Wall-clock deadline for the whole job.
     pub timeout: Option<Duration>,
@@ -142,6 +143,13 @@ pub struct JobRequest {
     pub max_resolve_sets: usize,
     /// `synthesize` only: monotone lattice pruning (outcome-invariant).
     pub prune: bool,
+}
+
+/// The most engine threads one job may use: the host's available
+/// parallelism, read once (the query costs syscalls and file reads).
+fn max_threads() -> usize {
+    static MAX: OnceLock<usize> = OnceLock::new();
+    *MAX.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
 }
 
 fn usize_field(body: &Value, key: &str) -> Result<Option<usize>, SubmitError> {
@@ -223,13 +231,19 @@ impl JobRequest {
             ));
         }
 
+        // `max_states` sizes the engine's allocations, so a request may
+        // lower the default budget but never raise it.
         let max_states = match &body["max_states"] {
             Value::Null => instance::DEFAULT_MAX_STATES,
-            v => v.as_u64().ok_or_else(|| {
-                SubmitError::BadRequest(
-                    "field `max_states` must be a non-negative integer".to_owned(),
-                )
-            })?,
+            v => v
+                .as_u64()
+                .filter(|&n| n <= instance::DEFAULT_MAX_STATES)
+                .ok_or_else(|| {
+                    SubmitError::BadRequest(format!(
+                        "field `max_states` must be an integer in 0..={}",
+                        instance::DEFAULT_MAX_STATES
+                    ))
+                })?,
         };
         // Budget precheck: reject a d^K blowup at submit instead of
         // queueing a job that can only fail.
@@ -290,7 +304,11 @@ impl JobRequest {
             })?,
         };
 
-        let threads = usize_field(body, "threads")?.unwrap_or(1).max(1);
+        // Documents are thread-count-invariant, so clamping to the host's
+        // cores never shows in a result; it bounds what one request spawns.
+        let threads = usize_field(body, "threads")?
+            .unwrap_or(1)
+            .clamp(1, max_threads());
         let timeout = match &body["timeout_ms"] {
             Value::Null => None,
             v => Some(Duration::from_millis(v.as_u64().ok_or_else(|| {
@@ -469,20 +487,25 @@ pub fn execute(
     }
 }
 
-/// Times `f` as `phase` in the job's phase accumulator and, when traced,
-/// as an engine span carrying `args`.
-fn timed_phase<T>(
-    telemetry: &JobTelemetry,
-    trace: Option<&JobTrace>,
-    phase: Phase,
-    args: Value,
-    f: impl FnOnce() -> T,
-) -> T {
-    match trace {
-        Some(trace) => trace.time(phase.name(), "engine", args, || {
-            telemetry.phases.time(phase, f)
-        }),
-        None => telemetry.phases.time(phase, f),
+/// A job's phase sink: each span lands in the job's phase accumulator
+/// and, when traced, as an engine span on its lane carrying `{"k": k}`
+/// for the per-K passes.
+struct JobLane<'a> {
+    telemetry: &'a JobTelemetry,
+    trace: Option<&'a JobTrace>,
+    k: Option<usize>,
+}
+
+impl PhaseSink for JobLane<'_> {
+    fn span(&self, phase: Phase, f: &mut dyn FnMut()) {
+        let phases = &self.telemetry.phases;
+        match self.trace {
+            Some(trace) => {
+                let args = self.k.map_or(Value::Null, |k| json!({"k": k}));
+                trace.time(phase.name(), "engine", args, || phases.time(phase, f));
+            }
+            None => phases.time(phase, f),
+        }
     }
 }
 
@@ -506,37 +529,20 @@ fn execute_check(
                 }
             }
         };
-        let scan = match timed_phase(telemetry, trace, Phase::FusedScan, json!({"k": k}), || {
-            fused_scan_metered(&ring, &engine, cancel, Some(&counters))
-        })
-        .ok()
-        {
-            Some(scan) => scan,
-            None => return cancelled_check(rows, &counters, telemetry),
-        };
-        let livelock = match timed_phase(
+        let lane = JobLane {
             telemetry,
             trace,
-            Phase::LivelockDfs,
-            json!({"k": k}),
-            || find_livelock_metered(&ring, &scan, cancel, Some(&counters)),
-        )
-        .ok()
-        {
-            Some(livelock) => livelock,
-            None => return cancelled_check(rows, &counters, telemetry),
+            k: Some(k),
         };
-        let report = ConvergenceReport {
-            ring_size: ring.ring_size(),
-            state_count: ring.space().len(),
-            legit_count: scan.legit_count,
-            closure_violation: scan.first_closure_violation,
-            illegitimate_deadlocks: scan.illegitimate_deadlocks,
-            livelock,
+        let Ok(report) =
+            ConvergenceReport::check_metered(&ring, &engine, cancel, Some(&counters), Some(&lane))
+        else {
+            telemetry.set_counters(counters.snapshot());
+            return ExecOutcome::Cancelled {
+                partial: format!("{}\n", json!({ "partial": true, "rows": rows })),
+            };
         };
-        if !report.self_stabilizing() {
-            all_ok = false;
-        }
+        all_ok &= report.self_stabilizing();
         rows.push(render::convergence_report(&report));
     }
     telemetry.set_counters(counters.snapshot());
@@ -544,17 +550,6 @@ fn execute_check(
         body: render::check_document(rows),
         exit_code: if all_ok { 0 } else { 2 },
     })
-}
-
-fn cancelled_check(
-    rows: Vec<Value>,
-    counters: &EngineCounters,
-    telemetry: &JobTelemetry,
-) -> ExecOutcome {
-    telemetry.set_counters(counters.snapshot());
-    ExecOutcome::Cancelled {
-        partial: format!("{}\n", json!({ "partial": true, "rows": rows })),
-    }
 }
 
 fn execute_synthesis(
@@ -574,21 +569,17 @@ fn execute_synthesis(
         ..SynthesisConfig::default()
     };
     let counters = SynthesisCounters::new();
-    // The synthesizer attributes `Phase::Synthesis` internally; the
-    // trace span wraps the whole run so the engine work still shows on
-    // the job's lane.
-    let run = || {
-        LocalSynthesizer::new(config).synthesize_metered(
-            &req.protocol,
-            cancel,
-            Some(&counters),
-            Some(&telemetry.phases),
-        )
+    let lane = JobLane {
+        telemetry,
+        trace,
+        k: None,
     };
-    let result = match trace {
-        Some(t) => t.time(Phase::Synthesis.name(), "engine", Value::Null, run),
-        None => run(),
-    };
+    let result = LocalSynthesizer::new(config).synthesize_metered(
+        &req.protocol,
+        cancel,
+        Some(&counters),
+        Some(&lane),
+    );
     let outcome = match result {
         Ok(outcome) => outcome,
         Err(e) => {
@@ -641,6 +632,10 @@ action x[r-1] == 1 && x[r] == 0 -> x[r] := 1
         assert!(key.contains(":verify:4..4:"), "key was {key}");
         assert!(key.ends_with(":auto"));
         assert!(key.starts_with(&req.hash.to_string()));
+        // Threads clamp to the host and stay out of the key.
+        let many = spec_body("\"kind\": \"verify\", \"k\": 4, \"threads\": 100000");
+        let many = JobRequest::from_json(&many).unwrap();
+        assert_eq!((many.threads, many.cache_key()), (max_threads(), key));
     }
 
     #[test]
@@ -663,6 +658,8 @@ action x[r-1] == 1 && x[r] == 0 -> x[r] := 1
             "\"kind\": \"verify\", \"k\": 1",
             "\"kind\": \"synthesize\", \"k\": 3",
             "\"kind\": \"verify\", \"k\": 3, \"symmetry\": \"sideways\"",
+            // A budget above the default would size allocations past it.
+            "\"kind\": \"verify\", \"k\": 40, \"max_states\": 1099511627776",
         ] {
             let err = JobRequest::from_json(&spec_body(extra)).unwrap_err();
             assert_eq!(err.status(), 400, "case: {extra}");

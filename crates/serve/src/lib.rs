@@ -57,15 +57,16 @@
 //! * [`admission`] bounds per-kind acceptance (`429` + `Retry-After`
 //!   past the caps) and degrades gracefully under a memory watchdog —
 //!   `synthesize` sheds before `sweep` before `verify`;
-//! * [`chaos`] is the seeded service-fault injector behind the hidden
-//!   `--chaos` flag (injected job panics, torn responses), complementing
-//!   the CI crash drill's literal `SIGKILL`.
+//! * the hidden `--chaos` flag arms the campaign crate's seeded
+//!   [`ChaosPlan`](selfstab_campaign::ChaosPlan) (injected job panics,
+//!   torn responses), complementing the CI crash drill's literal
+//!   `SIGKILL`.
 //!
 //! Module map: [`http`] (parser/writer, slow-loris defenses), [`render`]
 //! (the canonical JSON rendering shared with the CLI), [`jobs`]
 //! (validation + execution), [`cache`] (content-addressed store + warm
 //! snapshot), [`journal`] (durable job journal), [`admission`]
-//! (backpressure + watchdog), [`chaos`] (fault injection), [`trace`]
+//! (backpressure + watchdog), [`trace`]
 //! (request-scoped span lanes + Chrome-trace rendering), [`server`]
 //! (routing, submit flow, replay, drain).
 
@@ -73,7 +74,6 @@
 
 pub mod admission;
 pub mod cache;
-pub mod chaos;
 pub mod http;
 pub mod jobs;
 pub mod journal;
@@ -83,7 +83,6 @@ pub mod trace;
 
 pub use admission::{Admission, PendingCaps, Shed};
 pub use cache::{CachedDoc, ResultCache};
-pub use chaos::ServeChaos;
 pub use jobs::{JobKind, JobRequest, JobState};
 pub use journal::{ReplayedJob, ReplayedTerminal, ServeJournal, ServeReplay};
 pub use server::{ServeConfig, ServeState, Server};

@@ -44,7 +44,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use selfstab_campaign::telemetry::JobTelemetry;
-use selfstab_campaign::{FsyncPolicy, ServicePool};
+use selfstab_campaign::{ChaosPlan, FsyncPolicy, ServicePool};
 use selfstab_core::registry_row::{append_row, RegistryRow};
 use selfstab_global::CancelToken;
 use selfstab_telemetry::{prometheus, Registry};
@@ -52,7 +52,6 @@ use serde_json::{json, Value};
 
 use crate::admission::{spawn_watchdog, Admission, PendingCaps};
 use crate::cache::{CachedDoc, Lookup, ResultCache};
-use crate::chaos::ServeChaos;
 use crate::http::{HttpError, Request, RequestReader, Response};
 use crate::jobs::{execute, ExecOutcome, JobEntry, JobKind, JobRequest, JobState};
 use crate::journal::{replay, ReplayedTerminal, ServeJournal};
@@ -110,7 +109,7 @@ pub struct ServeConfig {
     /// Wall-clock budget for receiving one whole request (the
     /// slow-loris/dribble bound).
     pub request_deadline: Duration,
-    /// Seed for the service-fault injector (hidden `--chaos`); `None`
+    /// Seed of the [`ChaosPlan`] fault injector (hidden `--chaos`); `None`
     /// disables it.
     pub chaos: Option<u64>,
     /// Server-wide Chrome-trace file (`--trace`), written at drain with
@@ -155,7 +154,7 @@ pub struct ServeState {
     pool: ServicePool,
     admission: Admission,
     journal: Option<ServeJournal>,
-    chaos: Option<ServeChaos>,
+    chaos: Option<ChaosPlan>,
     retries: u32,
     backoff: Duration,
     jobs: Mutex<HashMap<u64, Arc<JobEntry>>>,
@@ -212,7 +211,7 @@ impl ServeState {
             pool,
             admission,
             journal,
-            chaos: config.chaos.map(ServeChaos::from_seed),
+            chaos: config.chaos.map(ChaosPlan::from_seed),
             retries: config.retries,
             backoff: config.backoff,
             jobs: Mutex::new(HashMap::new()),
@@ -693,7 +692,7 @@ impl ServeState {
                 entry.telemetry.attempts.fetch_add(1, Ordering::Relaxed);
                 let run = catch_unwind(AssertUnwindSafe(|| {
                     if let Some(chaos) = &state.chaos {
-                        if chaos.should_panic(&key, attempt) {
+                        if chaos.should_panic(&key, request.k_from, attempt) {
                             panic!("chaos: injected job panic");
                         }
                     }

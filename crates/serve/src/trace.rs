@@ -15,7 +15,11 @@
 //! from one server-wide origin instant, and the *request root* span
 //! (named `request`) runs from ingress to the job's terminal state, so
 //! every child span the job records sits inside it on the timeline.
-//! Perfetto and `chrome://tracing` draw exactly that hierarchy.
+//! Perfetto and `chrome://tracing` draw exactly that hierarchy. The lane
+//! holds that invariant by construction: a span is clipped to the root
+//! when it is recorded, under the same lock that closes the root — a
+//! request coalescing onto the job may have started timing before the
+//! job's own request opened, or record after the job finished.
 //!
 //! None of this perturbs result documents: trace data is out-of-band by
 //! construction (`/v1/jobs/:id/result` bytes never mention it), keeping
@@ -84,8 +88,14 @@ pub struct JobTrace {
     trace_id: String,
     origin: Instant,
     start_us: u64,
-    end_us: AtomicU64,
-    spans: Mutex<Vec<TraceSpan>>,
+    lane: Mutex<Lane>,
+}
+
+/// The recorded spans and, once [`JobTrace::finish`] ran, the root's end.
+#[derive(Debug, Default)]
+struct Lane {
+    end_us: Option<u64>,
+    spans: Vec<TraceSpan>,
 }
 
 impl JobTrace {
@@ -97,8 +107,7 @@ impl JobTrace {
             trace_id,
             origin,
             start_us,
-            end_us: AtomicU64::new(0),
-            spans: Mutex::new(Vec::new()),
+            lane: Mutex::default(),
         }
     }
 
@@ -112,15 +121,19 @@ impl JobTrace {
         self.origin.elapsed().as_micros() as u64
     }
 
-    /// Records one complete span. `args` may be `Value::Null` for none;
-    /// the trace id is injected at render time, so every span of the
-    /// document carries it.
+    /// Records one complete span, clipped to the request root (see the
+    /// module docs). `args` may be `Value::Null` for none; the trace id is
+    /// injected at render time, so every span of the document carries it.
     pub fn span(&self, name: &str, cat: &'static str, ts_us: u64, dur_us: u64, args: Value) {
-        self.spans.lock().expect("trace poisoned").push(TraceSpan {
+        let mut lane = self.lane.lock().expect("trace poisoned");
+        let close = lane.end_us.unwrap_or(u64::MAX);
+        let ts = ts_us.clamp(self.start_us, close);
+        let end = ts_us.saturating_add(dur_us).clamp(ts, close);
+        lane.spans.push(TraceSpan {
             name: name.to_owned(),
             cat,
-            ts_us,
-            dur_us,
+            ts_us: ts,
+            dur_us: end - ts,
             args,
         });
     }
@@ -136,12 +149,10 @@ impl JobTrace {
     /// Closes the request root span (idempotent — first close wins).
     /// Called when the job reaches a terminal state.
     pub fn finish(&self) {
-        let _ = self.end_us.compare_exchange(
-            0,
-            self.now_us().max(self.start_us + 1),
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        );
+        let mut lane = self.lane.lock().expect("trace poisoned");
+        if lane.end_us.is_none() {
+            lane.end_us = Some(self.now_us().max(self.start_us + 1));
+        }
     }
 
     /// The job's trace events: the `request` root first, then every
@@ -149,10 +160,10 @@ impl JobTrace {
     /// event's args. An unfinished job renders with the root open-ended
     /// at "now".
     pub fn events(&self, job_id: u64, kind: &str) -> Vec<Value> {
-        let end = match self.end_us.load(Ordering::Relaxed) {
-            0 => self.now_us().max(self.start_us + 1),
-            end => end,
-        };
+        let lane = self.lane.lock().expect("trace poisoned");
+        let end = lane
+            .end_us
+            .unwrap_or_else(|| self.now_us().max(self.start_us + 1));
         let mut events = vec![json!({
             "name": "request",
             "cat": "request",
@@ -163,7 +174,7 @@ impl JobTrace {
             "dur": end - self.start_us,
             "args": {"trace_id": self.trace_id.clone(), "job": job_id, "kind": kind},
         })];
-        for span in self.spans.lock().expect("trace poisoned").iter() {
+        for span in &lane.spans {
             let mut args = match &span.args {
                 Value::Object(map) => map.clone(),
                 _ => std::collections::BTreeMap::new(),
@@ -228,15 +239,20 @@ mod tests {
     #[test]
     fn spans_nest_inside_the_request_root() {
         let origin = Instant::now();
+        std::thread::sleep(std::time::Duration::from_millis(2));
         let trace = JobTrace::new("t-1".to_owned(), origin);
-        trace.time("cache_lookup", "cache", json!({"outcome": "miss"}), || {});
+        // A coalescing request may time from before the root opened...
+        trace.span("coalesced_submit", "cache", 0, trace.now_us(), Value::Null);
         trace.time("fused_scan", "engine", json!({"k": 4}), || {
             std::thread::sleep(std::time::Duration::from_millis(2));
         });
         trace.finish();
+        // ...or record after the job finished: both are clipped to it.
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        trace.span("coalesced_submit", "cache", trace.now_us(), 5, Value::Null);
 
         let events = trace.events(7, "verify");
-        assert_eq!(events.len(), 3);
+        assert_eq!(events.len(), 4);
         let root = &events[0];
         assert_eq!(root["name"], "request");
         let root_ts = root["ts"].as_u64().unwrap();

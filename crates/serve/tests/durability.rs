@@ -8,14 +8,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use selfstab_campaign::FsyncPolicy;
+use selfstab_campaign::{ChaosPlan, FsyncPolicy};
 use selfstab_global::{check::ConvergenceReport, EngineConfig, RingInstance};
 use selfstab_protocol::file::parse_protocol_file;
 use selfstab_serve::http::Request;
 use selfstab_serve::journal::{frame_event, replay};
-use selfstab_serve::{
-    render, JobKind, JobRequest, PendingCaps, ServeChaos, ServeConfig, ServeState,
-};
+use selfstab_serve::{render, JobKind, JobRequest, PendingCaps, ServeConfig, ServeState};
 use serde_json::{json, Value};
 
 const AGREEMENT: &str = "\
@@ -214,13 +212,13 @@ fn warm_cache_snapshot_answers_repeat_traffic_without_pool_work() {
 #[test]
 fn chaos_panics_are_retried_to_the_fault_free_document() {
     // Find a seed whose plan kills this job's first attempt — the
-    // decision is a pure function of (seed, key, attempt), so the probe
+    // decision is a pure function of (seed, key, k, attempt), so the probe
     // instance predicts the server instance exactly.
     let body = submit_body("verify", ", \"k\": 4");
     let parsed: Value = serde_json::from_str(&body).unwrap();
     let key = JobRequest::from_json(&parsed).unwrap().cache_key();
     let seed = (0..1024u64)
-        .find(|&seed| ServeChaos::from_seed(seed).should_panic(&key, 0))
+        .find(|&seed| ChaosPlan::from_seed(seed).should_panic(&key, 4, 0))
         .expect("some seed panics the first attempt");
 
     let s = state_with(ServeConfig {

@@ -128,6 +128,9 @@ fn trace_id_flows_from_header_to_status_to_every_span() {
     for span in ["admission", "cache_lookup", "queue_wait", "fused_scan"] {
         assert!(names.contains(&span), "missing {span} in {names:?}");
     }
+    // One span per engine pass for the one K.
+    let spans = |pass| names.iter().filter(|&&n| n == pass).count();
+    assert_eq!([spans("fused_scan"), spans("livelock_dfs")], [1, 1]);
     for event in events {
         assert_eq!(event["ph"], "X");
         assert_eq!(event["tid"], id, "one lane per job");

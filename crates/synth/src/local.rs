@@ -53,7 +53,7 @@ use selfstab_graph::{
     hitting::minimal_hitting_sets,
 };
 use selfstab_protocol::{LocalPredicate, LocalStateId, LocalTransition, Protocol};
-use selfstab_telemetry::{Phase, PhaseTimes, SynthesisCounters};
+use selfstab_telemetry::{span, Phase, PhaseSink, SynthesisCounters};
 
 /// Budgets and switches for the local synthesizer.
 #[derive(Clone, Debug)]
@@ -394,32 +394,20 @@ impl LocalSynthesizer {
     /// [`SynthesisError::DomainTooLarge`] if the domain exceeds the `u8`
     /// value range.
     pub fn synthesize(&self, protocol: &Protocol) -> Result<SynthesisOutcome, SynthesisError> {
-        self.synthesize_bounded(protocol, &CancelToken::new())
+        self.synthesize_metered(protocol, &CancelToken::new(), None, None)
     }
 
     /// [`LocalSynthesizer::synthesize`] honoring a cooperative
-    /// [`CancelToken`], polled once per candidate. On cancellation the
-    /// outcome keeps the canonical verified prefix (`cancelled()` and
-    /// `truncated()` are set) rather than erroring out.
+    /// [`CancelToken`], polled once per candidate, with telemetry. On
+    /// cancellation the outcome keeps the canonical verified prefix
+    /// (`cancelled()` and `truncated()` are set) rather than erroring out.
     ///
-    /// # Errors
-    ///
-    /// [`SynthesisError::DomainTooLarge`] if the domain exceeds the `u8`
-    /// value range.
-    pub fn synthesize_bounded(
-        &self,
-        protocol: &Protocol,
-        cancel: &CancelToken,
-    ) -> Result<SynthesisOutcome, SynthesisError> {
-        self.synthesize_metered(protocol, cancel, None, None)
-    }
-
-    /// [`LocalSynthesizer::synthesize_bounded`] with telemetry: flushes
-    /// candidate/rejection counters into `counters` and records the whole
-    /// search as one [`Phase::Synthesis`] span in `phases`. Counters are
-    /// flushed once, from the canonically merged outcome, so every value
-    /// except the scheduling-dependent `cancel_polls` is thread-count
-    /// invariant — and the `None` path does no telemetry work at all.
+    /// Flushes candidate/rejection counters into `counters` and records
+    /// the whole search as one [`Phase::Synthesis`] span in `phases`.
+    /// Counters are flushed once, from the canonically merged outcome, so
+    /// every value except the scheduling-dependent `cancel_polls` is
+    /// thread-count invariant — and the `None` path does no telemetry work
+    /// at all.
     ///
     /// # Errors
     ///
@@ -430,12 +418,11 @@ impl LocalSynthesizer {
         protocol: &Protocol,
         cancel: &CancelToken,
         counters: Option<&SynthesisCounters>,
-        phases: Option<&PhaseTimes>,
+        phases: Option<&dyn PhaseSink>,
     ) -> Result<SynthesisOutcome, SynthesisError> {
-        match phases {
-            Some(t) => t.time(Phase::Synthesis, || self.search(protocol, cancel, counters)),
-            None => self.search(protocol, cancel, counters),
-        }
+        span(phases, Phase::Synthesis, || {
+            self.search(protocol, cancel, counters)
+        })
     }
 
     /// The engine: resolve-set loop around the chunked parallel candidate
@@ -1316,7 +1303,7 @@ mod tests {
         let p = empty("sn2", 3, "x[r] + x[r-1] != 2");
         let plain = LocalSynthesizer::default().synthesize(&p).unwrap();
         let counters = SynthesisCounters::new();
-        let phases = PhaseTimes::new();
+        let phases = selfstab_telemetry::PhaseTimes::new();
         let metered = LocalSynthesizer::default()
             .synthesize_metered(&p, &CancelToken::new(), Some(&counters), Some(&phases))
             .unwrap();
@@ -1341,7 +1328,7 @@ mod tests {
         let cancel = CancelToken::new();
         cancel.cancel();
         let out = LocalSynthesizer::default()
-            .synthesize_bounded(&p, &cancel)
+            .synthesize_metered(&p, &cancel, None, None)
             .unwrap();
         assert!(out.cancelled());
         assert!(out.truncated());

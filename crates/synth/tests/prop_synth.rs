@@ -168,7 +168,7 @@ proptest! {
             })
         };
         let out = LocalSynthesizer::new(config)
-            .synthesize_bounded(&p, &cancel)
+            .synthesize_metered(&p, &cancel, None, None)
             .unwrap();
         canceller.join().unwrap();
 
@@ -209,7 +209,7 @@ proptest! {
             })
         };
         let out = LocalSynthesizer::new(config)
-            .synthesize_bounded(&p, &cancel)
+            .synthesize_metered(&p, &cancel, None, None)
             .unwrap();
         canceller.join().unwrap();
 

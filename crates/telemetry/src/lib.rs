@@ -7,8 +7,9 @@
 //!
 //! * [`Histogram`] — 65 log2 buckets behind one `fetch_add` per sample, no
 //!   allocation, no lock;
-//! * [`Phase`] / [`PhaseTimes`] — the six phases a campaign job moves
-//!   through, accumulated as microsecond counters in a fixed array;
+//! * [`Phase`] / [`PhaseTimes`] — the phases a job moves through,
+//!   accumulated as microsecond counters in a fixed array, and
+//!   [`PhaseSink`] / [`span`] — the hook the pipelines report them through;
 //! * [`EngineCounters`] — the global engine's work counters (states
 //!   visited, deadlocks found, closure checks, DFS depth, cancel polls),
 //!   flushed once per chunk so the scan loop itself only touches plain
@@ -47,7 +48,7 @@ pub use counters::{
     EngineCounters, EngineCountersSnapshot, SynthesisCounters, SynthesisCountersSnapshot,
 };
 pub use hist::{Histogram, HistogramSnapshot, BUCKET_COUNT};
-pub use phase::{Phase, PhaseSnapshot, PhaseTimes};
+pub use phase::{span, Phase, PhaseSink, PhaseSnapshot, PhaseTimes};
 pub use progress::Progress;
 pub use registry::Registry;
 pub use trace::TraceCollector;

@@ -139,6 +139,35 @@ impl PhaseTimes {
     }
 }
 
+/// Where a pipeline reports its phase spans: the one hook through which
+/// the engine, the synthesizer and their callers (CLI, campaign, serve)
+/// attribute time without each re-sequencing the passes it wraps.
+///
+/// Object-safe, so entry points take `Option<&dyn PhaseSink>` and callers
+/// decide what a span records — a [`PhaseTimes`] accumulator, a trace
+/// lane, or both. Call it through [`span`].
+pub trait PhaseSink {
+    /// Runs `f` exactly once, as one span of `phase`.
+    fn span(&self, phase: Phase, f: &mut dyn FnMut());
+}
+
+impl PhaseSink for PhaseTimes {
+    fn span(&self, phase: Phase, f: &mut dyn FnMut()) {
+        self.time(phase, f);
+    }
+}
+
+/// Runs `f` as one span of `phase` in `sink`, or untimed without one.
+pub fn span<T>(sink: Option<&dyn PhaseSink>, phase: Phase, f: impl FnOnce() -> T) -> T {
+    let Some(sink) = sink else {
+        return f();
+    };
+    let mut f = Some(f);
+    let mut out = None;
+    sink.span(phase, &mut || out = f.take().map(|f| f()));
+    out.expect("a PhaseSink runs its span exactly once")
+}
+
 /// A plain-data copy of [`PhaseTimes`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PhaseSnapshot {
@@ -192,5 +221,9 @@ mod tests {
         let text = s.to_json().to_string();
         assert!(text.contains("\"parse\":42"), "{text}");
         assert!(text.contains("\"retry_backoff\":0"), "{text}");
+        // Through the sink hook: timed with one, bare without.
+        assert_eq!(span(Some(&t), Phase::LivelockDfs, || 7), 7);
+        assert_eq!(span(None, Phase::LivelockDfs, || 8), 8);
+        assert_eq!(t.calls(Phase::LivelockDfs), 1);
     }
 }
