@@ -4,8 +4,8 @@
 //! turns that lens on the toolchain itself. A [`ChaosPlan`] is a seeded,
 //! reproducible adversary that the runner consults at well-defined points:
 //!
-//! * **worker panics** — [`ChaosPlan::should_panic`] fires inside the
-//!   runner's `catch_unwind` region, exercising panic isolation and the
+//! * **worker panics** — [`ChaosPlan::should_panic`] fires inside
+//!   [`run_attempt`]'s panic net, exercising panic isolation and the
 //!   retry-with-backoff path;
 //! * **forced cancellation** — [`ChaosPlan::should_cancel`] fires the
 //!   campaign's interrupt token, exercising the same wind-down path as a
@@ -18,8 +18,8 @@
 //!   client retries while the job behind the response stays resolvable.
 //!
 //! The service consults the same plan: [`ChaosPlan::should_panic`] keyed
-//! by the job's cache key fires inside its pool's `catch_unwind` region,
-//! exercising the same retry-with-backoff path.
+//! by the job's cache key fires inside the same [`run_attempt`] net, and
+//! both runners space their retries with the same [`backoff`].
 //!
 //! All decisions are pure functions of `(seed, spec, k, attempt)` hashed
 //! with FNV-1a, plus bounded budgets derived from the seed — so a chaos
@@ -32,9 +32,11 @@
 //! <seed>` and `selfstab serve --chaos <seed>` flags (both build
 //! [`ChaosPlan::from_seed`]) and this test API.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Mutable injection budgets, shared by every worker's view of the plan.
 #[derive(Debug, Default)]
@@ -141,6 +143,47 @@ impl ChaosPlan {
     }
 }
 
+/// The panic net around one attempt of a job, shared by the campaign
+/// runner and the service: fires `chaos`'s injected panic for
+/// `(key, k, attempt)`, if any, then runs `f`. Nothing `f` does (an
+/// injection, an engine bug, a poisoned initializer) unwinds out; a
+/// panic comes back as its rendered payload.
+///
+/// # Errors
+///
+/// The panic message when the attempt panicked.
+pub fn run_attempt<T>(
+    chaos: Option<&ChaosPlan>,
+    key: &str,
+    k: usize,
+    attempt: u32,
+    f: impl FnOnce() -> T,
+) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(|| {
+        if chaos.is_some_and(|c| c.should_panic(key, k, attempt)) {
+            panic!("chaos: injected worker panic (attempt {attempt})");
+        }
+        f()
+    }))
+    .map_err(|payload| {
+        if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_owned()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_owned()
+        }
+    })
+}
+
+/// The delay before retry `attempt + 1`: `base * 2^min(attempt, 6)`. A
+/// pure function of the attempt index — no jitter, no clock in any
+/// recorded artifact — and capped, so a large retry budget cannot grow
+/// it into an overflow or an hours-long sleep.
+pub fn backoff(base: Duration, attempt: u32) -> Duration {
+    base.saturating_mul(1 << attempt.min(6))
+}
+
 /// Consumes one unit of `budget` if any remains.
 fn take(budget: &AtomicU64) -> bool {
     budget
@@ -224,6 +267,30 @@ mod tests {
             assert!(plan.should_panic("any.stab", 3, attempt));
         }
         assert!(!plan.should_cancel("any.stab", 3));
+    }
+
+    #[test]
+    fn run_attempt_renders_panics_and_backoff_caps() {
+        assert_eq!(run_attempt(None, "a.stab", 3, 0, || 7), Ok(7));
+        let always = ChaosPlan::always_panic();
+        assert_eq!(
+            run_attempt(Some(&always), "a.stab", 3, 2, || 7),
+            Err("chaos: injected worker panic (attempt 2)".to_owned())
+        );
+        let str_panic = run_attempt(None, "a.stab", 3, 0, || -> u8 { panic!("plain") });
+        assert_eq!(str_panic, Err("plain".to_owned()));
+        let k = 9;
+        let string_panic = run_attempt(None, "a.stab", 3, 0, || -> u8 { panic!("k={k}") });
+        assert_eq!(string_panic, Err("k=9".to_owned()));
+
+        let base = Duration::from_millis(5);
+        let delays: Vec<Duration> = (0..9).map(|a| backoff(base, a)).collect();
+        let expected: Vec<Duration> = [1, 2, 4, 8, 16, 32, 64, 64, 64]
+            .iter()
+            .map(|&m| base * m)
+            .collect();
+        assert_eq!(delays, expected, "doubles per attempt, capped at 64x");
+        assert_eq!(backoff(base, u32::MAX), base * 64);
     }
 
     #[test]

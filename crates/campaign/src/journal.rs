@@ -64,8 +64,9 @@ pub enum FsyncPolicy {
     /// `fsync` after every record: maximum durability, one syscall per job
     /// event.
     Always,
-    /// `fsync` every [`BATCH_SYNC_EVERY`] records and on [`Journal::sync`]
-    /// (the campaign syncs at the end of every run and on interrupt).
+    /// `fsync` every 64 records (`BATCH_SYNC_EVERY`) and on
+    /// [`Journal::sync`] (the campaign syncs at the end of every run and on
+    /// interrupt).
     #[default]
     Batch,
 }

@@ -16,13 +16,13 @@
 //! first corrupt record instead of erroring (see [`journal`]).
 //!
 //! The runner is chaos-hardened: a panicking job is caught
-//! (`catch_unwind`), journaled as `job_panicked` telemetry, retried up to
-//! [`CampaignConfig::retries`] times with deterministic exponential
-//! backoff, and finally degraded to a failed [`Outcome::Panicked`] rather
-//! than aborting the sweep. A campaign-wide interrupt token
-//! ([`CampaignConfig::interrupt`]) winds the pool down cooperatively — the
-//! SIGINT path of the CLI and the forced-cancel path of the deterministic
-//! fault-injection harness ([`chaos`]) share it.
+//! ([`chaos::run_attempt`]), journaled as `job_panicked` telemetry,
+//! retried up to [`CampaignConfig::retries`] times with deterministic
+//! exponential backoff, and finally degraded to a failed
+//! [`Outcome::Panicked`] rather than aborting the sweep. A campaign-wide
+//! interrupt token ([`CampaignConfig::interrupt`]) winds the pool down
+//! cooperatively — the SIGINT path of the CLI and the forced-cancel path
+//! of the deterministic fault-injection harness ([`chaos`]) share it.
 //!
 //! The final [`report`] is canonical JSON: jobs are merged in manifest
 //! order and no wall-clock time is stamped into the body, so the rendered
@@ -58,5 +58,5 @@ pub use chaos::ChaosPlan;
 pub use job::{JobResult, JobSpec, LocalVerdict, Outcome};
 pub use journal::{FrameReplay, FsyncPolicy, Journal, Replay};
 pub use manifest::Manifest;
-pub use pool::{JobHandle, JobOutput, ServicePool};
+pub use pool::ServicePool;
 pub use runner::{run_campaign, CampaignConfig, CampaignError, CampaignOutcome};

@@ -25,10 +25,10 @@
 //! Batch pools drain and return; long-running callers (the `selfstab
 //! serve` daemon) instead need workers that outlive any one submission.
 //! [`ServicePool`] is that persistent counterpart: jobs arrive over time
-//! through [`ServicePool::submit`], each returning a [`JobHandle`] the
-//! caller can poll or block on, with the same panic-isolation contract —
-//! a panicking job resolves its own handle to an error and the workers
-//! march on.
+//! through [`ServicePool::submit`], which says whether the pool accepted
+//! the job. Jobs report their own outcome (the service writes it into its
+//! job table), and the same isolation contract holds — a panicking job is
+//! caught and dropped, and the workers march on.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -66,30 +66,16 @@ impl PoolStats {
 ///
 /// Returns one result per job, in job-index order regardless of which
 /// worker ran what. `workers == 0` is treated as 1; a single worker runs
-/// everything inline in seed order.
+/// everything inline in seed order. Optional scheduling telemetry (steal
+/// counts and queue-depth samples) lands in `stats`; the results are
+/// identical with and without it — observation never steers scheduling.
 ///
 /// # Panics
 ///
 /// If `run` panics for some job, every *other* job still runs to
 /// completion and the first caught panic payload is then re-raised from
 /// the calling thread.
-pub fn run_jobs<T, F>(workers: usize, jobs: usize, run: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, usize) -> T + Sync,
-{
-    run_jobs_with_stats(workers, jobs, None, run)
-}
-
-/// [`run_jobs`] with optional scheduling telemetry: steal counts and
-/// queue-depth samples land in `stats`. The results are identical with
-/// and without stats — observation never steers scheduling.
-pub fn run_jobs_with_stats<T, F>(
-    workers: usize,
-    jobs: usize,
-    stats: Option<&PoolStats>,
-    run: F,
-) -> Vec<T>
+pub fn run_jobs<T, F>(workers: usize, jobs: usize, stats: Option<&PoolStats>, run: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, usize) -> T + Sync,
@@ -176,50 +162,6 @@ fn next_job(
     None
 }
 
-/// The terminal state of a [`JobHandle`]: the job's value, or the
-/// rendered panic payload if the job crashed (isolated to this handle —
-/// the worker survives), or a note that the pool shut down before the job
-/// could run.
-pub type JobOutput<T> = Result<T, String>;
-
-/// Shared completion cell between one submitted job and its handle.
-struct HandleCell<T> {
-    slot: Mutex<Option<JobOutput<T>>>,
-    ready: Condvar,
-}
-
-/// The caller's view of one submitted job: poll with
-/// [`JobHandle::try_take`] / [`JobHandle::is_finished`], or block with
-/// [`JobHandle::wait`]. Dropping the handle is fine — the job still runs;
-/// nobody observes the result.
-pub struct JobHandle<T> {
-    cell: Arc<HandleCell<T>>,
-}
-
-impl<T> JobHandle<T> {
-    /// `true` once the job has finished (or failed, or was refused).
-    pub fn is_finished(&self) -> bool {
-        self.cell.slot.lock().expect("handle poisoned").is_some()
-    }
-
-    /// Takes the output if the job has finished; `None` while in flight.
-    /// The output can be taken exactly once.
-    pub fn try_take(&self) -> Option<JobOutput<T>> {
-        self.cell.slot.lock().expect("handle poisoned").take()
-    }
-
-    /// Blocks until the job finishes and returns its output.
-    pub fn wait(self) -> JobOutput<T> {
-        let mut slot = self.cell.slot.lock().expect("handle poisoned");
-        loop {
-            if let Some(out) = slot.take() {
-                return out;
-            }
-            slot = self.cell.ready.wait(slot).expect("handle poisoned");
-        }
-    }
-}
-
 /// What the service queue holds and guards.
 struct ServiceQueueState {
     jobs: VecDeque<Box<dyn FnOnce() + Send>>,
@@ -293,44 +235,21 @@ impl ServicePool {
         self.shared.executed.load(Ordering::Relaxed)
     }
 
-    /// Submits a job. The returned handle resolves to the job's value, to
-    /// the rendered panic payload if it crashed, or — when the pool is
-    /// already draining — immediately to an error without running the job.
-    pub fn submit<T, F>(&self, job: F) -> JobHandle<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let cell = Arc::new(HandleCell {
-            slot: Mutex::new(None),
-            ready: Condvar::new(),
-        });
-        let handle = JobHandle {
-            cell: Arc::clone(&cell),
-        };
-        let shared = Arc::clone(&self.shared);
-        let task: Box<dyn FnOnce() + Send> = Box::new(move || {
-            shared.executed.fetch_add(1, Ordering::Relaxed);
-            let out = catch_unwind(AssertUnwindSafe(job))
-                .map_err(|payload| render_panic_payload(payload.as_ref()));
-            *cell.slot.lock().expect("handle poisoned") = Some(out);
-            cell.ready.notify_all();
-        });
+    /// Submits a job. Returns `false`, without running the job, when the
+    /// pool is already draining; an accepted job runs exactly once.
+    #[must_use = "a refused job never runs"]
+    pub fn submit(&self, job: impl FnOnce() + Send + 'static) -> bool {
         let mut state = self.shared.state.lock().expect("service queue poisoned");
         if state.draining {
-            drop(state);
-            *handle.cell.slot.lock().expect("handle poisoned") =
-                Some(Err("pool is shut down".to_owned()));
-            handle.cell.ready.notify_all();
-            return handle;
+            return false;
         }
-        state.jobs.push_back(task);
+        state.jobs.push_back(Box::new(job));
         if let Some(h) = &self.shared.queue_depth {
             h.record(state.jobs.len() as u64);
         }
         drop(state);
         self.shared.available.notify_one();
-        handle
+        true
     }
 
     /// Graceful drain: refuses new submissions, lets every accepted job
@@ -376,20 +295,11 @@ fn worker_loop(shared: &ServiceShared) {
                     .expect("service queue poisoned");
             }
         };
-        // The task body carries its own panic net (`submit` wraps the
-        // closure), so nothing can unwind out of here.
-        task();
-    }
-}
-
-/// Renders a caught panic payload for a [`JobHandle`] error.
-fn render_panic_payload(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("job panicked: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("job panicked: {s}")
-    } else {
-        "job panicked: non-string payload".to_owned()
+        shared.executed.fetch_add(1, Ordering::Relaxed);
+        // The worker's panic net: a panicking job is dropped, never the
+        // worker. Callers that want panics as data catch them inside the
+        // job (the service does, through `chaos::run_attempt`).
+        let _ = catch_unwind(AssertUnwindSafe(task));
     }
 }
 
@@ -397,12 +307,13 @@ fn render_panic_payload(payload: &(dyn Any + Send)) -> String {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
 
     #[test]
     fn every_job_runs_exactly_once_in_index_order() {
         for workers in [1, 2, 4, 7] {
             let counter = AtomicUsize::new(0);
-            let results = run_jobs(workers, 23, |_w, job| {
+            let results = run_jobs(workers, 23, None, |_w, job| {
                 counter.fetch_add(1, Ordering::Relaxed);
                 job * 10
             });
@@ -419,7 +330,7 @@ mod tests {
     fn stealing_drains_uneven_loads() {
         // One giant job seeded on worker 0; the rest tiny. With stealing,
         // the tiny jobs all finish even though worker 0 is stuck.
-        let results = run_jobs(4, 16, |_w, job| {
+        let results = run_jobs(4, 16, None, |_w, job| {
             if job == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(30));
             }
@@ -430,8 +341,8 @@ mod tests {
 
     #[test]
     fn zero_workers_and_zero_jobs_are_fine() {
-        assert!(run_jobs(0, 0, |_w, j| j).is_empty());
-        assert_eq!(run_jobs(0, 3, |_w, j| j), vec![0, 1, 2]);
+        assert!(run_jobs(0, 0, None, |_w, j| j).is_empty());
+        assert_eq!(run_jobs(0, 3, None, |_w, j| j), vec![0, 1, 2]);
     }
 
     #[test]
@@ -441,7 +352,7 @@ mod tests {
         // partition the job count, and observation never reorders results.
         let registry = Registry::new();
         let stats = PoolStats::from_registry(&registry);
-        let results = run_jobs_with_stats(4, 16, Some(&stats), |_w, job| {
+        let results = run_jobs(4, 16, Some(&stats), |_w, job| {
             if job == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(10));
             }
@@ -453,44 +364,60 @@ mod tests {
         assert_eq!(steals + pops, 16, "steals={steals} pops={pops}");
     }
 
+    /// Submits `values.len()` jobs, each sending its value down the
+    /// returned channel.
+    fn submit_all(
+        pool: &ServicePool,
+        values: impl Iterator<Item = usize>,
+    ) -> mpsc::Receiver<usize> {
+        let (tx, rx) = mpsc::channel();
+        for v in values {
+            let tx = tx.clone();
+            assert!(pool.submit(move || tx.send(v).unwrap()));
+        }
+        rx
+    }
+
     #[test]
     fn service_pool_runs_jobs_submitted_over_time() {
         let pool = ServicePool::new(3);
-        let handles: Vec<JobHandle<usize>> = (0..20).map(|i| pool.submit(move || i * 7)).collect();
-        for (i, h) in handles.into_iter().enumerate() {
-            assert_eq!(h.wait(), Ok(i * 7));
-        }
+        let rx = submit_all(&pool, (0..20).map(|i| i * 7));
+        let mut got: Vec<usize> = rx.iter().take(20).collect();
+        got.sort_unstable();
+        assert_eq!(got, (0..20).map(|i| i * 7).collect::<Vec<_>>());
         assert_eq!(pool.executed(), 20);
         // A second wave on the same workers.
-        let h = pool.submit(|| "again".to_owned());
-        assert_eq!(h.wait(), Ok("again".to_owned()));
+        assert_eq!(submit_all(&pool, [5].into_iter()).recv(), Ok(5));
         assert_eq!(pool.executed(), 21);
     }
 
     #[test]
-    fn service_pool_isolates_panics_per_handle() {
-        let pool = ServicePool::new(2);
-        let bad: JobHandle<u32> = pool.submit(|| panic!("service job exploded"));
-        let good = pool.submit(|| 11u32);
-        assert_eq!(good.wait(), Ok(11));
-        let err = bad.wait().expect_err("panic resolves the handle to Err");
-        assert!(err.contains("service job exploded"), "{err}");
-        // The worker that caught the panic still serves new jobs.
-        assert_eq!(pool.submit(|| 5u32).wait(), Ok(5));
+    fn service_pool_isolates_panics_per_job() {
+        // One worker: the thread that catches the panic is the one that
+        // must go on to serve the next job.
+        let pool = ServicePool::new(1);
+        assert!(pool.submit(|| panic!("service job exploded")));
+        assert_eq!(submit_all(&pool, [11].into_iter()).recv(), Ok(11));
+        assert_eq!(pool.executed(), 2);
     }
 
     #[test]
     fn service_pool_shutdown_drains_accepted_work_and_refuses_more() {
         let pool = ServicePool::new(2);
-        let before: Vec<JobHandle<usize>> = (0..8).map(|i| pool.submit(move || i)).collect();
+        let rx = submit_all(&pool, 0..8);
         pool.shutdown();
         // Every job accepted before the drain ran to completion.
-        for (i, h) in before.into_iter().enumerate() {
-            assert_eq!(h.wait(), Ok(i));
-        }
-        // Submissions after the drain resolve to an error without running.
-        let refused = pool.submit(|| 99usize);
-        assert_eq!(refused.wait(), Err("pool is shut down".to_owned()));
+        let mut got: Vec<usize> = rx.try_iter().collect();
+        got.sort_unstable();
+        assert_eq!(got, (0..8).collect::<Vec<_>>());
+        // Submissions after the drain are refused and never run.
+        let ran = Arc::new(AtomicUsize::new(0));
+        let flag = Arc::clone(&ran);
+        assert!(!pool.submit(move || {
+            flag.fetch_add(1, Ordering::Relaxed);
+        }));
+        assert_eq!(ran.load(Ordering::Relaxed), 0);
+        assert_eq!(pool.executed(), 8);
         // Idempotent.
         pool.shutdown();
     }
@@ -499,10 +426,9 @@ mod tests {
     fn service_pool_wires_executed_and_queue_depth_into_the_registry() {
         let registry = Registry::new();
         let pool = ServicePool::with_registry(1, Some(&registry));
-        let handles: Vec<JobHandle<u32>> = (0..5).map(|i| pool.submit(move || i)).collect();
-        for h in handles {
-            h.wait().unwrap();
-        }
+        let rx = submit_all(&pool, 0..5);
+        assert_eq!(rx.iter().take(5).count(), 5);
+        pool.shutdown();
         let snap = registry.snapshot_json();
         assert_eq!(snap["counters"]["pool/executed"], 5u64);
         assert_eq!(snap["histograms"]["pool/queue_depth"]["count"], 5u64);
@@ -516,7 +442,7 @@ mod tests {
         for workers in [1, 4] {
             let ran = AtomicUsize::new(0);
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_jobs(workers, 23, |_w, job| {
+                run_jobs(workers, 23, None, |_w, job| {
                     if job == 7 {
                         panic!("job 7 exploded");
                     }

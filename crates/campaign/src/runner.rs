@@ -5,7 +5,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -16,7 +15,7 @@ use selfstab_protocol::Protocol;
 use selfstab_telemetry::{span, EngineCounters, Phase, PhaseSink, Progress, TraceCollector};
 use serde_json::Value;
 
-use crate::chaos::ChaosPlan;
+use crate::chaos::{self, ChaosPlan};
 use crate::job::{JobResult, JobSpec, LocalVerdict, Outcome};
 use crate::journal::{self, FsyncPolicy, Journal};
 use crate::manifest::Manifest;
@@ -46,11 +45,6 @@ impl fmt::Display for CampaignError {
 
 impl std::error::Error for CampaignError {}
 
-/// Longest exponent of the retry backoff: `backoff * 2^min(attempt, CAP)`.
-/// Caps the deterministic schedule so a large `--retries` cannot multiply
-/// the base into an overflow or an hours-long sleep.
-const BACKOFF_EXPONENT_CAP: u32 = 6;
-
 /// Knobs of one campaign invocation (the manifest holds the semantics;
 /// this holds the mechanics, none of which can change a verdict).
 #[derive(Clone, Debug)]
@@ -69,8 +63,8 @@ pub struct CampaignConfig {
     /// `retries + 1` attempts before degrading to a failed outcome.
     pub retries: u32,
     /// Base delay of the deterministic exponential backoff between retry
-    /// attempts (`backoff * 2^attempt`, exponent capped). Pure mechanics:
-    /// never recorded in the report.
+    /// attempts ([`chaos::backoff`]). Pure mechanics: never recorded in
+    /// the report.
     pub backoff: Duration,
     /// Journal durability policy (`fsync` per record or batched).
     pub fsync: FsyncPolicy,
@@ -171,9 +165,9 @@ enum Attempt {
 ///
 /// Per-job failures degrade instead of aborting: parse errors, budget
 /// exhaustion and failed verification become outcomes, and a worker panic
-/// is caught (`catch_unwind`), journaled as a `job_panicked` event, and
-/// retried up to [`CampaignConfig::retries`] times with deterministic
-/// exponential backoff before degrading to a failed outcome.
+/// is caught ([`chaos::run_attempt`]), journaled as a `job_panicked`
+/// event, and retried up to [`CampaignConfig::retries`] times with
+/// deterministic exponential backoff before degrading to a failed outcome.
 ///
 /// # Errors
 ///
@@ -255,7 +249,7 @@ pub fn run_campaign(
     let replayed = replay.completed.len();
 
     let panics_caught = std::sync::atomic::AtomicU64::new(0);
-    let fresh: Vec<Option<JobResult>> = pool::run_jobs_with_stats(
+    let fresh: Vec<Option<JobResult>> = pool::run_jobs(
         config.workers,
         pending.len(),
         pool_stats.as_ref(),
@@ -314,15 +308,9 @@ pub fn run_campaign(
                     });
                 }
                 let job_started = Instant::now();
-                // The panic net: nothing a job does — chaos injection, an
-                // engine bug, a poisoned OnceLock initializer — may unwind
-                // into the pool.
-                let ran = catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(chaos) = &config.chaos {
-                        if chaos.should_panic(&job.spec, job.k, attempt) {
-                            panic!("chaos: injected worker panic (attempt {attempt})");
-                        }
-                    }
+                // The panic net: nothing a job does may unwind into the pool.
+                let chaos = config.chaos.as_ref();
+                let ran = chaos::run_attempt(chaos, &job.spec, job.k, attempt, || {
                     let data = slots[job.spec_index].get_or_init(|| {
                         let data = prepare_spec(manifest, job.spec_index, sink);
                         if let Some(j) = &journal {
@@ -337,7 +325,7 @@ pub fn run_campaign(
                         data
                     });
                     execute_job(manifest, job, data, &engine, interrupt.as_ref(), scope)
-                }));
+                });
                 match ran {
                     Ok(Attempt::Done(result)) => {
                         if let Some(j) = &journal {
@@ -354,9 +342,8 @@ pub fn run_campaign(
                         return record(*result);
                     }
                     Ok(Attempt::Interrupted) => return None,
-                    Err(payload) => {
+                    Err(message) => {
                         panics_caught.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let message = panic_message(payload.as_ref());
                         if let Some(s) = scope {
                             s.tele.instant(s, "job_panicked");
                             s.tele
@@ -376,11 +363,7 @@ pub fn run_campaign(
                                     .counter("campaign/retries")
                                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                             }
-                            // Deterministic exponential backoff: a pure
-                            // function of the attempt index, no jitter, no
-                            // clock in any recorded artifact.
-                            let delay =
-                                config.backoff * (1u32 << attempt.min(BACKOFF_EXPONENT_CAP));
+                            let delay = chaos::backoff(config.backoff, attempt);
                             if !delay.is_zero() {
                                 span(sink, Phase::RetryBackoff, || std::thread::sleep(delay));
                             }
@@ -493,18 +476,6 @@ pub fn run_campaign(
         metrics,
         trace,
     })
-}
-
-/// Renders a caught panic payload (the `&str`/`String` payloads `panic!`
-/// produces, or a placeholder for exotic types).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
 }
 
 /// Parses and locally analyzes one spec (the once-per-spec shared work).

@@ -21,8 +21,8 @@
 //!
 //! The id range is split into 64-aligned chunks handed to a scoped thread
 //! pool ([`EngineConfig::threads`]); each chunk produces an independent
-//! [`ChunkOut`]-style summary and the summaries are merged in ascending
-//! chunk order, so **the result is bit-for-bit identical for every thread
+//! `ChunkOut` summary and the summaries are merged in ascending chunk
+//! order, so **the result is bit-for-bit identical for every thread
 //! count**, including the identity of the first closure violation and the
 //! order of the deadlock list.
 
@@ -46,7 +46,7 @@ const CANCEL_STRIDE: u64 = 4096;
 /// Cooperative cancellation for long-running scans: an explicit flag
 /// (settable from any thread, e.g. a Ctrl-C handler) combined with an
 /// optional wall-clock deadline and an optional **parent** token. Scans
-/// poll the token every [`CANCEL_STRIDE`] states and bail out with
+/// poll the token every `CANCEL_STRIDE` (4096) states and bail out with
 /// [`Cancelled`].
 ///
 /// Parent linking lets one broadcast token (a SIGINT hook, a chaos

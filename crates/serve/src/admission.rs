@@ -253,9 +253,9 @@ fn level_for(rss: u64, limit: u64) -> u8 {
     SHED_THRESHOLDS.iter().filter(|&&t| frac >= t).count() as u8
 }
 
-/// Spawns the RSS sampler: every [`WATCHDOG_INTERVAL`] it re-derives the
-/// shed level from `/proc/self/statm` against `limit_bytes` and stores it
-/// through `level`. The thread retires when the server state (and with it
+/// Spawns the RSS sampler: every `WATCHDOG_INTERVAL` (250 ms) it
+/// re-derives the shed level from `/proc/self/statm` against
+/// `limit_bytes` and stores it through `level`. The thread retires when the server state (and with it
 /// the level cell) is dropped.
 pub fn spawn_watchdog(level: &Arc<AtomicU8>, limit_bytes: u64, registry: &Registry) {
     let weak: Weak<AtomicU8> = Arc::downgrade(level);

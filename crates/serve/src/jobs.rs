@@ -63,8 +63,8 @@ impl JobKind {
         }
     }
 
-    /// Parses a wire name back to a kind (the admission pre-check uses
-    /// this before full request validation).
+    /// Parses a wire name back to a kind (request validation, the
+    /// admission pre-check before it, and journal replay).
     pub fn from_name(name: &str) -> Option<Self> {
         match name {
             "verify" => Some(JobKind::Verify),
@@ -170,21 +170,14 @@ impl JobRequest {
     /// [`SubmitError::BadSpec`] for a spec that parses as JSON but cannot
     /// run (422).
     pub fn from_json(body: &Value) -> Result<Self, SubmitError> {
-        let kind = match body["kind"].as_str() {
-            Some("verify") => JobKind::Verify,
-            Some("sweep") => JobKind::Sweep,
-            Some("synthesize") => JobKind::Synthesize,
-            Some(other) => {
-                return Err(SubmitError::BadRequest(format!(
-                    "unknown kind `{other}` (expected verify, sweep, or synthesize)"
-                )))
-            }
-            None => {
-                return Err(SubmitError::BadRequest(
-                    "field `kind` is required and must be a string".to_owned(),
-                ))
-            }
-        };
+        let name = body["kind"].as_str().ok_or_else(|| {
+            SubmitError::BadRequest("field `kind` is required and must be a string".to_owned())
+        })?;
+        let kind = JobKind::from_name(name).ok_or_else(|| {
+            SubmitError::BadRequest(format!(
+                "unknown kind `{name}` (expected verify, sweep, or synthesize)"
+            ))
+        })?;
         let spec = body["spec"].as_str().ok_or_else(|| {
             SubmitError::BadRequest("field `spec` is required and must be a string".to_owned())
         })?;
@@ -378,7 +371,10 @@ impl JobRequest {
     }
 }
 
-/// Where a job currently is.
+/// Where a job currently is. The done, timed-out and failed states are
+/// also what the journal records and replays
+/// ([`crate::journal::terminal_event`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JobState {
     /// Accepted, waiting for a pool worker.
     Queued,

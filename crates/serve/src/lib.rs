@@ -84,6 +84,6 @@ pub mod trace;
 pub use admission::{Admission, PendingCaps, Shed};
 pub use cache::{CachedDoc, ResultCache};
 pub use jobs::{JobKind, JobRequest, JobState};
-pub use journal::{ReplayedJob, ReplayedTerminal, ServeJournal, ServeReplay};
+pub use journal::{ReplayedJob, ServeReplay};
 pub use server::{ServeConfig, ServeState, Server};
 pub use trace::{JobTrace, TraceIdGen};

@@ -32,19 +32,21 @@
 //! cancel poll), shut the pool down, fsync the journal, then give
 //! connection threads a bounded grace period to flush their last
 //! response. Drained jobs are *not* journaled as terminal: the next boot
-//! re-enqueues them.
+//! re-enqueues them. A job the pool refuses (the drain shut it down
+//! between the submit's drain check and the enqueue) parks as drained
+//! the same way, releasing its admission slot and cache reservation.
 
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use selfstab_campaign::chaos::{backoff, run_attempt};
 use selfstab_campaign::telemetry::JobTelemetry;
-use selfstab_campaign::{ChaosPlan, FsyncPolicy, ServicePool};
+use selfstab_campaign::{ChaosPlan, FsyncPolicy, Journal, ServicePool};
 use selfstab_core::registry_row::{append_row, RegistryRow};
 use selfstab_global::CancelToken;
 use selfstab_telemetry::{prometheus, Registry};
@@ -54,7 +56,7 @@ use crate::admission::{spawn_watchdog, Admission, PendingCaps};
 use crate::cache::{CachedDoc, Lookup, ResultCache};
 use crate::http::{HttpError, Request, RequestReader, Response};
 use crate::jobs::{execute, ExecOutcome, JobEntry, JobKind, JobRequest, JobState};
-use crate::journal::{replay, ReplayedTerminal, ServeJournal};
+use crate::journal::{submitted_event, terminal_event, ServeReplay};
 use crate::trace::{interleaved_document, JobTrace, TraceIdGen};
 
 /// How long [`Server::run`] waits for connection threads to flush after
@@ -69,10 +71,6 @@ const RETRY_AFTER_SECS: &str = "1";
 /// `Retry-After` seconds suggested while draining: the process is going
 /// away; point clients at its replacement on a drain-sized delay.
 const DRAIN_RETRY_AFTER_SECS: &str = "5";
-
-/// Exponent cap for the deterministic retry backoff (`backoff * 2^n`),
-/// mirroring the campaign runner's retry machinery.
-const BACKOFF_EXP_CAP: u32 = 6;
 
 /// Server construction parameters (the CLI's `serve` flags).
 pub struct ServeConfig {
@@ -95,7 +93,7 @@ pub struct ServeConfig {
     /// Extra execution attempts after a panicked one (`--retries`).
     pub retries: u32,
     /// Base of the deterministic exponential retry backoff
-    /// (`--backoff-ms`).
+    /// (`--backoff-ms`; see [`backoff`]).
     pub backoff: Duration,
     /// Per-kind admission caps (`--max-pending` scales all three).
     pub caps: PendingCaps,
@@ -153,7 +151,7 @@ pub struct ServeState {
     cache: ResultCache,
     pool: ServicePool,
     admission: Admission,
-    journal: Option<ServeJournal>,
+    journal: Option<Journal>,
     chaos: Option<ChaosPlan>,
     retries: u32,
     backoff: Duration,
@@ -194,14 +192,12 @@ impl ServeState {
         if let Some(limit) = config.max_rss_bytes {
             spawn_watchdog(&admission.shed_handle(), limit, &registry);
         }
-        let (journal, replayed) = match &config.journal {
-            Some(path) => {
-                let replayed = replay(path)?;
-                let journal = ServeJournal::append(path, replayed.valid_len, config.fsync)?;
-                (Some(journal), Some(replayed))
-            }
-            None => (None, None),
-        };
+        let (journal, replayed) = config
+            .journal
+            .as_deref()
+            .map(|path| crate::journal::open(path, config.fsync))
+            .transpose()?
+            .unzip();
         let jobs_submitted = registry.counter("serve/jobs_submitted");
         let jobs_replayed = registry.counter("serve/jobs_replayed");
         let next_id = replayed.as_ref().map_or(0, |r| r.next_id.saturating_sub(1));
@@ -236,74 +232,61 @@ impl ServeState {
     /// become resolvable entries, non-terminal jobs re-enqueue with their
     /// original ids (answered from cache when a warm snapshot already has
     /// their document).
-    fn restore(self: &Arc<Self>, replayed: crate::journal::ServeReplay) {
+    fn restore(self: &Arc<Self>, replayed: ServeReplay) {
+        // Boot-time appends are untimed: no request is waiting on them.
+        let append = |id: u64, state: &JobState| {
+            if let (Some(journal), Some(record)) =
+                (&self.journal, terminal_event(id, state, json!({})))
+            {
+                journal.event(&record);
+            }
+        };
         for job in replayed.jobs.into_values() {
             self.jobs_replayed.fetch_add(1, Ordering::Relaxed);
-            let kind = JobKind::from_name(&job.kind).unwrap_or(JobKind::Verify);
-            match job.terminal {
-                Some(ReplayedTerminal::Done(doc)) => {
+            if let Some(state) = job.terminal {
+                if let JobState::Done { doc } = &state {
                     // The result resolves again AND warms the cache (no
                     // snapshot write-through: the journal already holds
                     // these bytes durably).
-                    self.cache.insert_restored(&job.key, Arc::clone(&doc));
-                    self.insert_replayed(job.id, kind, &job.key, JobState::Done { doc });
+                    self.cache.insert_restored(&job.key, Arc::clone(doc));
                 }
-                Some(ReplayedTerminal::Failed { status, message }) => {
-                    self.insert_replayed(
-                        job.id,
-                        kind,
-                        &job.key,
-                        JobState::Failed { status, message },
-                    );
-                }
-                Some(ReplayedTerminal::TimedOut { partial }) => {
-                    self.insert_replayed(job.id, kind, &job.key, JobState::TimedOut { partial });
-                }
-                None => match JobRequest::from_json(&job.request) {
-                    Ok(request) => {
-                        let entry =
-                            self.insert_replayed(job.id, request.kind, &job.key, JobState::Queued);
-                        match self.cache.lookup_or_reserve(&job.key, job.id) {
-                            Lookup::Hit(doc) => {
-                                // The snapshot (or an earlier replayed
-                                // job) already has the bytes: terminal
-                                // without pool work, journaled so the
-                                // *next* restart needs no re-run either.
-                                if let Some(journal) = &self.journal {
-                                    journal.done(job.id, &doc, &json!({}));
-                                }
-                                *entry.state.lock().expect("job state poisoned") =
-                                    JobState::Done { doc };
-                            }
-                            Lookup::InFlight(_) | Lookup::Miss => {
-                                // Accepted before the crash: admission
-                                // caps never apply ("no accepted job is
-                                // ever lost" outranks them).
-                                self.admission.admit_replayed(request.kind);
-                                self.enqueue(request, entry, job.key);
-                            }
+                self.insert_replayed(job.id, job.kind, &job.key, state);
+                continue;
+            }
+            match JobRequest::from_json(&job.request) {
+                Ok(request) => {
+                    let entry =
+                        self.insert_replayed(job.id, request.kind, &job.key, JobState::Queued);
+                    match self.cache.lookup_or_reserve(&job.key, job.id) {
+                        Lookup::Hit(doc) => {
+                            // The snapshot (or an earlier replayed job)
+                            // already has the bytes: terminal without pool
+                            // work, journaled so the *next* restart needs
+                            // no re-run either.
+                            let done = JobState::Done { doc };
+                            append(job.id, &done);
+                            *entry.state.lock().expect("job state poisoned") = done;
+                        }
+                        Lookup::InFlight(_) | Lookup::Miss => {
+                            // Accepted before the crash: admission caps
+                            // never apply ("no accepted job is ever lost"
+                            // outranks them).
+                            self.admission.admit_replayed(request.kind);
+                            self.enqueue(request, entry);
                         }
                     }
-                    Err(e) => {
-                        // Validated at the original submit, so this means
-                        // the environment changed under the journal.
-                        // Surface it as the job's terminal state instead
-                        // of wedging the boot.
-                        let message = format!("replayed request no longer valid: {}", e.message());
-                        if let Some(journal) = &self.journal {
-                            journal.failed(job.id, 500, &message, &json!({}));
-                        }
-                        self.insert_replayed(
-                            job.id,
-                            kind,
-                            &job.key,
-                            JobState::Failed {
-                                status: 500,
-                                message,
-                            },
-                        );
-                    }
-                },
+                }
+                Err(e) => {
+                    // Validated at the original submit, so this means the
+                    // environment changed under the journal. Surface it as
+                    // the job's terminal state instead of wedging the boot.
+                    let failed = JobState::Failed {
+                        status: 500,
+                        message: format!("replayed request no longer valid: {}", e.message()),
+                    };
+                    append(job.id, &failed);
+                    self.insert_replayed(job.id, job.kind, &job.key, failed);
+                }
             }
         }
     }
@@ -493,12 +476,22 @@ impl ServeState {
             .cloned()
     }
 
-    /// Times one journal append (including its fsync under
-    /// `--fsync always`) into the `serve/journal_append_us` histogram.
-    fn journal_event(&self, f: impl FnOnce(&ServeJournal)) {
-        if let Some(journal) = &self.journal {
-            let started = Instant::now();
-            f(journal);
+    /// Appends the records `build` returns, timing the build and the
+    /// appends (fsync included under `--fsync always`) as one
+    /// `serve/journal_append_us` sample. `build` runs only when a journal
+    /// is configured, since a `done` record clones the whole body; a site
+    /// with nothing to append (a drained job) records no sample.
+    fn journal_event<R: IntoIterator<Item = Value>>(&self, build: impl FnOnce() -> R) {
+        let Some(journal) = &self.journal else {
+            return;
+        };
+        let started = Instant::now();
+        let mut appended = false;
+        for record in build() {
+            journal.event(&record);
+            appended = true;
+        }
+        if appended {
             self.registry
                 .histogram("serve/journal_append_us")
                 .record(started.elapsed().as_micros() as u64);
@@ -579,13 +572,11 @@ impl ServeState {
                     trace.now_us().saturating_sub(cache_ts),
                     json!({"outcome": "hit"}),
                 );
-                self.journal_event(|j| {
-                    j.submitted(id, request.kind.name(), &key, &body);
-                    j.done(
-                        id,
-                        &doc,
-                        &JobTelemetry::default().phases.snapshot().to_json(),
-                    );
+                let done = JobState::Done { doc };
+                self.journal_event(|| {
+                    let phases_us = JobTelemetry::default().phases.snapshot().to_json();
+                    std::iter::once(submitted_event(id, request.kind, &key, &body))
+                        .chain(terminal_event(id, &done, phases_us))
                 });
                 if let Some(kind) = admitted_kind {
                     self.admission.release(kind);
@@ -595,7 +586,7 @@ impl ServeState {
                     id,
                     kind: request.kind,
                     cache_key: key,
-                    state: Mutex::new(JobState::Done { doc }),
+                    state: Mutex::new(done),
                     telemetry: JobTelemetry::default(),
                     cached: true,
                     trace: Some(trace),
@@ -639,11 +630,11 @@ impl ServeState {
                 // Durability point: the acceptance is on disk before the
                 // client hears 202, so a crash after this line can only
                 // delay the job, never lose it.
-                self.journal_event(|j| j.submitted(id, request.kind.name(), &key, &body));
+                self.journal_event(|| Some(submitted_event(id, request.kind, &key, &body)));
                 let entry = Arc::new(JobEntry {
                     id,
                     kind: request.kind,
-                    cache_key: key.clone(),
+                    cache_key: key,
                     state: Mutex::new(JobState::Queued),
                     telemetry: JobTelemetry::default(),
                     cached: false,
@@ -651,22 +642,23 @@ impl ServeState {
                 });
                 jobs.insert(id, Arc::clone(&entry));
                 drop(jobs);
-                self.enqueue(request, entry, key);
+                self.enqueue(request, entry);
                 json_response(202, json!({"id": id, "status": "queued", "cached": false}))
             }
         }
     }
 
-    fn enqueue(self: &Arc<Self>, request: JobRequest, entry: Arc<JobEntry>, key: String) {
+    fn enqueue(self: &Arc<Self>, request: JobRequest, entry: Arc<JobEntry>) {
         // Deadlines anchor at submit: queue wait burns request budget.
         let token = match request.deadline_from(Instant::now()) {
             Some(deadline) => CancelToken::linked_with_deadline(self.drain_token(), deadline),
             None => CancelToken::linked(self.drain_token()),
         };
         let state = Arc::clone(self);
+        let refused = Arc::clone(&entry);
         let enqueued = Instant::now();
         let enqueued_us = entry.trace.as_ref().map(|t| t.now_us());
-        let handle = self.pool.submit::<(), _>(move || {
+        let accepted = self.pool.submit(move || {
             *entry.state.lock().expect("job state poisoned") = JobState::Running;
             // Queue wait: enqueue to first execution, one histogram
             // series per kind plus a span on the job's lane.
@@ -681,29 +673,21 @@ impl ServeState {
             if let (Some(trace), Some(ts)) = (&entry.trace, enqueued_us) {
                 trace.span("queue_wait", "pool", ts, waited_us, Value::Null);
             }
-            // Panic isolation with deterministic retry: a panicked
-            // attempt (organic or chaos-injected) backs off
-            // `backoff * 2^min(attempt, cap)` and re-executes, up to the
-            // retry budget — the campaign runner's machinery at the
-            // service layer.
+            // Panic isolation with deterministic retry: a panicked attempt
+            // (organic or chaos-injected) backs off and re-executes, up to
+            // the retry budget — the campaign runner's own net and backoff.
+            let key = &entry.cache_key;
             let mut attempt: u32 = 0;
             let exec_started = Instant::now();
             let outcome = loop {
                 entry.telemetry.attempts.fetch_add(1, Ordering::Relaxed);
-                let run = catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(chaos) = &state.chaos {
-                        if chaos.should_panic(&key, request.k_from, attempt) {
-                            panic!("chaos: injected job panic");
-                        }
-                    }
+                let run = run_attempt(state.chaos.as_ref(), key, request.k_from, attempt, || {
                     execute(&request, &entry.telemetry, &token, entry.trace.as_deref())
-                }));
+                });
                 match run {
                     Ok(outcome) => break outcome,
                     Err(_) if attempt < state.retries && !token.is_cancelled() => {
-                        let backoff =
-                            state.backoff * 2u32.saturating_pow(attempt.min(BACKOFF_EXP_CAP));
-                        std::thread::sleep(backoff);
+                        std::thread::sleep(backoff(state.backoff, attempt));
                         attempt += 1;
                     }
                     Err(_) => {
@@ -714,37 +698,34 @@ impl ServeState {
                     }
                 }
             };
-            let phases_us = entry.telemetry.phases.snapshot().to_json();
             let next = match outcome {
                 ExecOutcome::Done(doc) => {
                     let doc = Arc::new(doc);
-                    state.cache.fulfill(&key, Arc::clone(&doc));
-                    state.journal_event(|j| j.done(entry.id, &doc, &phases_us));
-                    state.append_registry_row(
-                        &request,
-                        &entry,
-                        &doc,
-                        exec_started.elapsed().as_micros() as u64,
-                    );
+                    state.cache.fulfill(key, Arc::clone(&doc));
                     JobState::Done { doc }
                 }
                 ExecOutcome::Cancelled { partial } => {
-                    state.cache.abandon(&key);
+                    state.cache.abandon(key);
+                    // A drain is a shutdown, not an outcome: never
+                    // journaled, so the next boot re-enqueues.
                     if state.draining() {
-                        // Deliberately not journaled: a drain is a
-                        // shutdown, and the next boot re-enqueues.
                         JobState::Drained
                     } else {
-                        state.journal_event(|j| j.timed_out(entry.id, &partial, &phases_us));
                         JobState::TimedOut { partial }
                     }
                 }
                 ExecOutcome::Failed { status, message } => {
-                    state.cache.abandon(&key);
-                    state.journal_event(|j| j.failed(entry.id, status, &message, &phases_us));
+                    state.cache.abandon(key);
                     JobState::Failed { status, message }
                 }
             };
+            state.journal_event(|| {
+                terminal_event(entry.id, &next, entry.telemetry.phases.snapshot().to_json())
+            });
+            if let JobState::Done { doc } = &next {
+                let wall_us = exec_started.elapsed().as_micros() as u64;
+                state.append_registry_row(&request, &entry, doc, wall_us);
+            }
             state
                 .registry
                 .histogram(&format!(
@@ -753,16 +734,25 @@ impl ServeState {
                     next.label(),
                 ))
                 .record(exec_started.elapsed().as_micros() as u64);
-            if let Some(trace) = &entry.trace {
-                trace.finish();
-            }
-            *entry.state.lock().expect("job state poisoned") = next;
-            state.admission.release(entry.kind);
+            state.settle(&entry, next);
         });
-        // Completion is observed through the job table; the handle's only
-        // remaining duty is the shutdown edge, where the pool refuses the
-        // job and the closure never runs.
-        drop(handle);
+        if !accepted {
+            // The drain shut the pool after `submit` checked for it: park
+            // the job as drained, like every job a drain cancels. It stays
+            // journaled as accepted, so the next boot re-enqueues it.
+            self.cache.abandon(&refused.cache_key);
+            self.settle(&refused, JobState::Drained);
+        }
+    }
+
+    /// Moves a job out of the pool's hands into its final `state`: closes
+    /// its trace root, publishes the state, and frees its admission slot.
+    fn settle(&self, entry: &JobEntry, state: JobState) {
+        if let Some(trace) = &entry.trace {
+            trace.finish();
+        }
+        *entry.state.lock().expect("job state poisoned") = state;
+        self.admission.release(entry.kind);
     }
 
     /// Appends one canonical registry row for a pool-computed `Done`

@@ -8,12 +8,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
+use selfstab_campaign::journal::frame;
 use selfstab_campaign::{ChaosPlan, FsyncPolicy};
 use selfstab_global::{check::ConvergenceReport, EngineConfig, RingInstance};
 use selfstab_protocol::file::parse_protocol_file;
 use selfstab_serve::http::Request;
-use selfstab_serve::journal::{frame_event, replay};
-use selfstab_serve::{render, JobKind, JobRequest, PendingCaps, ServeConfig, ServeState};
+use selfstab_serve::journal::replay;
+use selfstab_serve::{render, JobKind, JobRequest, JobState, PendingCaps, ServeConfig, ServeState};
 use serde_json::{json, Value};
 
 const AGREEMENT: &str = "\
@@ -141,8 +142,8 @@ fn interrupted_jobs_reenqueue_at_boot_and_converge_to_fault_free_bytes() {
     let key = JobRequest::from_json(&body).unwrap().cache_key();
     let wire = format!(
         "{}{}",
-        frame_event(&json!({"ev": "serve", "version": 1})),
-        frame_event(&json!({
+        frame(&json!({"ev": "serve", "version": 1})),
+        frame(&json!({
             "ev": "submitted",
             "id": 1,
             "kind": "verify",
@@ -371,7 +372,7 @@ fn synthetic_journal() -> (Vec<u8>, Vec<(usize, Ev)>) {
     let mut wire = Vec::new();
     let mut events = Vec::new();
     for (value, ev) in frames {
-        wire.extend_from_slice(frame_event(&value).as_bytes());
+        wire.extend_from_slice(frame(&value).as_bytes());
         events.push((wire.len(), ev));
     }
     (wire, events)
@@ -425,12 +426,7 @@ proptest! {
         // Terminal states match the surviving terminal frames 1:1.
         for &(id, label) in &terminal {
             let job = &replayed.jobs[&id];
-            let got = match &job.terminal {
-                Some(selfstab_serve::ReplayedTerminal::Done(_)) => "done",
-                Some(selfstab_serve::ReplayedTerminal::Failed { .. }) => "failed",
-                Some(selfstab_serve::ReplayedTerminal::TimedOut { .. }) => "timed_out",
-                None => "pending",
-            };
+            let got = job.terminal.as_ref().map_or("pending", JobState::label);
             prop_assert_eq!(got, label);
         }
 

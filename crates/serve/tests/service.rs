@@ -303,6 +303,41 @@ fn draining_state_refuses_submits_with_structured_retry_after() {
 }
 
 #[test]
+fn a_job_the_pool_refuses_parks_as_drained() {
+    // A drain can shut the pool between the submit's drain check and the
+    // enqueue. The refused job must not sit `queued` forever, holding its
+    // admission slot and its in-flight cache reservation.
+    let s = state();
+    s.shutdown_pool();
+    let body = submit_body("verify", ", \"k\": 4");
+    let resp = s.handle(&request("POST", "/v1/jobs", &body));
+    assert_eq!(resp.status, 202);
+    let id = body_json(&resp.body)["id"].as_u64().unwrap();
+    assert_eq!(await_job(&s, id), "drained");
+    let resp = s.handle(&request("GET", &format!("/v1/jobs/{id}/result"), ""));
+    assert_eq!(resp.status, 503);
+    assert_eq!(body_json(&resp.body)["code"], "drained");
+    let ready = body_json(&s.handle(&request("GET", "/v1/readyz", "")).body);
+    assert_eq!(ready["pending"]["verify"], 0u64, "{ready}");
+    // The trace root is closed: its duration no longer grows.
+    let root_dur = || {
+        let trace = s.handle(&request("GET", &format!("/v1/jobs/{id}/trace"), ""));
+        body_json(&trace.body)["traceEvents"][0]["dur"]
+            .as_u64()
+            .unwrap()
+    };
+    let dur = root_dur();
+    std::thread::sleep(Duration::from_millis(5));
+    assert_eq!(root_dur(), dur);
+    // The reservation was abandoned: a resubmit is a fresh job, not a
+    // coalesce onto the parked one.
+    let doc = body_json(&s.handle(&request("POST", "/v1/jobs", &body)).body);
+    assert!(doc["coalesced"].is_null(), "{doc}");
+    assert_ne!(doc["id"].as_u64(), Some(id), "{doc}");
+    assert_eq!(s.executed(), 0);
+}
+
+#[test]
 fn readyz_reports_ready_saturated_and_draining() {
     let s = state();
     let resp = s.handle(&request("GET", "/v1/readyz", ""));
