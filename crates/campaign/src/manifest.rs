@@ -28,10 +28,6 @@
 //!   job: `"auto"` (default), `"full"`, or `"reduced"`. Like thread
 //!   counts, the mode never changes any verdict and is therefore excluded
 //!   from the fingerprint.
-//! * `prune` — optional monotone lattice pruning toggle (default `true`)
-//!   handed to any synthesis runs launched from this campaign. Pruning is
-//!   outcome-invariant (the engine's result is byte-identical either
-//!   way), so — like `symmetry` — it is excluded from the fingerprint.
 
 use std::path::{Path, PathBuf};
 
@@ -58,8 +54,6 @@ pub struct Manifest {
     pub engine_threads: usize,
     /// Rotation-symmetry reduction policy for every job's engine.
     pub symmetry: selfstab_global::SymmetryMode,
-    /// Monotone lattice pruning for synthesis runs (outcome-invariant).
-    pub prune: bool,
 }
 
 impl Manifest {
@@ -131,15 +125,6 @@ impl Manifest {
                 CampaignError::Manifest(format!("manifest `symmetry`: {e}"))
             })?,
         };
-        let prune = match &v["prune"] {
-            serde_json::Value::Null => true,
-            serde_json::Value::Bool(b) => *b,
-            _ => {
-                return Err(CampaignError::Manifest(
-                    "manifest `prune` must be a boolean".into(),
-                ))
-            }
-        };
         Ok(Manifest {
             base_dir: base_dir.to_path_buf(),
             specs,
@@ -149,7 +134,6 @@ impl Manifest {
             timeout_ms,
             engine_threads,
             symmetry,
-            prune,
         })
     }
 
@@ -176,9 +160,8 @@ impl Manifest {
 
     /// A stable fingerprint of the semantic manifest fields (specs, K
     /// range, budgets), used to refuse resuming a journal written by a
-    /// different campaign. Worker counts, engine threads, the symmetry
-    /// mode and the prune toggle are excluded: they never change any
-    /// verdict.
+    /// different campaign. Worker counts, engine threads and the symmetry
+    /// mode are excluded: they never change any verdict.
     pub fn fingerprint(&self) -> String {
         // FNV-1a over a canonical rendering; no external hash deps.
         let mut canon = String::new();
@@ -329,26 +312,6 @@ mod tests {
         )
         .expect_err("unknown symmetry mode is an error");
         assert!(bad.to_string().contains("symmetry"), "{bad}");
-    }
-
-    #[test]
-    fn manifest_prune_parses_and_never_perturbs_the_fingerprint() {
-        let dir = specs_dir();
-        let plain = r#"{"specs": ["specs/*.stab"], "k_from": 2, "k_to": 4}"#;
-        let full = r#"{"specs": ["specs/*.stab"], "k_from": 2, "k_to": 4, "prune": false}"#;
-        let a = Manifest::from_json_text(plain, &dir).unwrap();
-        let b = Manifest::from_json_text(full, &dir).unwrap();
-        assert!(a.prune, "pruning defaults on");
-        assert!(!b.prune);
-        // Pruning is outcome-invariant, so journals must stay resumable
-        // across it — exactly like symmetry and engine_threads.
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        let bad = Manifest::from_json_text(
-            r#"{"specs": ["specs/*.stab"], "k_from": 2, "k_to": 4, "prune": "on"}"#,
-            &dir,
-        )
-        .expect_err("non-boolean prune is an error");
-        assert!(bad.to_string().contains("prune"), "{bad}");
     }
 
     #[test]

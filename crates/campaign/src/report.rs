@@ -144,7 +144,6 @@ mod tests {
             timeout_ms: None,
             engine_threads: 1,
             symmetry: selfstab_global::SymmetryMode::Auto,
-            prune: true,
         }
     }
 

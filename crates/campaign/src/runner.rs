@@ -12,14 +12,16 @@ use std::time::{Duration, Instant};
 use selfstab_core::report::StabilizationReport;
 use selfstab_global::{CancelToken, ConvergenceReport, EngineConfig, GlobalError, RingInstance};
 use selfstab_protocol::Protocol;
-use selfstab_telemetry::{span, EngineCounters, Phase, PhaseSink, Progress, TraceCollector};
-use serde_json::Value;
+use selfstab_telemetry::{
+    span, EngineCounters, Phase, PhaseLane, PhaseSink, Progress, TraceCollector,
+};
+use serde_json::{json, Value};
 
 use crate::chaos::{self, ChaosPlan};
 use crate::job::{JobResult, JobSpec, LocalVerdict, Outcome};
 use crate::journal::{self, FsyncPolicy, Journal};
 use crate::manifest::Manifest;
-use crate::telemetry::{CampaignTelemetry, JobScope, JobTelemetry};
+use crate::telemetry::{CampaignTelemetry, JobTelemetry};
 use crate::{pool, report};
 
 /// Errors of the campaign subsystem.
@@ -269,18 +271,22 @@ pub fn run_campaign(
             // Created OUTSIDE the panic net, so the phase time a panicking
             // attempt burned survives into the metrics document.
             let job_tele = tele.as_ref().map(|_| JobTelemetry::default());
-            let scope = match (&tele, &job_tele) {
-                (Some(t), Some(jt)) => Some(JobScope {
-                    tele: t,
-                    job: jt,
-                    worker,
-                    spec: &job.spec,
-                    k: job.k,
-                }),
-                _ => None,
-            };
-            let scope = scope.as_ref();
-            let sink = scope.map(|s| s as &dyn PhaseSink);
+            // The worker is the trace lane; the job rides in the args,
+            // built only under `--trace`.
+            let lane = tele
+                .as_ref()
+                .zip(job_tele.as_ref())
+                .map(|(t, jt)| PhaseLane {
+                    phases: &jt.phases,
+                    trace: t.trace.as_ref(),
+                    tid: worker as u64,
+                    cat: "job",
+                    args: t.trace.as_ref().map_or(
+                        Value::Null,
+                        |_| json!({"spec": job.spec.as_str(), "k": job.k}),
+                    ),
+                });
+            let sink = lane.as_ref().map(|l| l as &dyn PhaseSink);
             let record = |result: JobResult| {
                 if let (Some(t), Some(jt)) = (&tele, &job_tele) {
                     t.finish_job(&result, jt);
@@ -324,7 +330,8 @@ pub fn run_campaign(
                         }
                         data
                     });
-                    execute_job(manifest, job, data, &engine, interrupt.as_ref(), scope)
+                    let jt = job_tele.as_ref();
+                    execute_job(manifest, job, data, &engine, interrupt.as_ref(), jt, sink)
                 });
                 match ran {
                     Ok(Attempt::Done(result)) => {
@@ -344,10 +351,12 @@ pub fn run_campaign(
                     Ok(Attempt::Interrupted) => return None,
                     Err(message) => {
                         panics_caught.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if let Some(s) = scope {
-                            s.tele.instant(s, "job_panicked");
-                            s.tele
-                                .registry
+                        if let (Some(t), Some(lane)) = (&tele, &lane) {
+                            if let Some(trace) = lane.trace {
+                                let args = lane.args.clone();
+                                trace.instant("job_panicked", lane.cat, lane.tid, args);
+                            }
+                            t.registry
                                 .counter("campaign/panics")
                                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                         }
@@ -357,9 +366,8 @@ pub fn run_campaign(
                             });
                         }
                         if attempt < config.retries {
-                            if let Some(s) = scope {
-                                s.tele
-                                    .registry
+                            if let Some(t) = &tele {
+                                t.registry
                                     .counter("campaign/retries")
                                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                             }
@@ -511,7 +519,8 @@ fn execute_job(
     data: &SpecData,
     engine: &EngineConfig,
     interrupt: Option<&Arc<CancelToken>>,
-    scope: Option<&JobScope<'_>>,
+    job_tele: Option<&JobTelemetry>,
+    sink: Option<&dyn PhaseSink>,
 ) -> Attempt {
     let mut result = JobResult {
         spec: job.spec.clone(),
@@ -571,9 +580,8 @@ fn execute_job(
     };
     // Counters exist only when telemetry is on; `None` keeps the metered
     // engine on its zero-overhead path.
-    let counters = scope.map(|_| EngineCounters::new());
+    let counters = job_tele.map(|_| EngineCounters::new());
     let counters = counters.as_ref();
-    let sink = scope.map(|s| s as &dyn PhaseSink);
     let Ok(report) = ConvergenceReport::check_metered(&ring, engine, &token, counters, sink) else {
         if interrupt.is_some_and(|t| t.is_cancelled()) {
             return Attempt::Interrupted;
@@ -596,8 +604,8 @@ fn execute_job(
     };
     // Counters land on the job only once the check completed — a cancelled
     // scan flushed nothing and must not masquerade as a measurement.
-    if let (Some(s), Some(c)) = (scope, counters) {
-        s.job.set_counters(c.snapshot());
+    if let (Some(jt), Some(c)) = (job_tele, counters) {
+        jt.set_counters(c.snapshot());
     }
     Attempt::Done(Box::new(result))
 }

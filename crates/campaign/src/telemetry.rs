@@ -11,12 +11,11 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use selfstab_telemetry::{
-    EngineCountersSnapshot, Phase, PhaseSink, PhaseSnapshot, PhaseTimes, Registry, TraceCollector,
+    EngineCountersSnapshot, Phase, PhaseSnapshot, PhaseTimes, Registry, TraceCollector,
 };
-use serde_json::{json, Value};
+use serde_json::Value;
 
 use crate::job::JobResult;
 use crate::manifest::Manifest;
@@ -79,41 +78,6 @@ impl CampaignTelemetry {
             registry: Registry::new(),
             trace: trace.then(TraceCollector::new),
             jobs: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// Runs `f` as one span of `phase` for the job `scope` describes:
-    /// the duration lands in the job's [`PhaseTimes`] and, when tracing,
-    /// as a complete event on the worker's trace lane.
-    pub fn time<T>(&self, scope: &JobScope<'_>, phase: Phase, f: impl FnOnce() -> T) -> T {
-        let ts = self.trace.as_ref().map(TraceCollector::now_us);
-        let start = Instant::now();
-        let out = f();
-        let elapsed = start.elapsed();
-        scope.job.phases.add(phase, elapsed);
-        if let (Some(trace), Some(ts)) = (&self.trace, ts) {
-            trace.complete(
-                phase.name(),
-                "job",
-                scope.worker as u64,
-                ts,
-                elapsed.as_micros() as u64,
-                json!({"spec": scope.spec, "k": scope.k}),
-            );
-        }
-        out
-    }
-
-    /// Records an instant trace event (e.g. `job_panicked`) on the
-    /// worker's lane; a no-op without `--trace`.
-    pub fn instant(&self, scope: &JobScope<'_>, name: &str) {
-        if let Some(trace) = &self.trace {
-            trace.instant(
-                name,
-                "job",
-                scope.worker as u64,
-                json!({"spec": scope.spec, "k": scope.k}),
-            );
         }
     }
 
@@ -221,26 +185,5 @@ fn phase_histogram_name(phase: Phase) -> &'static str {
         Phase::JournalAppend => "phase_us/journal_append",
         Phase::RetryBackoff => "phase_us/retry_backoff",
         Phase::Synthesis => "phase_us/synthesis",
-    }
-}
-
-/// A job's telemetry context on one worker: everything a [`PhaseSink`]
-/// needs to attribute a span.
-pub(crate) struct JobScope<'a> {
-    /// The campaign-wide sinks.
-    pub tele: &'a CampaignTelemetry,
-    /// This job's accumulator.
-    pub job: &'a JobTelemetry,
-    /// The pool worker running the attempt (the trace lane).
-    pub worker: usize,
-    /// The job's spec path (trace event args).
-    pub spec: &'a str,
-    /// The job's ring size (trace event args).
-    pub k: usize,
-}
-
-impl PhaseSink for JobScope<'_> {
-    fn span(&self, phase: Phase, f: &mut dyn FnMut()) {
-        self.tele.time(self, phase, f);
     }
 }

@@ -176,10 +176,16 @@ fn trace_export_is_a_loadable_chrome_trace() {
         &CampaignConfig {
             workers: 2,
             trace: true,
+            // One injected panic, retried, puts a `job_panicked` instant
+            // beside the complete events.
+            chaos: Some(ChaosPlan::with_budgets(2, 1, 0, 0)),
+            retries: 1,
+            backoff: Duration::from_millis(1),
             ..CampaignConfig::default()
         },
     )
     .unwrap();
+    assert_eq!(outcome.panics_caught, 1);
     // `trace` implies metrics collection.
     assert!(outcome.metrics.is_some());
     let trace = outcome.trace.expect("trace requested");
@@ -187,16 +193,30 @@ fn trace_export_is_a_loadable_chrome_trace() {
     let events = trace["traceEvents"].as_array().unwrap();
     assert!(!events.is_empty());
     let mut fused = 0;
+    let mut panicked = 0;
     for e in events {
         assert!(e["name"].as_str().is_some());
         assert!(e["ts"].as_u64().is_some());
         assert_eq!(e["pid"], 1u64);
         assert!(e["tid"].as_u64().is_some());
-        match e["ph"].as_str().unwrap() {
-            "X" => assert!(e["dur"].as_u64().is_some()),
-            "i" => assert_eq!(e["s"], "t"),
+        // The exact key set serve's job lanes share.
+        let keys = match e["ph"].as_str().unwrap() {
+            "X" => {
+                assert!(e["dur"].as_u64().is_some());
+                "args,cat,dur,name,ph,pid,tid,ts"
+            }
+            "i" => {
+                assert_eq!(e["s"], "t");
+                "args,cat,name,ph,pid,s,tid,ts"
+            }
             ph => panic!("unexpected phase type {ph}"),
-        }
+        };
+        let Value::Object(map) = e else {
+            panic!("event {e} is an object");
+        };
+        let key_set: Vec<&str> = map.keys().map(String::as_str).collect();
+        assert_eq!(key_set.join(","), keys, "{e}");
+        panicked += usize::from(e["name"] == "job_panicked");
         if e["name"] == "fused_scan" {
             fused += 1;
             assert!(e["args"]["spec"].as_str().is_some());
@@ -204,6 +224,7 @@ fn trace_export_is_a_loadable_chrome_trace() {
         }
     }
     assert_eq!(fused, 6, "one fused_scan span per job");
+    assert_eq!(panicked, 1, "one instant per caught panic");
 }
 
 #[test]

@@ -17,6 +17,8 @@
 
 use std::collections::BTreeMap;
 
+use selfstab_serve::journal::ServeReplay;
+use selfstab_serve::JobState;
 use serde_json::{json, Value};
 
 use crate::args::Args;
@@ -110,26 +112,25 @@ pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
     Ok(true)
 }
 
-/// The serve-journal path: replays the CRC-framed journal at the record
-/// level (torn tails are dropped, exactly as the server's own boot
-/// replay does) and cross-tabs the `phases_us` carried by the terminal
-/// `done`/`failed`/`timed_out` records. Jobs the crash interrupted have
-/// no terminal record and render as `pending` with zero phase time —
-/// they are the restart's re-enqueue set, not measured work.
+/// The serve-journal path: replays the journal with the server's own
+/// boot replay ([`selfstab_serve::journal::replay`]) and cross-tabs the
+/// `phases_us` carried by the terminal `done`/`failed`/`timed_out`
+/// records. Jobs without a terminal state render as `pending` with zero
+/// phase time — they are the restart's re-enqueue set, not measured
+/// work.
 fn serve_journal_stats(
     path: &std::path::Path,
     args: &Args,
 ) -> Result<bool, Box<dyn std::error::Error>> {
-    let frames = selfstab_campaign::journal::replay_frames(path).map_err(|e| e.to_string())?;
-    let is_serve = frames.events.first().is_some_and(|ev| ev["ev"] == "serve");
-    if !is_serve {
+    let replay = selfstab_serve::journal::replay(path)?;
+    if replay.version.is_none() {
         return Err(format!(
             "{}: neither a sweep metrics document nor a serve journal",
             path.display()
         )
         .into());
     }
-    let tab = serve_cross_tab(&frames.events);
+    let tab = serve_cross_tab(&replay);
 
     if args.flag("json") {
         println!("{}", serde_json::to_string_pretty(&tab)?);
@@ -190,62 +191,31 @@ fn serve_journal_stats(
     Ok(true)
 }
 
-/// Folds serve-journal events into the cross-tab document: one entry per
-/// accepted job (id order), per-phase and total microseconds from its
-/// terminal record, and phase totals across the journal. The schema
+/// Folds a replayed serve journal into the cross-tab document: one entry
+/// per accepted job (id order), per-phase and total microseconds from
+/// its terminal record, and phase totals across the journal. The schema
 /// mirrors the sweep cross-tab with a `serve` header in place of
 /// `campaign`.
-fn serve_cross_tab(events: &[Value]) -> Value {
-    let mut order: Vec<u64> = Vec::new();
-    let mut kinds: BTreeMap<u64, String> = BTreeMap::new();
-    let mut terminals: BTreeMap<u64, (&'static str, Value)> = BTreeMap::new();
-    for ev in events {
-        let Some(id) = ev["id"].as_u64() else {
-            continue;
-        };
-        match ev["ev"].as_str() {
-            Some("submitted")
-                if kinds
-                    .insert(id, ev["kind"].as_str().unwrap_or("?").to_owned())
-                    .is_none() =>
-            {
-                order.push(id);
-            }
-            Some("done") => {
-                terminals.insert(id, ("done", ev["phases_us"].clone()));
-            }
-            Some("failed") => {
-                terminals.insert(id, ("failed", ev["phases_us"].clone()));
-            }
-            Some("timed_out") => {
-                terminals.insert(id, ("timed_out", ev["phases_us"].clone()));
-            }
-            _ => {}
-        }
-    }
-    order.sort_unstable();
+fn serve_cross_tab(replay: &ServeReplay) -> Value {
     let mut phase_totals: BTreeMap<&str, u64> = PHASES.iter().map(|(key, _)| (*key, 0)).collect();
     let mut grand_us = 0u64;
-    let job_rows: Vec<Value> = order
-        .iter()
-        .map(|id| {
-            let (outcome, phases_ev) = terminals
-                .get(id)
-                .map(|(o, p)| (*o, p.clone()))
-                .unwrap_or(("pending", Value::Null));
+    let job_rows: Vec<Value> = replay
+        .jobs
+        .values()
+        .map(|job| {
             let mut phases = BTreeMap::new();
             let mut total_us = 0;
             for (key, _) in PHASES {
-                let us = phases_ev[key].as_u64().unwrap_or(0);
+                let us = job.phases_us[key].as_u64().unwrap_or(0);
                 total_us += us;
                 *phase_totals.get_mut(key).expect("seeded above") += us;
                 phases.insert(key.to_owned(), json!(us));
             }
             grand_us += total_us;
             json!({
-                "id": *id,
-                "kind": kinds[id].clone(),
-                "outcome": outcome,
+                "id": job.id,
+                "kind": job.kind.name(),
+                "outcome": job.terminal.as_ref().map_or("pending", JobState::label),
                 "phases_us": Value::Object(phases),
                 "total_us": total_us,
             })
@@ -255,10 +225,11 @@ fn serve_cross_tab(events: &[Value]) -> Value {
         .into_iter()
         .map(|(key, us)| (key.to_owned(), json!(us)))
         .collect();
+    let terminal = replay.jobs.values().filter(|j| j.terminal.is_some());
     json!({
         "serve": {
-            "jobs": order.len() as u64,
-            "terminal": terminals.len() as u64,
+            "jobs": replay.jobs.len() as u64,
+            "terminal": terminal.count() as u64,
         },
         "jobs": Value::Array(job_rows),
         "phase_totals_us": Value::Object(totals),
@@ -335,20 +306,39 @@ mod tests {
         }
     }
 
+    /// Frames `events` into a journal file and replays it, as `stats`
+    /// does with a serve `--journal`.
+    fn replayed(name: &str, events: &[Value]) -> ServeReplay {
+        let path =
+            std::env::temp_dir().join(format!("selfstab-stats-{}-{name}", std::process::id()));
+        let text: String = events
+            .iter()
+            .map(selfstab_campaign::journal::frame)
+            .collect();
+        std::fs::write(&path, text).unwrap();
+        let replay = selfstab_serve::journal::replay(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        replay
+    }
+
     #[test]
     fn serve_cross_tab_joins_submits_with_terminals() {
-        let events = vec![
+        let events = [
             json!({"ev": "serve", "version": 1}),
             json!({"ev": "submitted", "id": 1, "kind": "verify", "key": "a"}),
             json!({"ev": "submitted", "id": 2, "kind": "sweep", "key": "b"}),
             json!({"ev": "submitted", "id": 3, "kind": "synthesize", "key": "c"}),
+            json!({"ev": "submitted", "id": 4, "kind": "verify", "key": "d"}),
             json!({"ev": "done", "id": 1, "exit_code": 0, "body": "{}",
                    "phases_us": {"parse": 5, "fused_scan": 95}}),
             json!({"ev": "failed", "id": 3, "status": 500, "message": "x",
                    "phases_us": {"synthesis": 40}}),
+            // A `done` without its body restores nothing, so boot replay
+            // re-enqueues the job: stats must not call it done.
+            json!({"ev": "done", "id": 4, "exit_code": 0, "phases_us": {"parse": 7}}),
         ];
-        let tab = serve_cross_tab(&events);
-        assert_eq!(tab["serve"]["jobs"], 3u64);
+        let tab = serve_cross_tab(&replayed("joins.jsonl", &events));
+        assert_eq!(tab["serve"]["jobs"], 4u64);
         assert_eq!(tab["serve"]["terminal"], 2u64);
         let jobs = tab["jobs"].as_array().unwrap();
         assert_eq!(jobs[0]["outcome"], "done");
@@ -360,13 +350,16 @@ mod tests {
         assert_eq!(jobs[1]["outcome"], "pending", "the crash's collateral");
         assert_eq!(jobs[1]["total_us"], 0u64);
         assert_eq!(jobs[2]["outcome"], "failed");
+        assert_eq!(jobs[3]["outcome"], "pending", "a body-less done");
+        assert_eq!(jobs[3]["total_us"], 0u64);
         assert_eq!(tab["phase_totals_us"]["synthesis"], 40u64);
         assert_eq!(tab["grand_total_us"], 140u64);
     }
 
     #[test]
     fn serve_cross_tab_is_well_formed_for_a_header_only_journal() {
-        let tab = serve_cross_tab(&[json!({"ev": "serve", "version": 1})]);
+        let header = [json!({"ev": "serve", "version": 1})];
+        let tab = serve_cross_tab(&replayed("header.jsonl", &header));
         assert_eq!(tab["serve"]["jobs"], 0u64);
         assert!(tab["jobs"].as_array().unwrap().is_empty());
         for (key, _) in PHASES {

@@ -23,7 +23,7 @@ use selfstab_global::{instance, CancelToken, EngineConfig, RingInstance, Symmetr
 use selfstab_protocol::file::parse_protocol_file;
 use selfstab_protocol::Protocol;
 use selfstab_synth::{LocalSynthesizer, SynthesisConfig};
-use selfstab_telemetry::{EngineCounters, Phase, PhaseSink, SynthesisCounters};
+use selfstab_telemetry::{EngineCounters, PhaseLane, SynthesisCounters};
 use serde_json::{json, Value};
 
 use crate::cache::CachedDoc;
@@ -423,7 +423,7 @@ pub struct JobEntry {
     /// The originating request's span collection. `None` for jobs
     /// restored from a journal replay — their request predates this
     /// boot, so there is no request to trace.
-    pub trace: Option<Arc<JobTrace>>,
+    pub trace: Option<JobTrace>,
 }
 
 impl JobEntry {
@@ -440,10 +440,7 @@ impl JobEntry {
             "phases_us": self.telemetry.phases.snapshot().to_json(),
         });
         if let (Some(trace), Value::Object(map)) = (&self.trace, &mut doc) {
-            map.insert(
-                "trace_id".to_owned(),
-                Value::String(trace.trace_id().to_owned()),
-            );
+            map.insert("trace_id".to_owned(), Value::from(trace.trace_id.as_str()));
         }
         if let JobState::Failed { message, .. } = &*state {
             if let Value::Object(map) = &mut doc {
@@ -483,28 +480,6 @@ pub fn execute(
     }
 }
 
-/// A job's phase sink: each span lands in the job's phase accumulator
-/// and, when traced, as an engine span on its lane carrying `{"k": k}`
-/// for the per-K passes.
-struct JobLane<'a> {
-    telemetry: &'a JobTelemetry,
-    trace: Option<&'a JobTrace>,
-    k: Option<usize>,
-}
-
-impl PhaseSink for JobLane<'_> {
-    fn span(&self, phase: Phase, f: &mut dyn FnMut()) {
-        let phases = &self.telemetry.phases;
-        match self.trace {
-            Some(trace) => {
-                let args = self.k.map_or(Value::Null, |k| json!({"k": k}));
-                trace.time(phase.name(), "engine", args, || phases.time(phase, f));
-            }
-            None => phases.time(phase, f),
-        }
-    }
-}
-
 fn execute_check(
     req: &JobRequest,
     telemetry: &JobTelemetry,
@@ -525,10 +500,13 @@ fn execute_check(
                 }
             }
         };
-        let lane = JobLane {
-            telemetry,
-            trace,
-            k: Some(k),
+        // The per-K passes carry `{"k": k}` when traced.
+        let lane = PhaseLane {
+            phases: &telemetry.phases,
+            trace: trace.map(|t| &t.lane),
+            tid: trace.map_or(0, |t| t.job),
+            cat: "engine",
+            args: trace.map_or(Value::Null, |_| json!({ "k": k })),
         };
         let Ok(report) =
             ConvergenceReport::check_metered(&ring, &engine, cancel, Some(&counters), Some(&lane))
@@ -565,10 +543,12 @@ fn execute_synthesis(
         ..SynthesisConfig::default()
     };
     let counters = SynthesisCounters::new();
-    let lane = JobLane {
-        telemetry,
-        trace,
-        k: None,
+    let lane = PhaseLane {
+        phases: &telemetry.phases,
+        trace: trace.map(|t| &t.lane),
+        tid: trace.map_or(0, |t| t.job),
+        cat: "engine",
+        args: Value::Null,
     };
     let result = LocalSynthesizer::new(config).synthesize_metered(
         &req.protocol,
@@ -600,6 +580,7 @@ fn execute_synthesis(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use selfstab_telemetry::Phase;
 
     const AGREEMENT: &str = "\
 protocol agreement

@@ -151,11 +151,16 @@ pub struct ReplayedJob {
     /// The terminal state (done, failed, or timed out), or `None` for a
     /// job the crash interrupted — the server re-enqueues exactly these.
     pub terminal: Option<JobState>,
+    /// The terminal record's per-phase breakdown, `Null` without one.
+    pub phases_us: Value,
 }
 
 /// The journal folded back into boot state.
 #[derive(Debug, Default)]
 pub struct ServeReplay {
+    /// The header record's format version; `None` when the file does not
+    /// open with a serve header (empty, or not a serve journal).
+    pub version: Option<u64>,
     /// Every journaled job in id order.
     pub jobs: BTreeMap<u64, ReplayedJob>,
     /// The next job id to hand out (max journaled id + 1).
@@ -190,6 +195,9 @@ pub fn replay(path: &Path) -> Result<ServeReplay, String> {
         valid_len: frames.valid_len,
         ..ServeReplay::default()
     };
+    if let Some(header) = frames.events.first().filter(|ev| ev["ev"] == "serve") {
+        out.version = header["version"].as_u64();
+    }
     for ev in frames.events {
         let Some(id) = ev["id"].as_u64() else {
             continue; // header or unknown record
@@ -204,11 +212,13 @@ pub fn replay(path: &Path) -> Result<ServeReplay, String> {
                     key: ev["key"].as_str().unwrap_or_default().to_owned(),
                     request: ev["request"].clone(),
                     terminal: None,
+                    phases_us: Value::Null,
                 },
             );
             out.next_id = out.next_id.max(id + 1);
         } else if let (Some(job), Some(state)) = (out.jobs.get_mut(&id), terminal_state(&ev)) {
             job.terminal = Some(state);
+            job.phases_us = ev["phases_us"].clone();
         }
     }
     Ok(out)

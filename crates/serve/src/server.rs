@@ -49,7 +49,7 @@ use selfstab_campaign::telemetry::JobTelemetry;
 use selfstab_campaign::{ChaosPlan, FsyncPolicy, Journal, ServicePool};
 use selfstab_core::registry_row::{append_row, RegistryRow};
 use selfstab_global::CancelToken;
-use selfstab_telemetry::{prometheus, Registry};
+use selfstab_telemetry::{prometheus, Registry, TraceCollector};
 use serde_json::{json, Value};
 
 use crate::admission::{spawn_watchdog, Admission, PendingCaps};
@@ -57,7 +57,7 @@ use crate::cache::{CachedDoc, Lookup, ResultCache};
 use crate::http::{HttpError, Request, RequestReader, Response};
 use crate::jobs::{execute, ExecOutcome, JobEntry, JobKind, JobRequest, JobState};
 use crate::journal::{submitted_event, terminal_event, ServeReplay};
-use crate::trace::{interleaved_document, JobTrace, TraceIdGen};
+use crate::trace::{JobTrace, TraceIdGen};
 
 /// How long [`Server::run`] waits for connection threads to flush after
 /// the drain token fires.
@@ -394,9 +394,10 @@ impl ServeState {
             },
             ("GET", ["v1", "jobs", id, "trace"]) => match self.job(id) {
                 Some(entry) => match &entry.trace {
-                    Some(trace) => {
-                        json_response(200, trace.to_chrome_json(entry.id, entry.kind.name()))
-                    }
+                    Some(trace) => json_response(
+                        200,
+                        TraceCollector::document(trace.events(entry.kind.name())),
+                    ),
                     // Replayed from a journal: the originating request
                     // predates this boot, so there is nothing to trace.
                     None => error_response(
@@ -504,8 +505,8 @@ impl ServeState {
                 .with_header("retry-after", DRAIN_RETRY_AFTER_SECS);
         }
         // The request root opens here; if the submit is rejected the
-        // trace is simply dropped with it.
-        let trace = Arc::new(JobTrace::new(trace_id.to_owned(), self.origin));
+        // lane is simply dropped with it.
+        let lane = TraceCollector::with_origin(self.origin);
         let body: Value = match std::str::from_utf8(&req.body)
             .map_err(|_| "body is not UTF-8".to_owned())
             .and_then(|s| serde_json::from_str(s).map_err(|e| e.to_string()))
@@ -517,7 +518,7 @@ impl ServeState {
         };
         // Admission gates on the cheap kind extraction, before the
         // expensive spec parse — shed traffic costs almost nothing.
-        let admission_ts = trace.now_us();
+        let admission_ts = lane.now_us();
         let admitted_kind = match body["kind"].as_str().and_then(JobKind::from_name) {
             Some(kind) => match self.admission.admit(kind) {
                 Ok(()) => Some(kind),
@@ -530,13 +531,8 @@ impl ServeState {
             // its precise 400.
             None => None,
         };
-        trace.span(
-            "admission",
-            "admission",
-            admission_ts,
-            trace.now_us().saturating_sub(admission_ts),
-            json!({"pending": self.admission.pending_json()}),
-        );
+        let admission_us = lane.now_us().saturating_sub(admission_ts);
+        let admission_args = json!({"pending": self.admission.pending_json()});
         let release_on_reject = |response: Response| {
             if let Some(kind) = admitted_kind {
                 self.admission.release(kind);
@@ -553,11 +549,26 @@ impl ServeState {
 
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         let key = request.cache_key();
+        // Spans record on `tid` = job id, so the admission span waits for
+        // the id.
+        let trace = JobTrace {
+            trace_id: trace_id.to_owned(),
+            job: id,
+            lane,
+        };
+        trace.lane.complete(
+            "admission",
+            "admission",
+            id,
+            admission_ts,
+            admission_us,
+            admission_args,
+        );
         // The table lock spans reserve + insert so a coalesced submit
         // never hands out a job id before that job is observable. Lock
         // order is always table → cache; the pool side touches the cache
         // alone, so the nesting cannot deadlock.
-        let cache_ts = trace.now_us();
+        let cache_ts = trace.lane.now_us();
         let mut jobs = self.jobs.lock().expect("job table poisoned");
         match self.cache.lookup_or_reserve(&key, id) {
             Lookup::Hit(doc) => {
@@ -565,13 +576,7 @@ impl ServeState {
                 // uniform polling, but nothing touches the pool. Journal
                 // acceptance + completion so the id resolves across a
                 // restart exactly like a computed job's.
-                trace.span(
-                    "cache_lookup",
-                    "cache",
-                    cache_ts,
-                    trace.now_us().saturating_sub(cache_ts),
-                    json!({"outcome": "hit"}),
-                );
+                trace.since("cache_lookup", "cache", cache_ts, json!({"outcome": "hit"}));
                 let done = JobState::Done { doc };
                 self.journal_event(|| {
                     let phases_us = JobTelemetry::default().phases.snapshot().to_json();
@@ -581,7 +586,7 @@ impl ServeState {
                 if let Some(kind) = admitted_kind {
                     self.admission.release(kind);
                 }
-                trace.finish();
+                trace.lane.finish();
                 let entry = Arc::new(JobEntry {
                     id,
                     kind: request.kind,
@@ -602,13 +607,8 @@ impl ServeState {
                 // visible as a span on the computing job's lane.
                 if let Some(entry) = jobs.get(&job) {
                     if let Some(job_trace) = &entry.trace {
-                        job_trace.span(
-                            "coalesced_submit",
-                            "cache",
-                            cache_ts,
-                            job_trace.now_us().saturating_sub(cache_ts),
-                            json!({"coalesced_trace_id": trace_id}),
-                        );
+                        let args = json!({"coalesced_trace_id": trace_id});
+                        job_trace.since("coalesced_submit", "cache", cache_ts, args);
                     }
                 }
                 if let Some(kind) = admitted_kind {
@@ -620,11 +620,10 @@ impl ServeState {
                 )
             }
             Lookup::Miss => {
-                trace.span(
+                trace.since(
                     "cache_lookup",
                     "cache",
                     cache_ts,
-                    trace.now_us().saturating_sub(cache_ts),
                     json!({"outcome": "miss"}),
                 );
                 // Durability point: the acceptance is on disk before the
@@ -657,7 +656,7 @@ impl ServeState {
         let state = Arc::clone(self);
         let refused = Arc::clone(&entry);
         let enqueued = Instant::now();
-        let enqueued_us = entry.trace.as_ref().map(|t| t.now_us());
+        let enqueued_us = entry.trace.as_ref().map(|t| t.lane.now_us());
         let accepted = self.pool.submit(move || {
             *entry.state.lock().expect("job state poisoned") = JobState::Running;
             // Queue wait: enqueue to first execution, one histogram
@@ -671,7 +670,7 @@ impl ServeState {
                 ))
                 .record(waited_us);
             if let (Some(trace), Some(ts)) = (&entry.trace, enqueued_us) {
-                trace.span("queue_wait", "pool", ts, waited_us, Value::Null);
+                trace.since("queue_wait", "pool", ts, Value::Null);
             }
             // Panic isolation with deterministic retry: a panicked attempt
             // (organic or chaos-injected) backs off and re-executes, up to
@@ -682,7 +681,7 @@ impl ServeState {
             let outcome = loop {
                 entry.telemetry.attempts.fetch_add(1, Ordering::Relaxed);
                 let run = run_attempt(state.chaos.as_ref(), key, request.k_from, attempt, || {
-                    execute(&request, &entry.telemetry, &token, entry.trace.as_deref())
+                    execute(&request, &entry.telemetry, &token, entry.trace.as_ref())
                 });
                 match run {
                     Ok(outcome) => break outcome,
@@ -749,7 +748,7 @@ impl ServeState {
     /// its trace root, publishes the state, and frees its admission slot.
     fn settle(&self, entry: &JobEntry, state: JobState) {
         if let Some(trace) = &entry.trace {
-            trace.finish();
+            trace.lane.finish();
         }
         *entry.state.lock().expect("job state poisoned") = state;
         self.admission.release(entry.kind);
@@ -809,11 +808,12 @@ impl ServeState {
         let jobs = self.jobs.lock().expect("job table poisoned");
         let mut entries: Vec<&Arc<JobEntry>> = jobs.values().collect();
         entries.sort_by_key(|e| e.id);
-        let lanes: Vec<Vec<Value>> = entries
+        let events = entries
             .iter()
-            .filter_map(|e| e.trace.as_ref().map(|t| t.events(e.id, e.kind.name())))
+            .filter_map(|e| e.trace.as_ref().map(|t| t.events(e.kind.name())))
+            .flatten()
             .collect();
-        let doc = interleaved_document(lanes);
+        let doc = TraceCollector::document(events);
         if std::fs::write(path, format!("{doc}\n")).is_err() {
             self.registry
                 .counter("serve/trace_write_errors")

@@ -133,6 +133,12 @@ fn trace_id_flows_from_header_to_status_to_every_span() {
     assert_eq!([spans("fused_scan"), spans("livelock_dfs")], [1, 1]);
     for event in events {
         assert_eq!(event["ph"], "X");
+        // The exact key set campaign's complete events share.
+        let Value::Object(map) = event else {
+            panic!("event {event} is an object");
+        };
+        let keys: Vec<&str> = map.keys().map(String::as_str).collect();
+        assert_eq!(keys.join(","), "args,cat,dur,name,ph,pid,tid,ts", "{event}");
         assert_eq!(event["tid"], id, "one lane per job");
         assert_eq!(event["args"]["trace_id"], trace_id.as_str());
         let ts = event["ts"].as_u64().unwrap();

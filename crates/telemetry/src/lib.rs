@@ -18,8 +18,9 @@
 //!   to canonical (sorted-key) JSON and render to the Prometheus text
 //!   exposition format ([`prometheus`]);
 //! * [`TraceCollector`] — Chrome trace-event output loadable in Perfetto
-//!   or `chrome://tracing` (this one locks and allocates: it is opt-in
-//!   via `--trace` and never sits on a hot path);
+//!   or `chrome://tracing`, and [`PhaseLane`], the sink that times a phase
+//!   and traces it in one span (these lock and allocate: tracing is
+//!   opt-in or coarse and never sits on a hot path);
 //! * [`logger`] — the CLI's leveled stderr logger;
 //! * [`Progress`] — the shared state behind `sweep`'s live progress meter.
 //!
@@ -51,4 +52,4 @@ pub use hist::{Histogram, HistogramSnapshot, BUCKET_COUNT};
 pub use phase::{span, Phase, PhaseSink, PhaseSnapshot, PhaseTimes};
 pub use progress::Progress;
 pub use registry::Registry;
-pub use trace::TraceCollector;
+pub use trace::{PhaseLane, TraceCollector};

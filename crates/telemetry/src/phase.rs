@@ -144,8 +144,9 @@ impl PhaseTimes {
 /// attribute time without each re-sequencing the passes it wraps.
 ///
 /// Object-safe, so entry points take `Option<&dyn PhaseSink>` and callers
-/// decide what a span records — a [`PhaseTimes`] accumulator, a trace
-/// lane, or both. Call it through [`span`].
+/// decide what a span records — a [`PhaseTimes`] accumulator, or a
+/// [`PhaseLane`](crate::PhaseLane) that also traces it. Call it through
+/// [`span`].
 pub trait PhaseSink {
     /// Runs `f` exactly once, as one span of `phase`.
     fn span(&self, phase: Phase, f: &mut dyn FnMut());
