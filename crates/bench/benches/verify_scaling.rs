@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use selfstab_bench::timing::{fmt_us, timed_min};
 use selfstab_core::report::StabilizationReport;
 use selfstab_global::engine::{find_livelock_metered, fused_scan_metered, CancelToken};
-use selfstab_global::{check, EngineConfig, RingInstance, SymmetryMode};
+use selfstab_global::{check, DeadlockSummary, EngineConfig, RingInstance, SymmetryMode};
 use selfstab_protocols::{agreement, sum_not_two};
 use selfstab_telemetry::{EngineCounters, Phase, PhaseTimes};
 
@@ -67,7 +67,7 @@ fn bench_livelock_detection(c: &mut Criterion) {
 fn seed_style_check(
     p: &selfstab_protocol::Protocol,
     ring: &RingInstance,
-) -> (u64, usize, bool, bool) {
+) -> (u64, DeadlockSummary, bool, bool) {
     let k = ring.ring_size();
     let legit = |s: selfstab_global::GlobalStateId| {
         (0..k).all(|i| p.legit().holds(ring.local_state_of(s, i)))
@@ -78,7 +78,7 @@ fn seed_style_check(
     let livelock = check::find_livelock_where(ring, legit);
     (
         legit_count,
-        deadlocks.len(),
+        DeadlockSummary::of(&deadlocks),
         closure.is_empty(),
         livelock.is_none(),
     )
@@ -105,7 +105,7 @@ fn bench_engine_comparison(_c: &mut Criterion) {
     for config in [&full_seq, &full_par, &reduced_cfg] {
         let r = check::ConvergenceReport::check_with(&ring, config);
         assert_eq!(seed.0, r.legit_count);
-        assert_eq!(seed.1, r.illegitimate_deadlocks.len());
+        assert_eq!(seed.1, r.illegitimate_deadlocks);
         assert_eq!(seed.2, r.closure_violation.is_none());
         assert_eq!(seed.3, r.livelock.is_none());
     }
@@ -180,6 +180,10 @@ fn bench_engine_comparison(_c: &mut Criterion) {
     assert_eq!(
         full_max.illegitimate_deadlocks,
         red_max.illegitimate_deadlocks
+    );
+    assert_eq!(
+        full_max.illegitimate_deadlocks,
+        DeadlockSummary::of(&check::illegitimate_deadlocks(&ring_max))
     );
     assert_eq!(full_max.livelock, red_max.livelock);
     let max_full_us = timed_min(reps, || {

@@ -71,7 +71,7 @@ pub fn e2() {
             "{:<4} {:>10} {:>12} {:>10} {:>12}",
             k,
             rep.state_count,
-            rep.illegitimate_deadlocks.len(),
+            rep.illegitimate_deadlocks.count,
             rep.livelock.is_some(),
             fmt_us(us)
         );
@@ -537,7 +537,7 @@ pub fn x2() {
         println!(
             "{:<4} {:>12} {:>12} {:>12}",
             k,
-            rep.illegitimate_deadlocks.len(),
+            rep.illegitimate_deadlocks.count,
             if rep.livelock.is_some() {
                 "livelocks"
             } else {

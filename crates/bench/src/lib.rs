@@ -10,7 +10,8 @@
 //! ```
 //!
 //! Criterion benchmarks live under `benches/` and cover the scaling
-//! experiment (E12) plus micro-benchmarks of the substrates.
+//! experiment (E12) and campaign throughput; each writes a `BENCH_*.json`
+//! file at the repo root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

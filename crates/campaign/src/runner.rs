@@ -598,7 +598,7 @@ fn execute_job(
     } else {
         Outcome::Failed {
             closure_ok: report.closure_violation.is_none(),
-            deadlocks: report.illegitimate_deadlocks.len() as u64,
+            deadlocks: report.illegitimate_deadlocks.count,
             livelock_len: report.livelock.as_ref().map(|c| c.len() as u64),
         }
     };

@@ -75,7 +75,7 @@ pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
             };
             println!(
                 "K={k}: {status} (deadlocks¬I {}, livelock {}, closure {})",
-                g.illegitimate_deadlocks.len(),
+                g.illegitimate_deadlocks.count,
                 g.livelock.is_some(),
                 g.closure_violation.is_none()
             );

@@ -3,7 +3,7 @@
 use selfstab_protocol::{LocalTransition, Protocol};
 
 use crate::ltg::{is_process_self_disabling, is_self_terminating, Ltg};
-use crate::pseudo::{minimal_pseudo_livelocks, pseudo_livelock_support};
+use crate::pseudo::pseudo_livelock_support;
 use crate::trail::{find_contiguous_trail, ContiguousTrail, TrailQuery};
 
 /// How far the Theorem 5.14 certificate reaches for a protocol's topology.
@@ -46,7 +46,6 @@ pub struct LivelockAnalysis {
     process_self_disabling: bool,
     support: Vec<LocalTransition>,
     trail: Option<ContiguousTrail>,
-    pseudo_livelock_trails: Vec<(Vec<LocalTransition>, ContiguousTrail)>,
 }
 
 impl LivelockAnalysis {
@@ -145,30 +144,6 @@ impl LivelockAnalysis {
             )
         };
 
-        // Diagnostics: which minimal pseudo-livelocks can realize a trail on
-        // their own (the per-candidate view of the synthesis methodology).
-        let mut pseudo_livelock_trails = Vec::new();
-        if assumptions_hold {
-            for pl in
-                minimal_pseudo_livelocks(&transitions, protocol.space(), protocol.locality(), 64)
-            {
-                if pl.len() > 16 {
-                    continue;
-                }
-                if let Some(t) = find_contiguous_trail(
-                    ltg,
-                    protocol,
-                    &TrailQuery {
-                        allowed: &pl,
-                        must_visit: Some(illegit.as_bitset()),
-                        cover_all: true,
-                    },
-                ) {
-                    pseudo_livelock_trails.push((pl, t));
-                }
-            }
-        }
-
         LivelockAnalysis {
             certified: assumptions_hold && trail.is_none(),
             scope,
@@ -176,7 +151,6 @@ impl LivelockAnalysis {
             process_self_disabling,
             support,
             trail,
-            pseudo_livelock_trails,
         }
     }
 
@@ -215,12 +189,6 @@ impl LivelockAnalysis {
     /// The blocking trail witness, when certification failed.
     pub fn trail(&self) -> Option<&ContiguousTrail> {
         self.trail.as_ref()
-    }
-
-    /// Minimal pseudo-livelocks that realize a covering trail on their own,
-    /// with their witnesses.
-    pub fn pseudo_livelock_trails(&self) -> &[(Vec<LocalTransition>, ContiguousTrail)] {
-        &self.pseudo_livelock_trails
     }
 }
 
@@ -261,6 +229,7 @@ impl std::fmt::Display for LivelockAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pseudo::minimal_pseudo_livelocks;
     use selfstab_protocol::{Domain, Locality};
 
     #[test]
@@ -295,7 +264,25 @@ mod tests {
         assert!(a.trail().is_some());
         assert_eq!(a.pseudo_livelock_support().len(), 2);
         // The minimal pseudo-livelock {t01, t10} has a covering trail.
-        assert_eq!(a.pseudo_livelock_trails().len(), 1);
+        let ltg = Ltg::build(&p);
+        let illegit = p.legit().negated();
+        let transitions: Vec<LocalTransition> = p.transitions().collect();
+        let covered = minimal_pseudo_livelocks(&transitions, p.space(), p.locality(), 64)
+            .into_iter()
+            .filter(|pl| {
+                find_contiguous_trail(
+                    &ltg,
+                    &p,
+                    &TrailQuery {
+                        allowed: pl,
+                        must_visit: Some(illegit.as_bitset()),
+                        cover_all: true,
+                    },
+                )
+                .is_some()
+            })
+            .count();
+        assert_eq!(covered, 1);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Global model checking: deadlocks, livelocks, closure, convergence.
 
-use crate::engine::{CancelToken, Cancelled, EngineConfig};
+use crate::engine::{CancelToken, Cancelled, DeadlockSummary, EngineConfig};
 use crate::instance::{Move, RingInstance};
 use crate::state::GlobalStateId;
 use selfstab_telemetry::{span, EngineCounters, Phase, PhaseSink};
 
 /// Global deadlock states outside `I(K)` — the witnesses Theorem 4.2 is
-/// about.
+/// about — in ascending id order. This is the plain reference: the checks
+/// themselves keep only a [`DeadlockSummary`] (see
+/// [`ConvergenceReport::illegitimate_deadlocks`]).
 pub fn illegitimate_deadlocks(ring: &RingInstance) -> Vec<GlobalStateId> {
     illegitimate_deadlocks_where(ring, |s| ring.is_legit(s))
 }
@@ -189,6 +191,9 @@ where
 }
 
 /// The outcome of a full strong-convergence check at a fixed ring size.
+///
+/// A report holds witnesses, not lists: one closure violation, the count
+/// and least of the illegitimate deadlocks, one livelock cycle.
 #[derive(Clone, Debug)]
 pub struct ConvergenceReport {
     /// The ring size checked.
@@ -199,8 +204,8 @@ pub struct ConvergenceReport {
     pub legit_count: u64,
     /// A closure violation, if `I(K)` is not closed.
     pub closure_violation: Option<(GlobalStateId, Move)>,
-    /// Global deadlocks outside `I(K)` (all of them).
-    pub illegitimate_deadlocks: Vec<GlobalStateId>,
+    /// Global deadlocks outside `I(K)`: how many, and the least one.
+    pub illegitimate_deadlocks: DeadlockSummary,
     /// A livelock cycle, if one exists.
     pub livelock: Option<Vec<GlobalStateId>>,
 }
@@ -222,9 +227,9 @@ impl ConvergenceReport {
     }
 
     /// Runs the full check through the fused engine — the one composition
-    /// of its two passes every caller shares. The legitimacy count,
-    /// illegitimate deadlocks and first closure violation come from one
-    /// scan over the state space
+    /// of its two passes every caller shares. The legitimacy count, the
+    /// illegitimate-deadlock count with the least deadlock, and the first
+    /// closure violation come from one scan over the state space
     /// ([`fused_scan_metered`](crate::engine::fused_scan_metered)), and the
     /// livelock search
     /// ([`find_livelock_metered`](crate::engine::find_livelock_metered))
@@ -288,15 +293,13 @@ impl std::fmt::Display for ConvergenceReport {
             None => writeln!(f, "  closure: OK")?,
             Some((s, m)) => writeln!(f, "  closure: VIOLATED at {s} by P_{}", m.process)?,
         }
-        if self.illegitimate_deadlocks.is_empty() {
-            writeln!(f, "  deadlocks outside I: none")?;
-        } else {
-            writeln!(
+        match self.illegitimate_deadlocks.first {
+            None => writeln!(f, "  deadlocks outside I: none")?,
+            Some(first) => writeln!(
                 f,
-                "  deadlocks outside I: {} (first: {})",
-                self.illegitimate_deadlocks.len(),
-                self.illegitimate_deadlocks[0]
-            )?;
+                "  deadlocks outside I: {} (first: {first})",
+                self.illegitimate_deadlocks.count
+            )?,
         }
         match &self.livelock {
             None => writeln!(f, "  livelocks: none")?,

@@ -1,11 +1,12 @@
 //! Fused, parallel, allocation-free convergence scanning.
 //!
 //! [`ConvergenceReport::check`](crate::check::ConvergenceReport::check)
-//! needs three facts about the global state space: the size of `I(K)`, the
-//! deadlocks outside `I(K)`, and whether `I(K)` is closed. The naive
-//! formulation makes three separate sweeps, each re-deriving every local
-//! state through [`GlobalSpace::value_at`](crate::state::GlobalSpace)
-//! (a `pow` per digit). [`fused_scan`] computes all three in **one** pass:
+//! needs three facts about the global state space: the size of `I(K)`, how
+//! many deadlocks lie outside `I(K)` and which is least, and whether `I(K)`
+//! is closed. The naive formulation makes three separate sweeps, each
+//! re-deriving every local state through
+//! [`GlobalSpace::value_at`](crate::state::GlobalSpace) (a `pow` per
+//! digit). [`fused_scan`] computes all three in **one** pass:
 //!
 //! * global ids are enumerated in dense ascending order while a mixed-radix
 //!   digit buffer is incremented in place, so no division or `pow` is spent
@@ -23,8 +24,8 @@
 //! pool ([`EngineConfig::threads`]); each chunk produces an independent
 //! `ChunkOut` summary and the summaries are merged in ascending chunk
 //! order, so **the result is bit-for-bit identical for every thread
-//! count**, including the identity of the first closure violation and the
-//! order of the deadlock list.
+//! count**, including the identity of the first closure violation and of
+//! the first deadlock.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -249,13 +250,61 @@ impl EngineConfig {
     }
 }
 
+/// How many global deadlocks lie outside `I(K)`, and which is least.
+///
+/// This is all a verdict or a report needs (Theorem 4.2 reasons in the same
+/// count-plus-witness shape), so a scan keeps `O(1)` deadlock state however
+/// many deadlocks there are. The full list stays available from the
+/// reference [`illegitimate_deadlocks`](crate::check::illegitimate_deadlocks).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DeadlockSummary {
+    /// Number of global deadlocks outside `I(K)`.
+    pub count: u64,
+    /// The least of them by dense id; `None` iff `count` is 0.
+    pub first: Option<GlobalStateId>,
+}
+
+impl DeadlockSummary {
+    /// Summarizes a deadlock list in ascending id order, such as the one
+    /// [`illegitimate_deadlocks`](crate::check::illegitimate_deadlocks)
+    /// returns: its length and its first element.
+    pub fn of(ascending: &[GlobalStateId]) -> Self {
+        DeadlockSummary {
+            count: ascending.len() as u64,
+            first: ascending.first().copied(),
+        }
+    }
+
+    /// `true` iff there is no deadlock outside `I(K)`.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Adds `n` deadlocks whose least member is `least`. Callers add in
+    /// ascending order of `least`, so the first call fixes `first`.
+    fn add(&mut self, least: GlobalStateId, n: u64) {
+        self.count += n;
+        self.first.get_or_insert(least);
+    }
+
+    /// Appends the summary of a later (higher) id range.
+    fn merge(&mut self, later: DeadlockSummary) {
+        self.count += later.count;
+        self.first = self.first.or(later.first);
+    }
+}
+
 /// The result of one fused sweep over the global state space.
+///
+/// Only the legitimacy bitmap (and, after a reduced scan, the frontier)
+/// grows with the state space; deadlocks are kept as a
+/// [`DeadlockSummary`], never as a list.
 #[derive(Clone, Debug)]
 pub struct FusedScan {
     /// Number of states in `I(K)`.
     pub legit_count: u64,
-    /// All global deadlocks outside `I(K)`, in ascending id order.
-    pub illegitimate_deadlocks: Vec<GlobalStateId>,
+    /// The global deadlocks outside `I(K)`: their count and the least one.
+    pub illegitimate_deadlocks: DeadlockSummary,
     /// The first closure violation in (state, process, target) order, if
     /// `I(K)` is not closed.
     pub first_closure_violation: Option<(GlobalStateId, Move)>,
@@ -277,7 +326,7 @@ impl FusedScan {
 /// Per-chunk accumulator; chunks merge associatively in ascending order.
 struct ChunkOut {
     legit_count: u64,
-    deadlocks: Vec<GlobalStateId>,
+    deadlocks: DeadlockSummary,
     violation: Option<(GlobalStateId, Move)>,
     /// The bitmap words covering the chunk's (64-aligned) id range.
     bits: Vec<u64>,
@@ -388,7 +437,7 @@ fn scan_chunk(
 
     let mut out = ChunkOut {
         legit_count: 0,
-        deadlocks: Vec::new(),
+        deadlocks: DeadlockSummary::default(),
         violation: None,
         bits: vec![0u64; ((end - start) as usize).div_ceil(64)],
     };
@@ -420,7 +469,7 @@ fn scan_chunk(
                 out.violation = first_violation_at(ring, plan, &digits, &locals, gid);
             }
         } else if !any_enabled {
-            out.deadlocks.push(GlobalStateId(gid));
+            out.deadlocks.add(GlobalStateId(gid), 1);
         }
 
         // Mixed-radix increment: x_{K-1} is the least significant digit.
@@ -436,7 +485,7 @@ fn scan_chunk(
         c.states_visited.fetch_add(end - start, Ordering::Relaxed);
         c.legit_states.fetch_add(out.legit_count, Ordering::Relaxed);
         c.deadlocks_found
-            .fetch_add(out.deadlocks.len() as u64, Ordering::Relaxed);
+            .fetch_add(out.deadlocks.count, Ordering::Relaxed);
         c.closure_checks
             .fetch_add(closure_checks, Ordering::Relaxed);
         c.cancel_polls.fetch_add(polls, Ordering::Relaxed);
@@ -485,9 +534,11 @@ fn first_violation_at(
 ///
 /// * `legit_count` — legitimacy is rotation-invariant, so each legitimate
 ///   necklace contributes its whole orbit (its minimal period `p`);
-/// * `illegitimate_deadlocks` — deadlock is rotation-invariant; each
-///   deadlocked necklace's orbit is expanded via the `O(1)` id rotation
-///   and the merged list sorted ascending, exactly the dense scan's order;
+/// * `illegitimate_deadlocks` — deadlock is rotation-invariant, so each
+///   deadlocked necklace adds its orbit size `p` to the count; the set of
+///   illegitimate deadlocks is rotation-closed, so by the argument below
+///   its least member is the first deadlocked necklace in FKM order — no
+///   orbit is expanded and nothing is sorted;
 /// * `first_closure_violation` — the set of legitimate states with a
 ///   closure-violating move is rotation-closed, and the dense-minimal
 ///   member of a rotation-closed set is always a necklace (its rotations
@@ -518,7 +569,7 @@ fn scan_reduced(
     let mut locals: Vec<LocalStateId> = vec![LocalStateId(0); k];
     let mut scan = FusedScan {
         legit_count: 0,
-        illegitimate_deadlocks: Vec::new(),
+        illegitimate_deadlocks: DeadlockSummary::default(),
         first_closure_violation: None,
         legit_bits: vec![0u64; (n as usize).div_ceil(64)],
         frontier: None,
@@ -564,11 +615,8 @@ fn scan_reduced(
         } else {
             frontier.push(GlobalStateId(gid));
             if !any_enabled {
-                let mut member = gid;
-                for _ in 0..p {
-                    scan.illegitimate_deadlocks.push(GlobalStateId(member));
-                    member = rotate(member);
-                }
+                scan.illegitimate_deadlocks
+                    .add(GlobalStateId(gid), p as u64);
             }
         }
         true
@@ -576,16 +624,13 @@ fn scan_reduced(
     if !completed {
         return None;
     }
-    // Orbit expansion emits each orbit contiguously but not sorted across
-    // orbits; one ascending sort restores the dense scan's exact order.
-    scan.illegitimate_deadlocks.sort_unstable();
     scan.frontier = Some(frontier);
     if let Some(c) = counters {
         c.states_visited.fetch_add(weighted, Ordering::Relaxed);
         c.legit_states
             .fetch_add(scan.legit_count, Ordering::Relaxed);
         c.deadlocks_found
-            .fetch_add(scan.illegitimate_deadlocks.len() as u64, Ordering::Relaxed);
+            .fetch_add(scan.illegitimate_deadlocks.count, Ordering::Relaxed);
         c.closure_checks
             .fetch_add(closure_checks, Ordering::Relaxed);
         c.cancel_polls.fetch_add(polls, Ordering::Relaxed);
@@ -677,14 +722,14 @@ pub fn fused_scan_metered(
 
     let mut scan = FusedScan {
         legit_count: 0,
-        illegitimate_deadlocks: Vec::new(),
+        illegitimate_deadlocks: DeadlockSummary::default(),
         first_closure_violation: None,
         legit_bits: Vec::with_capacity((n as usize).div_ceil(64)),
         frontier: None,
     };
     for (_, part) in parts {
         scan.legit_count += part.legit_count;
-        scan.illegitimate_deadlocks.extend(part.deadlocks);
+        scan.illegitimate_deadlocks.merge(part.deadlocks);
         if scan.first_closure_violation.is_none() {
             scan.first_closure_violation = part.violation;
         }
@@ -1049,13 +1094,18 @@ mod tests {
             .unwrap()
     }
 
+    /// `(len, first)` of the plain reference's full deadlock list.
+    fn reference_deadlocks(ring: &RingInstance) -> DeadlockSummary {
+        DeadlockSummary::of(&check::illegitimate_deadlocks(ring))
+    }
+
     fn assert_scan_matches_naive(ring: &RingInstance, threads: usize) {
         let scan = fused_scan(ring, &EngineConfig::with_threads(threads));
         let naive_legit = ring.space().ids().filter(|&s| ring.is_legit(s)).count() as u64;
         assert_eq!(scan.legit_count, naive_legit, "legit count (t={threads})");
         assert_eq!(
             scan.illegitimate_deadlocks,
-            check::illegitimate_deadlocks(ring),
+            reference_deadlocks(ring),
             "deadlocks (t={threads})"
         );
         assert_eq!(
@@ -1082,6 +1132,36 @@ mod tests {
                 let ring = RingInstance::symmetric(p, k).unwrap();
                 assert_scan_matches_naive(&ring, 1);
                 assert_scan_matches_naive(&ring, 4);
+            }
+        }
+    }
+
+    #[test]
+    fn deadlock_summary_merges_across_chunks() {
+        // The only illegitimate deadlock is all-ones, the last state: at
+        // K=13 (two 4096-state chunks) chunk 0 finds none, so the merged
+        // `first` must come from chunk 1.
+        let p = Protocol::builder("tail", Domain::numeric("x", 2), Locality::unidirectional())
+            .action("x[r-1] == 0 && x[r] == 1 -> x[r] := 0")
+            .unwrap()
+            .legit("x[r] == 0")
+            .unwrap()
+            .build()
+            .unwrap();
+        let ring = RingInstance::symmetric(&p, 13).unwrap();
+        let expected = DeadlockSummary {
+            count: 1,
+            first: Some(GlobalStateId(8191)),
+        };
+        assert_eq!(reference_deadlocks(&ring), expected);
+        for symmetry in [SymmetryMode::Full, SymmetryMode::Reduced] {
+            for threads in [1, 2, 8] {
+                let cfg = EngineConfig::with_threads(threads).with_symmetry(symmetry);
+                assert_eq!(
+                    fused_scan(&ring, &cfg).illegitimate_deadlocks,
+                    expected,
+                    "{symmetry:?} threads={threads}"
+                );
             }
         }
     }
@@ -1223,6 +1303,7 @@ mod tests {
         let plain = fused_scan(&ring, &EngineConfig::sequential());
         assert_eq!(bounded.legit_count, plain.legit_count);
         assert_eq!(bounded.illegitimate_deadlocks, plain.illegitimate_deadlocks);
+        assert_eq!(plain.illegitimate_deadlocks, reference_deadlocks(&ring));
         assert_eq!(
             find_livelock_metered(&ring, &bounded, &token, None).unwrap(),
             find_livelock_with(&ring, &plain)
@@ -1258,10 +1339,8 @@ mod tests {
         let (seq, scan, livelock) = run(1);
         assert_eq!(seq.states_visited, ring.space().len());
         assert_eq!(seq.legit_states, scan.legit_count);
-        assert_eq!(
-            seq.deadlocks_found,
-            scan.illegitimate_deadlocks.len() as u64
-        );
+        assert_eq!(seq.deadlocks_found, scan.illegitimate_deadlocks.count);
+        assert_eq!(scan.illegitimate_deadlocks, reference_deadlocks(&ring));
         assert!(livelock.is_some(), "this protocol livelocks at K=6");
         assert!(seq.dfs_steps > 0);
         assert!(seq.dfs_max_depth > 0);
@@ -1291,7 +1370,12 @@ mod tests {
         assert_eq!(red.legit_count, full.legit_count, "{ctx}: legit_count");
         assert_eq!(
             red.illegitimate_deadlocks, full.illegitimate_deadlocks,
-            "{ctx}: deadlock list"
+            "{ctx}: deadlock summary"
+        );
+        assert_eq!(
+            full.illegitimate_deadlocks,
+            reference_deadlocks(ring),
+            "{ctx}: deadlocks vs reference"
         );
         assert_eq!(
             red.first_closure_violation, full.first_closure_violation,
@@ -1406,6 +1490,7 @@ mod tests {
         );
         assert_eq!(red.legit_count, full.legit_count);
         assert_eq!(red.illegitimate_deadlocks, full.illegitimate_deadlocks);
+        assert_eq!(full.illegitimate_deadlocks, reference_deadlocks(&ring));
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! * [`check`] — deadlock detection, livelock detection (a cycle of
 //!   `Δ_p | ¬I`), closure, and strong/weak convergence with counterexamples;
 //! * [`engine`] — the fused single-pass scan behind the convergence check:
-//!   one sweep computes legitimacy counts, deadlocks and closure at once,
+//!   one sweep computes the legitimacy count, the deadlock count with the
+//!   least deadlock, and closure at once,
 //!   optionally in parallel, with verdicts independent of the thread count;
 //! * [`sim`] — a random/round-robin simulator with transient-fault
 //!   injection and convergence-time measurement;
@@ -61,7 +62,8 @@ pub mod symmetry;
 
 pub use check::{find_livelock, ConvergenceReport};
 pub use engine::{
-    fused_scan, fused_scan_metered, CancelToken, Cancelled, EngineConfig, FusedScan, SymmetryMode,
+    fused_scan, fused_scan_metered, CancelToken, Cancelled, DeadlockSummary, EngineConfig,
+    FusedScan, SymmetryMode,
 };
 pub use error::GlobalError;
 pub use instance::{Move, RingInstance};

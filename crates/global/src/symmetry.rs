@@ -23,9 +23,8 @@
 //! * [`min_rotation`] — Booth's `O(K)` minimal-rotation index, used by the
 //!   reduced livelock search to canonicalize DFS successors;
 //! * [`rotate_id_left`] — one rotation step directly in id space in `O(1)`
-//!   (two divisions), used to expand a representative's orbit when the
-//!   reduced scan rebuilds full-space artifacts (the legitimacy bitmap and
-//!   the deadlock list) without decoding anything.
+//!   (two divisions): the step the reduced scan applies inline to fill the
+//!   full-space legitimacy bitmap orbit by orbit without decoding anything.
 
 use selfstab_protocol::Value;
 

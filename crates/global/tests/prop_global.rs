@@ -4,7 +4,8 @@
 
 use proptest::prelude::*;
 use selfstab_global::{
-    check, schedule, EngineConfig, RingInstance, Scheduler, Simulator, SymmetryMode,
+    check, schedule, DeadlockSummary, EngineConfig, RingInstance, Scheduler, Simulator,
+    SymmetryMode,
 };
 use selfstab_protocol::{Domain, LocalStateId, LocalTransition, Locality, Protocol};
 
@@ -306,8 +307,8 @@ proptest! {
     }
 
     /// The parallel fused engine and the sequential one produce identical
-    /// convergence reports — same counts, same witnesses, same order — on
-    /// random protocols across ring sizes.
+    /// convergence reports — same counts, same witnesses — on random
+    /// protocols across ring sizes.
     #[test]
     fn parallel_engine_matches_sequential(p in arb_protocol(2), k in 2usize..=7, threads in 2usize..=8) {
         let ring = RingInstance::symmetric(&p, k).unwrap();
@@ -318,12 +319,16 @@ proptest! {
         prop_assert_eq!(seq.legit_count, par.legit_count);
         prop_assert_eq!(seq.closure_violation, par.closure_violation);
         prop_assert_eq!(seq.illegitimate_deadlocks, par.illegitimate_deadlocks);
+        prop_assert_eq!(
+            seq.illegitimate_deadlocks,
+            DeadlockSummary::of(&check::illegitimate_deadlocks(&ring))
+        );
         prop_assert_eq!(seq.livelock, par.livelock);
     }
 
     /// The symmetry-reduced engine produces the byte-identical convergence
     /// report as the full dense engine on random symmetric protocols —
-    /// counts, witness states, deadlock order, livelock cycle — whether
+    /// counts, witness states, first deadlock, livelock cycle — whether
     /// the full scan runs sequentially or parallel.
     #[test]
     fn reduced_engine_matches_full(p in arb_protocol(2), k in 1usize..=7, threads in 1usize..=8) {
@@ -341,6 +346,10 @@ proptest! {
         prop_assert_eq!(reduced.legit_count, full.legit_count);
         prop_assert_eq!(reduced.closure_violation, full.closure_violation);
         prop_assert_eq!(reduced.illegitimate_deadlocks, full.illegitimate_deadlocks);
+        prop_assert_eq!(
+            reduced.illegitimate_deadlocks,
+            DeadlockSummary::of(&check::illegitimate_deadlocks(&ring))
+        );
         prop_assert_eq!(reduced.livelock, full.livelock);
     }
 

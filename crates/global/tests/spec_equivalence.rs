@@ -1,13 +1,15 @@
 //! Acceptance gate for the fused engine: on every protocol spec shipped in
 //! `specs/`, the parallel engine must produce the *identical* convergence
 //! report as the sequential one at every ring size `K ∈ 2..=8` — same
-//! counts, same witness states, same ordering. The symmetry-reduced
-//! engine is held to the same contract against the full scan at both
-//! thread counts.
+//! counts, same witness states. The symmetry-reduced engine is held to the
+//! same contract against the full scan at both thread counts, and both
+//! engines' deadlock count and first deadlock are checked against the
+//! plain reference list.
 
 use std::path::PathBuf;
 
-use selfstab_global::{check::ConvergenceReport, EngineConfig, RingInstance, SymmetryMode};
+use selfstab_global::check::{self, ConvergenceReport};
+use selfstab_global::{DeadlockSummary, EngineConfig, RingInstance, SymmetryMode};
 use selfstab_protocol::file::parse_protocol_file;
 
 fn spec_dir() -> PathBuf {
@@ -66,7 +68,7 @@ fn parallel_matches_sequential_on_every_spec() {
             );
             assert_eq!(
                 seq.illegitimate_deadlocks,
-                selfstab_global::check::illegitimate_deadlocks(&ring),
+                DeadlockSummary::of(&check::illegitimate_deadlocks(&ring)),
                 "{ctx}: deadlocks vs reference"
             );
         }
@@ -88,6 +90,12 @@ fn reduced_matches_full_on_every_spec() {
             let reduced = ConvergenceReport::check_with(
                 &ring,
                 &EngineConfig::sequential().with_symmetry(SymmetryMode::Reduced),
+            );
+            assert_eq!(
+                reduced.illegitimate_deadlocks,
+                DeadlockSummary::of(&check::illegitimate_deadlocks(&ring)),
+                "{} at K={k}: reduced deadlocks vs reference",
+                path.display()
             );
             for threads in [1usize, 4] {
                 let full = ConvergenceReport::check_with(

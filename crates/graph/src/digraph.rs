@@ -168,17 +168,6 @@ impl DiGraph {
         }
         seen
     }
-
-    /// Vertices with at least one outgoing arc.
-    pub fn vertices_with_out_arcs(&self) -> BitSet {
-        let mut s = BitSet::new(self.vertex_count());
-        for (u, list) in self.adj.iter().enumerate() {
-            if !list.is_empty() {
-                s.insert(u);
-            }
-        }
-        s
-    }
 }
 
 impl FromIterator<(usize, usize)> for DiGraph {

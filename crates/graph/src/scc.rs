@@ -28,14 +28,6 @@ impl SccDecomposition {
     pub fn component_of(&self, v: usize) -> usize {
         self.component_of[v]
     }
-
-    /// Returns `true` if `v` lies on some directed cycle of the graph this
-    /// decomposition was computed for: its component has more than one vertex,
-    /// or it carries a self-loop (the caller passes self-loop knowledge via
-    /// `has_self_loop`).
-    pub fn on_cycle(&self, v: usize, has_self_loop: bool) -> bool {
-        self.components[self.component_of[v]].len() > 1 || has_self_loop
-    }
 }
 
 /// Computes the strongly-connected components of `g` with an iterative

@@ -60,16 +60,6 @@ impl GuardedCommand {
         })
     }
 
-    /// Builds an action from already-constructed expressions (no source
-    /// text; display falls back to a synthesized form).
-    pub fn from_parts(guard: Expr, alternatives: Vec<Expr>) -> Self {
-        GuardedCommand {
-            source: String::new(),
-            guard,
-            alternatives,
-        }
-    }
-
     /// The original source text, if the action was parsed.
     pub fn source(&self) -> &str {
         &self.source

@@ -6,7 +6,6 @@ use std::fmt;
 use crate::action::GuardedCommand;
 use crate::domain::{Domain, Value};
 use crate::error::ProtocolError;
-use crate::expr::Expr;
 use crate::locality::Locality;
 use crate::parser::parse_expr;
 use crate::predicate::LocalPredicate;
@@ -366,25 +365,6 @@ impl ProtocolBuilder {
     {
         self.legit = Some(LocalPredicate::from_fn(&self.space, f));
         self
-    }
-
-    /// Sets `LC_r` from a pre-built expression.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the expression is not boolean or references
-    /// variables outside the locality.
-    pub fn legit_expr(mut self, expr: &Expr) -> Result<Self, ProtocolError> {
-        let mut ids = Vec::new();
-        for id in self.space.ids() {
-            let window = self.space.decode(id);
-            if expr.eval_guard(&window, self.locality)? {
-                ids.push(id);
-            }
-        }
-        self.legit = Some(LocalPredicate::from_states(&self.space, ids));
-        self.legit_source.clear();
-        Ok(self)
     }
 
     /// Declares every local state legitimate.

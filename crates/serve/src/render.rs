@@ -30,7 +30,7 @@ pub fn convergence_report(report: &ConvergenceReport) -> Value {
         "state_count": report.state_count,
         "legit_count": report.legit_count,
         "closure_ok": report.closure_violation.is_none(),
-        "illegitimate_deadlocks": report.illegitimate_deadlocks.len(),
+        "illegitimate_deadlocks": report.illegitimate_deadlocks.count,
         "livelock_length": report.livelock.as_ref().map(Vec::len),
         "self_stabilizing": report.self_stabilizing(),
     })

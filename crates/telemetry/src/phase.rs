@@ -189,11 +189,6 @@ impl PhaseSnapshot {
                 .collect(),
         )
     }
-
-    /// Total microseconds across all phases.
-    pub fn total_micros(&self) -> u64 {
-        self.micros.iter().sum()
-    }
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //! windows plus a root behavior over the root's own value.
 
 use selfstab_protocol::{
-    Domain, GuardedCommand, LocalPredicate, LocalStateId, LocalStateSpace, LocalTransition,
-    Locality, Protocol, ProtocolError, Value,
+    Domain, GuardedCommand, LocalPredicate, LocalStateId, LocalStateSpace, Locality, Protocol,
+    ProtocolError, Value,
 };
 
 /// A parameterized protocol on oriented rooted trees.
@@ -210,16 +210,6 @@ impl TreeProtocolBuilder {
 /// Convenience: the window id for `⟨parent, self⟩` values.
 pub fn window(space: &LocalStateSpace, parent: Value, own: Value) -> LocalStateId {
     space.encode(&[parent, own])
-}
-
-/// Convenience: a node transition from `⟨parent, own⟩` writing `to`.
-pub fn node_transition(
-    space: &LocalStateSpace,
-    parent: Value,
-    own: Value,
-    to: Value,
-) -> LocalTransition {
-    LocalTransition::new(window(space, parent, own), to)
 }
 
 /// Re-exported for building ad-hoc node actions in tests.

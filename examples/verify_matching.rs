@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let report = check::ConvergenceReport::check(&ring);
         println!(
             "  model check K={k}: deadlocks={} livelock={} closure_ok={}",
-            report.illegitimate_deadlocks.len(),
+            report.illegitimate_deadlocks.count,
             report.livelock.is_some(),
             report.closure_violation.is_none()
         );
