@@ -413,6 +413,30 @@ impl ScanPlan {
         }
         LocalStateId(id)
     }
+
+    /// The least rotation of state `id`, which is `digits` with position
+    /// `pos` overridden to `v`: the orbit key of a DFS successor. Makes the
+    /// `K − 1` left rotations in id space, one multiply-add each
+    /// (`cur = (cur − lead·d^(K-1))·d + lead`, `lead` the digit rotating
+    /// out), and keeps the minimum — no division, no allocation.
+    #[inline]
+    fn least_rotation_with(
+        &self,
+        id: GlobalStateId,
+        digits: &[Value],
+        pos: usize,
+        v: Value,
+    ) -> GlobalStateId {
+        let top = self.state_weights[0]; // d^(K-1)
+        let mut cur = id.0;
+        let mut least = cur;
+        for (p, &digit) in digits[..self.ring_size - 1].iter().enumerate() {
+            let lead = if p == pos { v } else { digit } as u64;
+            cur = (cur - lead * top) * self.domain_size + lead;
+            least = least.min(cur);
+        }
+        GlobalStateId(least)
+    }
 }
 
 /// Scans ids `start..end`, where `start` is 64-aligned (or 0). Returns
@@ -765,16 +789,14 @@ pub fn find_livelock_with(ring: &RingInstance, scan: &FusedScan) -> Option<Vec<G
 /// completes; a [`Cancelled`] search flushes nothing.
 ///
 /// When `scan` came from the reduced sweep (it carries a frontier of
-/// illegitimate necklaces), the search runs **verdict-first**: a tricolor
-/// DFS over the rotation-quotient graph — roots drawn from the frontier,
-/// every successor canonicalized with Booth's algorithm — decides whether
-/// any livelock exists at `~1/K` of the dense walk's cost. A quotient
-/// cycle exists *iff* a dense cycle does (rotation commutes with
-/// transitions, and a quotient cycle lifts by composing rotated copies of
-/// itself until the accumulated rotation closes), so a `None` verdict is
-/// final. On a positive verdict the dense walk runs to extract the exact
-/// witness the full engine reports — cheap, because it short-circuits at
-/// its first back edge — keeping the report byte-identical in both modes.
+/// illegitimate necklaces), the search runs **verdict-first**: the same
+/// DFS with rotation orbits as its nodes — roots drawn from the frontier,
+/// every successor keyed by its least rotation — decides whether any
+/// livelock exists at `~1/K` of the dense walk's cost, so a `None` verdict
+/// is final. On a positive verdict the dense walk runs to extract the
+/// exact witness the full engine reports — cheap, because it
+/// short-circuits at its first back edge — keeping the report
+/// byte-identical in both modes.
 ///
 /// # Errors
 ///
@@ -785,23 +807,51 @@ pub fn find_livelock_metered(
     cancel: &CancelToken,
     counters: Option<&EngineCounters>,
 ) -> Result<Option<Vec<GlobalStateId>>, Cancelled> {
-    match &scan.frontier {
-        None => find_livelock_full(ring, scan, cancel, counters),
-        Some(frontier) => {
-            if quotient_has_cycle(ring, scan, frontier, cancel, counters)? {
-                find_livelock_full(ring, scan, cancel, counters)
-            } else {
-                Ok(None)
-            }
+    let plan = ScanPlan::new(ring);
+    if let Some(frontier) = &scan.frontier {
+        let roots = frontier.iter().copied();
+        if livelock_dfs::<true>(ring, scan, &plan, roots, cancel, counters)?.is_none() {
+            return Ok(None);
         }
     }
+    livelock_dfs::<false>(ring, scan, &plan, ring.space().ids(), cancel, counters)
 }
 
-/// The dense-order tricolor DFS over every illegitimate state (the full
-/// engine's livelock walk; see [`find_livelock_metered`] for dispatch).
-fn find_livelock_full(
+/// The tricolor DFS over `¬I` behind both livelock walks (see
+/// [`find_livelock_metered`] for dispatch). Frames always hold the dense
+/// state they reached, patched from their parent in `O(w)`; the two walks
+/// differ only in the **key** that gets a color:
+///
+/// * `QUOTIENT = false`, the dense walk: the key is the state itself, the
+///   roots are every dense id, and a back edge returns the witness cycle —
+///   the keys on the stack from the gray one up, in
+///   [`find_livelock_where`](crate::check::find_livelock_where)'s order;
+/// * `QUOTIENT = true`, the verdict walk on the rotation-quotient graph:
+///   the key is the state's orbit, named by its least rotation
+///   ([`ScanPlan::least_rotation_with`]), and the roots are the reduced
+///   scan's frontier, whose necklaces are their own keys. Any back edge
+///   decides that a livelock exists.
+///
+/// The quotient verdict is exact. Rotation commutes with transitions and
+/// preserves illegitimacy, so the orbits of any member's successors are the
+/// orbits of the necklace's successors: the quotient graph is the same
+/// whichever member a frame holds. Then, in both directions:
+///
+/// * a dense cycle projects to a closed walk of orbits, and a closed walk
+///   contains a cycle — so a livelock implies a quotient cycle;
+/// * a quotient cycle `r_0 → … → r_m = r_0` lifts: each quotient edge is a
+///   dense edge up to a rotation, and composing the walk `j` times
+///   multiplies the accumulated rotation until it closes (`j` divides
+///   `K`), yielding a genuine dense cycle through illegitimate states.
+///
+/// Only when `QUOTIENT` holds are `frontier_pushes` (frames entered) and
+/// `canonicalizations` (orbit keys computed) flushed, so both stay zero on
+/// the full path.
+fn livelock_dfs<const QUOTIENT: bool>(
     ring: &RingInstance,
     scan: &FusedScan,
+    plan: &ScanPlan,
+    roots: impl Iterator<Item = GlobalStateId>,
     cancel: &CancelToken,
     counters: Option<&EngineCounters>,
 ) -> Result<Option<Vec<GlobalStateId>>, Cancelled> {
@@ -809,29 +859,36 @@ fn find_livelock_full(
     const GRAY: u8 = 1;
     const BLACK: u8 = 2;
 
-    let plan = ScanPlan::new(ring);
     let k = plan.ring_size;
     let w = plan.window_width;
-    let n = ring.space().len() as usize;
-    let mut color = vec![WHITE; n];
-    // DFS frames: (state, next process to try, next target index within
-    // that process). The parallel arenas hold each frame's `K` ring digits
-    // and `K` local window ids; they grow once and are reused thereafter.
-    let mut frames: Vec<(GlobalStateId, usize, usize)> = Vec::new();
+    // Dense-indexed, touched only at keys: every id in the dense walk, the
+    // necklaces in the quotient walk.
+    let mut color = vec![WHITE; ring.space().len() as usize];
+    // DFS frames: (colored key, state, next process to try, next target
+    // index within that process). The parallel arenas hold each frame's
+    // `K` ring digits and `K` local window ids; they grow once and are
+    // reused thereafter.
+    let mut frames: Vec<(GlobalStateId, GlobalStateId, usize, usize)> = Vec::new();
     let mut digits: Vec<Value> = Vec::new();
     let mut locals: Vec<LocalStateId> = Vec::new();
     let mut steps: u64 = 0;
     let mut polls: u64 = 0;
     let mut max_depth: u64 = 0;
-    let flush = |steps: u64, polls: u64, max_depth: u64| {
+    let mut pushes: u64 = 0;
+    let mut keyed: u64 = 0;
+    let flush = |steps: u64, polls: u64, max_depth: u64, pushes: u64, keyed: u64| {
         if let Some(c) = counters {
             c.dfs_steps.fetch_add(steps, Ordering::Relaxed);
             c.cancel_polls.fetch_add(polls, Ordering::Relaxed);
             c.record_dfs_depth(max_depth);
+            if QUOTIENT {
+                c.frontier_pushes.fetch_add(pushes, Ordering::Relaxed);
+                c.canonicalizations.fetch_add(keyed, Ordering::Relaxed);
+            }
         }
     };
 
-    for root in ring.space().ids() {
+    for root in roots {
         if color[root.index()] != WHITE || scan.is_legit(root) {
             continue;
         }
@@ -839,156 +896,7 @@ fn find_livelock_full(
         frames.clear();
         digits.clear();
         locals.clear();
-        frames.push((root, 0, 0));
-        max_depth = max_depth.max(1);
-        digits.extend_from_slice(&ring.space().decode(root));
-        for i in 0..k {
-            locals.push(plan.local_id(&digits, i));
-        }
-
-        while !frames.is_empty() {
-            if steps.is_multiple_of(CANCEL_STRIDE) {
-                polls += 1;
-                if cancel.is_cancelled() {
-                    return Err(Cancelled);
-                }
-            }
-            steps += 1;
-            let base = (frames.len() - 1) * k;
-            let &mut (state, ref mut proc, ref mut tidx) =
-                frames.last_mut().expect("loop guard ensures a frame");
-            // Advance the cursor to the next successor inside ¬I.
-            let mut next = None;
-            while *proc < k {
-                let targets = ring.targets_by_table(plan.tables[*proc], locals[base + *proc]);
-                if *tidx < targets.len() {
-                    let t = targets[*tidx];
-                    *tidx += 1;
-                    let delta = t as i64 - digits[base + *proc] as i64;
-                    let succ = GlobalStateId(
-                        (state.0 as i64 + delta * plan.state_weights[*proc] as i64) as u64,
-                    );
-                    if !scan.is_legit(succ) {
-                        next = Some((succ, *proc, t));
-                        break;
-                    }
-                } else {
-                    *proc += 1;
-                    *tidx = 0;
-                }
-            }
-            match next {
-                None => {
-                    color[state.index()] = BLACK;
-                    frames.pop();
-                    digits.truncate(base);
-                    locals.truncate(base);
-                }
-                Some((succ, wi, t)) => match color[succ.index()] {
-                    WHITE => {
-                        color[succ.index()] = GRAY;
-                        // Child frame = parent's digits/locals with the
-                        // write at `wi` patched in.
-                        let delta = t as i32 - digits[base + wi] as i32;
-                        digits.extend_from_within(base..base + k);
-                        locals.extend_from_within(base..base + k);
-                        let child = base + k;
-                        digits[child + wi] = t;
-                        for idx in 0..w {
-                            let j = plan.writers[wi * w + idx];
-                            let lj = &mut locals[child + j];
-                            *lj = LocalStateId(
-                                (lj.0 as i32 + delta * plan.weights[idx] as i32) as u32,
-                            );
-                        }
-                        frames.push((succ, 0, 0));
-                        max_depth = max_depth.max(frames.len() as u64);
-                    }
-                    GRAY => {
-                        // Back edge: extract the cycle from the DFS stack.
-                        let start = frames
-                            .iter()
-                            .position(|&(s, _, _)| s == succ)
-                            .expect("gray state must be on the stack");
-                        flush(steps, polls, max_depth);
-                        return Ok(Some(frames[start..].iter().map(|&(s, _, _)| s).collect()));
-                    }
-                    _ => {}
-                },
-            }
-        }
-    }
-    flush(steps, polls, max_depth);
-    Ok(None)
-}
-
-/// Livelock **verdict** on the rotation-quotient graph: a tricolor DFS
-/// whose nodes are canonical (necklace) ids and whose edges are the dense
-/// transitions with the successor canonicalized (Booth, `O(K)`). Roots
-/// come from the reduced scan's frontier — every illegitimate necklace, in
-/// ascending order — so the walk touches `~1/K` of the dense search's
-/// nodes.
-///
-/// Soundness of the verdict (both directions):
-///
-/// * a dense cycle projects to a closed walk of canonical ids (rotation
-///   commutes with transitions and preserves illegitimacy), and a closed
-///   walk contains a cycle — so a livelock implies a quotient cycle;
-/// * a quotient cycle `r_0 → … → r_m = r_0` lifts: each quotient edge is a
-///   dense edge up to a rotation, and composing the walk `j` times
-///   multiplies the accumulated rotation until it closes (`j` divides
-///   `K`), yielding a genuine dense cycle through illegitimate states.
-///
-/// Note the quotient graph may contain self-loops even though the dense
-/// graph never does (identity writes are rejected at construction): a move
-/// can map a state onto a nontrivial rotation of itself. The GRAY check
-/// catches these as cycles, which the lifting argument shows is correct.
-fn quotient_has_cycle(
-    ring: &RingInstance,
-    scan: &FusedScan,
-    frontier: &[GlobalStateId],
-    cancel: &CancelToken,
-    counters: Option<&EngineCounters>,
-) -> Result<bool, Cancelled> {
-    const WHITE: u8 = 0;
-    const GRAY: u8 = 1;
-    const BLACK: u8 = 2;
-
-    let plan = ScanPlan::new(ring);
-    let k = plan.ring_size;
-    let n = ring.space().len() as usize;
-    // Dense-indexed color map touched only at canonical ids; the dense
-    // footprint keeps lookups branch-free and mirrors the full walk.
-    let mut color = vec![WHITE; n];
-    let mut frames: Vec<(GlobalStateId, usize, usize)> = Vec::new();
-    let mut digits: Vec<Value> = Vec::new();
-    let mut locals: Vec<LocalStateId> = Vec::new();
-    let mut scratch: Vec<Value> = vec![0; k];
-    let mut steps: u64 = 0;
-    let mut polls: u64 = 0;
-    let mut max_depth: u64 = 0;
-    let mut pushes: u64 = 0;
-    let mut canonicalizations: u64 = 0;
-    let flush = |steps: u64, polls: u64, max_depth: u64, pushes: u64, canonicalizations: u64| {
-        if let Some(c) = counters {
-            c.dfs_steps.fetch_add(steps, Ordering::Relaxed);
-            c.cancel_polls.fetch_add(polls, Ordering::Relaxed);
-            c.record_dfs_depth(max_depth);
-            c.frontier_pushes.fetch_add(pushes, Ordering::Relaxed);
-            c.canonicalizations
-                .fetch_add(canonicalizations, Ordering::Relaxed);
-        }
-    };
-
-    for &root in frontier {
-        if color[root.index()] != WHITE {
-            continue;
-        }
-        color[root.index()] = GRAY;
-        frames.clear();
-        digits.clear();
-        locals.clear();
-        frames.push((root, 0, 0));
+        frames.push((root, root, 0, 0));
         pushes += 1;
         max_depth = max_depth.max(1);
         digits.extend_from_slice(&ring.space().decode(root));
@@ -1005,9 +913,9 @@ fn quotient_has_cycle(
             }
             steps += 1;
             let base = (frames.len() - 1) * k;
-            let &mut (state, ref mut proc, ref mut tidx) =
+            let &mut (key, state, ref mut proc, ref mut tidx) =
                 frames.last_mut().expect("loop guard ensures a frame");
-            // Advance to the next successor inside ¬I, canonicalized.
+            // Advance the cursor to the next successor inside ¬I.
             let mut next = None;
             while *proc < k {
                 let targets = ring.targets_by_table(plan.tables[*proc], locals[base + *proc]);
@@ -1018,18 +926,14 @@ fn quotient_has_cycle(
                     let succ = GlobalStateId(
                         (state.0 as i64 + delta * plan.state_weights[*proc] as i64) as u64,
                     );
-                    // Legitimacy is rotation-invariant: test the raw id.
                     if !scan.is_legit(succ) {
-                        scratch.copy_from_slice(&digits[base..base + k]);
-                        scratch[*proc] = t;
-                        canonicalizations += 1;
-                        let r = symmetry::min_rotation(&scratch);
-                        let mut canon: u64 = 0;
-                        for (slot, &w) in plan.state_weights.iter().enumerate() {
-                            let p = if r + slot < k { r + slot } else { r + slot - k };
-                            canon += scratch[p] as u64 * w;
-                        }
-                        next = Some((GlobalStateId(canon), r));
+                        let succ_key = if QUOTIENT {
+                            keyed += 1;
+                            plan.least_rotation_with(succ, &digits[base..base + k], *proc, t)
+                        } else {
+                            succ
+                        };
+                        next = Some((succ_key, succ, *proc, t));
                         break;
                     }
                 } else {
@@ -1039,43 +943,49 @@ fn quotient_has_cycle(
             }
             match next {
                 None => {
-                    color[state.index()] = BLACK;
+                    color[key.index()] = BLACK;
                     frames.pop();
                     digits.truncate(base);
                     locals.truncate(base);
                 }
-                Some((succ, r)) => match color[succ.index()] {
+                Some((succ_key, succ, wi, t)) => match color[succ_key.index()] {
                     WHITE => {
-                        color[succ.index()] = GRAY;
-                        // Child frame: the canonical rotation of the patched
-                        // digits; the windows are remapped wholesale, so the
-                        // locals are recomputed rather than patched.
-                        for slot in 0..k {
-                            let p = if r + slot < k { r + slot } else { r + slot - k };
-                            digits.push(scratch[p]);
-                        }
+                        color[succ_key.index()] = GRAY;
+                        // Child frame = parent's digits/locals with the
+                        // write at `wi` patched in.
+                        let delta = t as i32 - digits[base + wi] as i32;
+                        digits.extend_from_within(base..base + k);
+                        locals.extend_from_within(base..base + k);
                         let child = base + k;
-                        for i in 0..k {
-                            locals.push(plan.local_id(&digits[child..child + k], i));
+                        digits[child + wi] = t;
+                        for idx in 0..w {
+                            let j = plan.writers[wi * w + idx];
+                            let lj = &mut locals[child + j];
+                            *lj = LocalStateId(
+                                (lj.0 as i32 + delta * plan.weights[idx] as i32) as u32,
+                            );
                         }
-                        frames.push((succ, 0, 0));
+                        frames.push((succ_key, succ, 0, 0));
                         pushes += 1;
                         max_depth = max_depth.max(frames.len() as u64);
                     }
                     GRAY => {
-                        // Any back edge (including a quotient self-loop)
-                        // certifies a dense livelock; the caller re-runs
-                        // the dense walk for the exact witness.
-                        flush(steps, polls, max_depth, pushes, canonicalizations);
-                        return Ok(true);
+                        // Back edge: the cycle is the stack from the gray
+                        // key upward.
+                        let start = frames
+                            .iter()
+                            .position(|f| f.0 == succ_key)
+                            .expect("gray key must be on the stack");
+                        flush(steps, polls, max_depth, pushes, keyed);
+                        return Ok(Some(frames[start..].iter().map(|f| f.0).collect()));
                     }
                     _ => {}
                 },
             }
         }
     }
-    flush(steps, polls, max_depth, pushes, canonicalizations);
-    Ok(false)
+    flush(steps, polls, max_depth, pushes, keyed);
+    Ok(None)
 }
 
 #[cfg(test)]
@@ -1534,6 +1444,77 @@ mod tests {
         assert!(first.canonicalizations > 0, "the quotient walk ran");
         assert!(first.frontier_pushes > 0);
         assert_eq!(first.deterministic_json(), run().deterministic_json());
+    }
+
+    #[test]
+    fn least_rotation_is_the_orbit_minimum() {
+        for (d, k) in [(2, 1), (2, 7), (3, 5), (4, 4)] {
+            let p = Protocol::builder("ag", Domain::numeric("x", d), Locality::unidirectional())
+                .action("x[r-1] != x[r] -> x[r] := x[r-1]")
+                .unwrap()
+                .legit("x[r] == x[r-1]")
+                .unwrap()
+                .build()
+                .unwrap();
+            let ring = RingInstance::symmetric(&p, k).unwrap();
+            let sp = ring.space();
+            let plan = ScanPlan::new(&ring);
+            for id in sp.ids() {
+                let digits = sp.decode(id);
+                for pos in 0..k {
+                    for v in 0..d as Value {
+                        let mut succ = digits.clone();
+                        succ[pos] = v;
+                        let succ = sp.encode(&succ);
+                        let mut least = succ;
+                        let mut cur = succ;
+                        for _ in 1..k {
+                            cur = symmetry::rotate_id_left(sp, cur);
+                            least = least.min(cur);
+                        }
+                        assert_eq!(
+                            plan.least_rotation_with(succ, &digits, pos, v),
+                            least,
+                            "d={d} K={k} id={id} x_{pos}:={v}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quotient_walk_enters_each_orbit_once() {
+        // A livelock-free instance, so the quotient walk runs to completion:
+        // it must enter every illegitimate orbit exactly once (through
+        // whichever member it reaches first) and try each illegitimate
+        // successor once. Keying colors by dense state instead would enter
+        // orbits many times over and fail the first assertion.
+        let p = agreement(&["x[r-1] == 1 && x[r] == 0 -> x[r] := 1"]);
+        let token = CancelToken::new();
+        let cfg = EngineConfig::sequential().with_symmetry(SymmetryMode::Reduced);
+        for k in [6, 9, 12] {
+            let ring = RingInstance::symmetric(&p, k).unwrap();
+            let counters = EngineCounters::new();
+            let scan = fused_scan_metered(&ring, &cfg, &token, Some(&counters)).unwrap();
+            let verdict = find_livelock_metered(&ring, &scan, &token, Some(&counters)).unwrap();
+            assert_eq!(verdict, None, "K={k}");
+            let mut illegitimate = 0u64;
+            symmetry::for_each_necklace(2, k, &mut |digits, _| {
+                illegitimate += u64::from(!ring.is_legit(ring.space().encode(digits)));
+                true
+            });
+            let c = counters.snapshot();
+            assert_eq!(
+                c.frontier_pushes, illegitimate,
+                "K={k}: one entry per orbit"
+            );
+            assert_eq!(
+                c.dfs_steps,
+                c.frontier_pushes + c.canonicalizations,
+                "K={k}: one step per successor tried plus one per frame popped"
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! is also the orbit's minimal id. The effective space shrinks from `d^K`
 //! to the necklace count `~d^K / K`.
 //!
-//! Three pieces live here:
+//! Two pieces live here:
 //!
 //! * [`for_each_necklace`] — the FKM (Fredricksen–Kessler–Maiorana)
 //!   generator: every necklace of length `K` over `d` symbols, in ascending
@@ -20,83 +20,15 @@
 //!   counts lift from representatives to the full space by multiplying
 //!   with `p` — no per-orbit memo table is needed because the generator
 //!   hands the class size out for free;
-//! * [`min_rotation`] — Booth's `O(K)` minimal-rotation index, used by the
-//!   reduced livelock search to canonicalize DFS successors;
 //! * [`rotate_id_left`] — one rotation step directly in id space in `O(1)`
 //!   (two divisions): the step the reduced scan applies inline to fill the
-//!   full-space legitimacy bitmap orbit by orbit without decoding anything.
+//!   full-space legitimacy bitmap orbit by orbit without decoding anything,
+//!   and the reference the engine's division-free orbit key is tested
+//!   against.
 
 use selfstab_protocol::Value;
 
 use crate::state::{GlobalSpace, GlobalStateId};
-
-/// The index `r` of the lexicographically least rotation of `digits`:
-/// `⟨digits[r], digits[r+1 mod K], …⟩` is minimal among all `K` rotations
-/// (Booth's algorithm, `O(K)` time, one `O(K)` scratch allocation).
-///
-/// Ties — which exist exactly when the string is periodic — resolve to the
-/// smallest such `r`, so the result is deterministic.
-///
-/// # Examples
-///
-/// ```
-/// use selfstab_global::symmetry::min_rotation;
-///
-/// assert_eq!(min_rotation(&[2, 0, 1]), 1); // ⟨0,1,2⟩ is minimal
-/// assert_eq!(min_rotation(&[1, 1, 1]), 0); // periodic: first of the ties
-/// assert_eq!(min_rotation(&[0, 1, 0, 0]), 2); // ⟨0,0,0,1⟩
-/// ```
-pub fn min_rotation(digits: &[Value]) -> usize {
-    let n = digits.len();
-    if n <= 1 {
-        return 0;
-    }
-    // Booth's least-rotation over the doubled string, with the classic
-    // failure function `f` (usize::MAX standing in for −1).
-    const NIL: usize = usize::MAX;
-    let at = |i: usize| digits[if i < n { i } else { i - n }];
-    let mut f = vec![NIL; 2 * n];
-    let mut k = 0usize;
-    for j in 1..2 * n {
-        let sj = at(j);
-        let mut i = f[j - k - 1];
-        while i != NIL && sj != at(k + i + 1) {
-            if sj < at(k + i + 1) {
-                k = j - i - 1;
-            }
-            i = f[i];
-        }
-        if i == NIL && sj != at(k) {
-            if sj < at(k) {
-                k = j;
-            }
-            f[j - k] = NIL;
-        } else if i == NIL {
-            f[j - k] = 0;
-        } else {
-            f[j - k] = i + 1;
-        }
-    }
-    k
-}
-
-/// The canonical (minimal-id) member of the rotation orbit of the
-/// configuration in `digits`, encoded against `space`.
-///
-/// # Panics
-///
-/// Panics if `digits.len() != space.ring_size()`.
-pub fn canonical_id(space: &GlobalSpace, digits: &[Value]) -> GlobalStateId {
-    let k = space.ring_size();
-    assert_eq!(digits.len(), k, "ring size mismatch");
-    let r = min_rotation(digits);
-    let mut id: u64 = 0;
-    for t in 0..k {
-        let p = if r + t < k { r + t } else { r + t - k };
-        id += digits[p] as u64 * space.weight(t);
-    }
-    GlobalStateId(id)
-}
 
 /// Rotates a configuration one step left in id space:
 /// `⟨x_0, x_1, …, x_{K-1}⟩ ↦ ⟨x_1, …, x_{K-1}, x_0⟩`, computed as
@@ -190,7 +122,7 @@ mod tests {
         GlobalSpace::new(d, k, 1 << 26).unwrap()
     }
 
-    /// Reference canonicalizer: decode all rotations, take the min.
+    /// Reference orbit minimum: all `K` rotations by id, take the least.
     fn naive_canonical(sp: &GlobalSpace, id: GlobalStateId) -> GlobalStateId {
         let mut best = id;
         let mut cur = id;
@@ -212,30 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn canonical_id_is_orbit_minimum() {
-        for (d, k) in [(2, 1), (2, 7), (3, 5), (4, 4)] {
-            let sp = space(d, k);
-            for id in sp.ids() {
-                let digits = sp.decode(id);
-                assert_eq!(
-                    canonical_id(&sp, &digits),
-                    naive_canonical(&sp, id),
-                    "d={d} K={k} id={id}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn booth_handles_periodic_and_degenerate_inputs() {
-        assert_eq!(min_rotation(&[]), 0);
-        assert_eq!(min_rotation(&[5]), 0);
-        assert_eq!(min_rotation(&[0, 0, 0, 0]), 0);
-        assert_eq!(min_rotation(&[1, 0, 1, 0]), 1);
-        assert_eq!(min_rotation(&[2, 1, 0, 2, 1, 0]), 2);
-    }
-
-    #[test]
     fn necklaces_partition_the_space() {
         for (d, k) in [(1, 6), (2, 1), (2, 8), (3, 5), (5, 3)] {
             let sp = space(d, k);
@@ -246,7 +154,7 @@ mod tests {
                 let id = sp.encode(digits);
                 // Each necklace is canonical, periods are exact, and the
                 // enumeration ascends in id order.
-                assert_eq!(canonical_id(&sp, digits), id, "d={d} K={k}");
+                assert_eq!(naive_canonical(&sp, id), id, "d={d} K={k}");
                 assert_eq!(k % p, 0, "period divides K");
                 assert!(last.is_none_or(|prev| prev < id), "ascending order");
                 last = Some(id);

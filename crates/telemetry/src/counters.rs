@@ -45,7 +45,8 @@ pub struct EngineCounters {
     /// Necklace orbits enumerated by the symmetry-reduced scan (zero under
     /// the full scan; `states_visited` stays orbit-weighted either way).
     pub orbits_visited: AtomicU64,
-    /// Booth canonicalizations performed by the reduced livelock search.
+    /// Orbit keys (least rotations of successors) computed by the reduced
+    /// livelock search's quotient walk.
     pub canonicalizations: AtomicU64,
     /// Stack pushes of the reduced livelock search's frontier walk.
     pub frontier_pushes: AtomicU64,
