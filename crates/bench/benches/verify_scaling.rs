@@ -86,9 +86,9 @@ fn seed_style_check(
 
 /// Seed-vs-fused-vs-reduced comparison at K=10, d=3 (59049 states),
 /// recording the measured speedups to `BENCH_verify_scaling.json` at the
-/// repo root. Symmetry modes are pinned explicitly — never `Auto` — so
-/// the full-scan baseline cannot silently become a reduced scan (at this
-/// size the crossover heuristic would pick `Reduced` on its own).
+/// repo root. The full-scan baseline pins `SymmetryMode::Full`, so it
+/// cannot silently become a reduced scan (the default `Auto` reduces
+/// every rotation-symmetric ring).
 fn bench_engine_comparison(_c: &mut Criterion) {
     let p = sum_not_two::sum_not_two_solution();
     let k = 10;
@@ -98,7 +98,7 @@ fn bench_engine_comparison(_c: &mut Criterion) {
         .unwrap_or(4);
     let full_seq = EngineConfig::sequential().with_symmetry(SymmetryMode::Full);
     let full_par = EngineConfig::with_threads(threads).with_symmetry(SymmetryMode::Full);
-    let reduced_cfg = EngineConfig::sequential().with_symmetry(SymmetryMode::Reduced);
+    let reduced_cfg = EngineConfig::sequential();
 
     // The engines must agree before their timings mean anything.
     let seed = seed_style_check(&p, &ring);

@@ -559,11 +559,7 @@ pub fn ablate_a1() {
         let _ = selfstab_graph::scc::vertices_on_cycles(&induced);
     });
     let full_us = timed_mean(50, || {
-        let _ = DeadlockAnalysis::analyze_prepared(
-            &p,
-            &rcg,
-            selfstab_graph::cycles::CycleBudget::default(),
-        );
+        let _ = DeadlockAnalysis::analyze_prepared(&p, &rcg);
     });
     println!(
         "SCC-only verdict: {}   with witnesses + ring sizes: {}",

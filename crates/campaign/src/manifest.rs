@@ -23,11 +23,13 @@
 //!   polled by the engine; an aborted job also degrades to `OverBudget`).
 //! * `engine_threads` — intra-check parallelism handed to
 //!   [`EngineConfig`](selfstab_global::EngineConfig), composable with the
-//!   campaign's own `--jobs` worker count.
+//!   campaign's own `--jobs` worker count. Only the dense scan runs in
+//!   parallel, so it matters under `"symmetry": "full"` alone: the
+//!   default scans one necklace per orbit, sequentially.
 //! * `symmetry` — optional rotation-symmetry reduction policy for every
-//!   job: `"auto"` (default), `"full"`, or `"reduced"`. Like thread
-//!   counts, the mode never changes any verdict and is therefore excluded
-//!   from the fingerprint.
+//!   job: `"auto"` (default; `"reduced"` is another spelling of it) or
+//!   `"full"`. Like thread counts, the mode never changes any verdict and
+//!   is therefore excluded from the fingerprint.
 
 use std::path::{Path, PathBuf};
 
@@ -50,7 +52,7 @@ pub struct Manifest {
     pub max_states: u64,
     /// Optional per-job wall-clock deadline in milliseconds.
     pub timeout_ms: Option<u64>,
-    /// Worker threads *inside* each job's fused scan.
+    /// Worker threads *inside* each job's dense fused scan.
     pub engine_threads: usize,
     /// Rotation-symmetry reduction policy for every job's engine.
     pub symmetry: selfstab_global::SymmetryMode,
@@ -297,15 +299,21 @@ mod tests {
     fn manifest_symmetry_parses_and_never_perturbs_the_fingerprint() {
         let dir = specs_dir();
         let plain = r#"{"specs": ["specs/*.stab"], "k_from": 2, "k_to": 4}"#;
-        let reduced =
-            r#"{"specs": ["specs/*.stab"], "k_from": 2, "k_to": 4, "symmetry": "reduced"}"#;
+        let with = |mode: &str| {
+            let text = format!(
+                r#"{{"specs": ["specs/*.stab"], "k_from": 2, "k_to": 4, "symmetry": "{mode}"}}"#
+            );
+            Manifest::from_json_text(&text, &dir).unwrap()
+        };
         let a = Manifest::from_json_text(plain, &dir).unwrap();
-        let b = Manifest::from_json_text(reduced, &dir).unwrap();
+        let (full, reduced) = (with("full"), with("reduced"));
         assert_eq!(a.symmetry, selfstab_global::SymmetryMode::Auto);
-        assert_eq!(b.symmetry, selfstab_global::SymmetryMode::Reduced);
+        assert_eq!(full.symmetry, selfstab_global::SymmetryMode::Full);
+        assert_eq!(reduced.symmetry, selfstab_global::SymmetryMode::Auto);
         // The mode never changes a verdict, so journals must stay
         // resumable across it — exactly like engine_threads.
-        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_eq!(a.fingerprint(), full.fingerprint());
+        assert_eq!(a.fingerprint(), reduced.fingerprint());
         let bad = Manifest::from_json_text(
             r#"{"specs": ["specs/*.stab"], "k_from": 2, "k_to": 4, "symmetry": "orbit"}"#,
             &dir,

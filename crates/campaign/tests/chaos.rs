@@ -106,20 +106,20 @@ proptest! {
         prop_assert_eq!(final_report, reference.rendered_report);
     }
 
-    /// The chaos property holds unchanged under `symmetry: Reduced`: a
-    /// sweep interrupted mid-run with the rotation-symmetry reduction
-    /// engaged resumes to the byte-identical fault-free reduced report —
-    /// which is itself byte-identical to the default-mode report, so the
-    /// reduction never leaks into the journal/resume story.
+    /// The chaos property holds unchanged under `symmetry: Full`: a sweep
+    /// interrupted mid-run on the dense path resumes to the byte-identical
+    /// fault-free dense report — which is itself byte-identical to the
+    /// default (reduced) report, so the symmetry mode never leaks into the
+    /// journal/resume story.
     #[test]
-    fn reduced_chaotic_runs_converge_to_the_fault_free_report(
+    fn full_chaotic_runs_converge_to_the_fault_free_report(
         manifest in arb_manifest(),
         seed in 0u64..1_000_000,
     ) {
         let reference = run_campaign(
             &manifest,
             &CampaignConfig {
-                symmetry: Some(SymmetryMode::Reduced),
+                symmetry: Some(SymmetryMode::Full),
                 ..CampaignConfig::default()
             },
         )
@@ -135,7 +135,7 @@ proptest! {
                 &manifest,
                 &CampaignConfig {
                     workers: 2,
-                    symmetry: Some(SymmetryMode::Reduced),
+                    symmetry: Some(SymmetryMode::Full),
                     journal_path: Some(journal_path.clone()),
                     resume: round > 0,
                     retries: 1,

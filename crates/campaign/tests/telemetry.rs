@@ -103,28 +103,33 @@ fn metrics_document_has_the_canonical_shape() {
 
 #[test]
 fn metric_counters_are_invariant_across_workers_and_engine_threads() {
-    let m = manifest(SMALL);
-    let run = |workers: usize, engine_threads: Option<usize>| {
-        run_campaign(
-            &m,
-            &CampaignConfig {
-                workers,
-                engine_threads,
-                telemetry: true,
-                ..CampaignConfig::default()
-            },
-        )
-        .unwrap()
-        .metrics
-        .expect("telemetry produces metrics")
-    };
-    let base = deterministic_rows(&run(1, None));
-    for (workers, threads) in [(2, None), (4, None), (1, Some(3)), (3, Some(2))] {
-        assert_eq!(
-            deterministic_rows(&run(workers, threads)),
-            base,
-            "counters diverged at workers={workers} threads={threads:?}"
-        );
+    // The default mode runs the necklace scan at every engine thread count;
+    // `full` sends the engine-thread axis through the chunked dense scan.
+    const SMALL_FULL: &str = r#"{"specs": ["specs/agreement.stab", "specs/agreement_both.stab"], "k_from": 2, "k_to": 4, "symmetry": "full"}"#;
+    for text in [SMALL, SMALL_FULL] {
+        let m = manifest(text);
+        let run = |workers: usize, engine_threads: Option<usize>| {
+            run_campaign(
+                &m,
+                &CampaignConfig {
+                    workers,
+                    engine_threads,
+                    telemetry: true,
+                    ..CampaignConfig::default()
+                },
+            )
+            .unwrap()
+            .metrics
+            .expect("telemetry produces metrics")
+        };
+        let base = deterministic_rows(&run(1, None));
+        for (workers, threads) in [(2, None), (4, None), (1, Some(3)), (3, Some(2))] {
+            assert_eq!(
+                deterministic_rows(&run(workers, threads)),
+                base,
+                "counters diverged at workers={workers} threads={threads:?} in {text}"
+            );
+        }
     }
 }
 

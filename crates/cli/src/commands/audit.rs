@@ -1,9 +1,9 @@
 //! `selfstab audit <file.stab> [--to K] [--threads T] [--symmetry MODE]
 //! [--json]` — the full battery: local proofs, global cross-checks at
 //! every size up to a bound, and trail reconstruction when the livelock
-//! certificate fails. `--threads` parallelizes the global cross-checks
-//! and `--symmetry auto|full|reduced` selects the rotation-symmetry
-//! reduction policy; neither changes any verdict.
+//! certificate fails. `--symmetry auto|full` selects the rotation-symmetry
+//! reduction policy and `--threads` parallelizes the dense scan that
+//! `full` runs; neither changes any verdict.
 //!
 //! Exit code 0 means every checked size is self-stabilizing; 2 means some
 //! size FAILS or — far worse — a locally-proven protocol was contradicted

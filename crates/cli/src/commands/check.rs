@@ -1,14 +1,13 @@
 //! `selfstab check <file.stab> --k N [--to M] [--threads T] [--symmetry MODE]` —
 //! explicit-state global model checking at fixed ring sizes.
 //!
-//! `--threads` parallelizes the fused convergence scan; the verdict and
-//! every reported witness are identical for any thread count (default 1,
-//! fully sequential). `--symmetry auto|full|reduced` selects the
-//! rotation-symmetry reduction policy: `reduced` scans one necklace per
-//! rotation orbit and lifts counts by orbit size, producing the
-//! byte-identical report at a fraction of the work; `auto` (the default)
-//! engages the reduction only where the crossover heuristic predicts a
-//! win.
+//! `--symmetry auto|full` selects the rotation-symmetry reduction policy:
+//! `auto` (the default; `reduced` is another spelling of it) scans one
+//! necklace per rotation orbit and lifts counts by orbit size, producing
+//! the byte-identical report at a fraction of the work; `full` scans every
+//! dense state. `--threads` parallelizes the dense scan only, so it
+//! matters under `full`; the verdict and every reported witness are
+//! identical for any thread count (default 1, fully sequential).
 
 use selfstab_global::{check::ConvergenceReport, EngineConfig, RingInstance, SymmetryMode};
 

@@ -10,8 +10,8 @@
 //! CRC-framed JSONL file that doubles as the checkpoint for `--resume`.
 //! The report is canonical JSON — byte-identical for every worker count,
 //! symmetry mode, resume split and retry budget — so it can be diffed,
-//! archived, and gated on in CI. `--symmetry auto|full|reduced` overrides
-//! the manifest's rotation-symmetry reduction policy for every job.
+//! archived, and gated on in CI. `--symmetry auto|full` overrides the
+//! manifest's rotation-symmetry reduction policy for every job.
 //!
 //! Observability: `--metrics FILE` writes a metrics document (per-job
 //! engine counters and phase breakdowns, campaign phase totals, pool

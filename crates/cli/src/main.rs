@@ -32,6 +32,9 @@ const EXIT_UNVERIFIED: u8 = 2;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.first().map(String::as_str) != Some("serve") {
+        signal::default_sigpipe();
+    }
     match run(&argv) {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::from(EXIT_UNVERIFIED),
@@ -85,14 +88,15 @@ USAGE:
 SUBCOMMANDS:
     analyze     Theorem 4.2 / 5.14 local analysis (all ring sizes at once)
     audit       local proofs + global cross-checks + trail reconstruction
-                ([--to K] [--threads T] [--symmetry auto|full|reduced] [--json])
+                ([--to K] [--threads T] [--symmetry auto|full] [--json])
     check       explicit-state global check at fixed ring sizes
-                (--k N [--to M] [--threads T] [--symmetry auto|full|reduced]
-                 — `reduced` scans one state per rotation orbit and lifts
-                 counts by orbit size; the report is byte-identical)
+                (--k N [--to M] [--threads T] [--symmetry auto|full]
+                 — `auto`, the default, scans one state per rotation orbit
+                 and lifts counts by orbit size; `full` scans every state,
+                 on T threads; the report is byte-identical)
     sweep       batch campaign over a manifest's spec × K matrix
                 (--jobs J worker threads, --threads T engine threads per job,
-                 --symmetry auto|full|reduced overrides the manifest policy,
+                 --symmetry auto|full overrides the manifest policy,
                  --resume to continue from the journal, --journal FILE,
                  --retries N retry panicked jobs with exponential backoff,
                  --backoff-ms MS base retry delay (default 100),

@@ -15,6 +15,12 @@
 //! fires the same token, the server stops accepting, in-flight jobs
 //! cancel cooperatively, and the process exits 130.
 //!
+//! Every other subcommand restores **SIGPIPE**'s default disposition
+//! through [`default_sigpipe`], so a closed stdout (`selfstab check … |
+//! head`) ends the process quietly, as it ends any Unix filter, instead of
+//! failing a `println!`. `serve` keeps the runtime's ignored SIGPIPE: a
+//! client hang-up must stay a write error on that one connection.
+//!
 //! On non-Unix targets the hooks are no-ops: the token simply never fires
 //! from a signal (the process dies the default way), and everything else
 //! still works.
@@ -24,6 +30,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use selfstab_global::CancelToken;
+
+pub use hook::default_sigpipe;
 
 /// Set (only) by the signal handlers; drained by the watcher thread.
 static SIGNAL_RECEIVED: AtomicBool = AtomicBool::new(false);
@@ -39,12 +47,16 @@ mod hook {
     use std::sync::atomic::Ordering;
 
     const SIGINT: i32 = 2;
+    const SIGPIPE: i32 = 13;
     const SIGTERM: i32 = 15;
+    /// `SIG_DFL`, the default disposition, as a handler value.
+    const SIG_DFL: usize = 0;
 
     extern "C" {
         /// ISO C `signal(2)` — present in every libc we build against, so
-        /// no binding crate is needed for this one call.
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+        /// no binding crate is needed for this one call. The handler is a
+        /// `usize` so that `SIG_DFL` (0) fits beside function addresses.
+        fn signal(signum: i32, handler: usize) -> usize;
     }
 
     /// The handler: store one flag and return. Anything more (locks,
@@ -57,14 +69,25 @@ mod hook {
         // Safety: `signal` is the ISO C signal-installation call; the
         // handler only touches an atomic, which is async-signal-safe.
         unsafe {
-            signal(SIGINT, on_signal);
+            signal(SIGINT, on_signal as extern "C" fn(i32) as usize);
         }
     }
 
     pub fn install_sigterm() {
         // Safety: as above.
         unsafe {
-            signal(SIGTERM, on_signal);
+            signal(SIGTERM, on_signal as extern "C" fn(i32) as usize);
+        }
+    }
+
+    /// Restores SIGPIPE's default disposition: a write to a closed pipe
+    /// ends the process instead of returning an error that `println!`
+    /// turns into a panic.
+    pub fn default_sigpipe() {
+        // Safety: `SIG_DFL` installs no handler; the kernel ends the
+        // process on a write to a closed pipe.
+        unsafe {
+            signal(SIGPIPE, SIG_DFL);
         }
     }
 }
@@ -73,6 +96,7 @@ mod hook {
 mod hook {
     pub fn install_sigint() {}
     pub fn install_sigterm() {}
+    pub fn default_sigpipe() {}
 }
 
 /// Spawns the watcher that fires `token` once a hooked signal lands.

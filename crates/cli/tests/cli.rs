@@ -2,7 +2,7 @@
 //! `specs/`.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn spec(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -321,6 +321,38 @@ fn helpful_errors() {
     let out = selfstab(&["check", spec("agreement.stab").to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1));
     assert!(stderr(&out).contains("--k"));
+
+    let agreement = spec("agreement.stab");
+    let check = |mode: &str| {
+        selfstab(&[
+            "check",
+            agreement.to_str().unwrap(),
+            "--k",
+            "3",
+            "--symmetry",
+            mode,
+        ])
+    };
+    let out = check("orbit");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr(&out).contains("symmetry mode"));
+    // `reduced` is another spelling of the default `auto`.
+    assert_eq!(check("reduced").stdout, check("auto").stdout);
+}
+
+#[test]
+fn a_closed_stdout_ends_a_command_quietly() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_selfstab"))
+        .args(["check", spec("mis.stab").to_str().unwrap()])
+        .args(["--k", "2", "--to", "12"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
+    assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
+    assert_ne!(out.status.code(), Some(101));
 }
 
 #[test]

@@ -68,21 +68,15 @@ pub struct DeadlockAnalysis {
 }
 
 impl DeadlockAnalysis {
-    /// Runs the analysis with the default cycle-enumeration budget.
+    /// Runs the analysis. The verdict is exact; witness enumeration stops
+    /// at the default cycle-enumeration budget.
     pub fn analyze(protocol: &Protocol) -> Self {
-        Self::analyze_with_budget(protocol, CycleBudget::default())
-    }
-
-    /// Runs the analysis with an explicit cycle-enumeration budget (the
-    /// verdict is exact regardless; the budget only limits witnesses).
-    pub fn analyze_with_budget(protocol: &Protocol, budget: CycleBudget) -> Self {
-        let rcg = Rcg::build(protocol);
-        Self::analyze_prepared(protocol, &rcg, budget)
+        Self::analyze_prepared(protocol, &Rcg::build(protocol))
     }
 
     /// Runs the analysis against a pre-built RCG (useful when many revisions
     /// of the same protocol are analyzed, as in synthesis).
-    pub fn analyze_prepared(protocol: &Protocol, rcg: &Rcg, budget: CycleBudget) -> Self {
+    pub fn analyze_prepared(protocol: &Protocol, rcg: &Rcg) -> Self {
         let deadlocks = protocol.local_deadlocks();
         let illegit = protocol.legit().negated();
         let bad_states: BitSet = {
@@ -102,7 +96,7 @@ impl DeadlockAnalysis {
         let mut witnesses = Vec::new();
         let mut truncated = false;
         if !free {
-            let e = simple_cycles(&induced, budget);
+            let e = simple_cycles(&induced, CycleBudget::default());
             truncated = e.truncated;
             for cycle in e.through(&bad_states) {
                 let ids: Vec<LocalStateId> =

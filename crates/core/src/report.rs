@@ -46,11 +46,7 @@ impl StabilizationReport {
         let rcg = Rcg::build(protocol);
         let ltg = Ltg::with_rcg(protocol, rcg);
         StabilizationReport {
-            deadlock: DeadlockAnalysis::analyze_prepared(
-                protocol,
-                ltg.rcg(),
-                selfstab_graph::cycles::CycleBudget::default(),
-            ),
+            deadlock: DeadlockAnalysis::analyze_prepared(protocol, ltg.rcg()),
             livelock: LivelockAnalysis::analyze_with_ltg(protocol, &ltg),
             closure: local_closure_check(protocol),
         }

@@ -20,12 +20,14 @@
 //!   ([`find_livelock_with`]) reuses, making `is_legit` a single bit test
 //!   during the DFS.
 //!
-//! The id range is split into 64-aligned chunks handed to a scoped thread
-//! pool ([`EngineConfig::threads`]); each chunk produces an independent
-//! `ChunkOut` summary and the summaries are merged in ascending chunk
-//! order, so **the result is bit-for-bit identical for every thread
-//! count**, including the identity of the first closure violation and of
-//! the first deadlock.
+//! On a rotation-symmetric ring the default [`SymmetryMode::Auto`] runs the
+//! same pass over one necklace per rotation orbit instead (DESIGN.md §10).
+//! The dense pass splits the id range into 64-aligned chunks handed to a
+//! scoped thread pool ([`EngineConfig::threads`]); each chunk produces an
+//! independent `ChunkOut` summary and the summaries are merged in
+//! ascending chunk order, so **the result is bit-for-bit identical for
+//! every thread count**, including the identity of the first closure
+//! violation and of the first deadlock.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -154,22 +156,16 @@ impl std::error::Error for Cancelled {}
 /// chooses how much work is spent getting there.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SymmetryMode {
-    /// Pick per instance with the crossover heuristic: reduced when the
-    /// instance is rotation-symmetric, the scan is sequential, and the
-    /// space is large enough (`K ≥ 6` and `d^K ≥ 32768`) that necklace
-    /// enumeration beats the dense sweep. Small spaces stay on the full
-    /// path, where the dense loop's constant factor wins.
+    /// Enumerate one representative per rotation orbit (`~d^K / K`
+    /// necklaces), lift counts by orbit size, and run the livelock search
+    /// on the quotient graph first — on every rotation-symmetric instance,
+    /// at every `K` and every [`EngineConfig::threads`]. Heterogeneous
+    /// rings, where the reduction does not apply, take the dense path.
+    /// Parses from `auto` and, as another spelling, `reduced`.
     #[default]
     Auto,
     /// Always enumerate all `d^K` dense states.
     Full,
-    /// Enumerate one representative per rotation orbit (`~d^K / K`
-    /// necklaces) and lift counts by orbit size; the livelock search runs
-    /// on the quotient graph first. Sequential by construction; silently
-    /// degrades to [`SymmetryMode::Full`] on instances that are not
-    /// rotation-symmetric (heterogeneous rings), where the reduction does
-    /// not apply.
-    Reduced,
 }
 
 impl std::str::FromStr for SymmetryMode {
@@ -177,9 +173,8 @@ impl std::str::FromStr for SymmetryMode {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "auto" => Ok(SymmetryMode::Auto),
+            "auto" | "reduced" => Ok(SymmetryMode::Auto),
             "full" => Ok(SymmetryMode::Full),
-            "reduced" => Ok(SymmetryMode::Reduced),
             other => Err(format!(
                 "symmetry mode must be `auto`, `full` or `reduced`, got `{other}`"
             )),
@@ -187,16 +182,13 @@ impl std::str::FromStr for SymmetryMode {
     }
 }
 
-/// Auto-mode crossover: reduced only from this ring size up…
-const AUTO_REDUCED_MIN_K: usize = 6;
-/// …and only once the dense space reaches this many states.
-const AUTO_REDUCED_MIN_STATES: u64 = 32768;
-
 /// Tuning knobs of the fused engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker threads for the scan. `0` and `1` both mean sequential
-    /// (the default, so results are reproducible without opting in).
+    /// Worker threads for the dense scan. `0` and `1` both mean sequential
+    /// (the default). The necklace scan that [`SymmetryMode::Auto`] runs
+    /// on rotation-symmetric rings is sequential and ignores it, so only
+    /// [`SymmetryMode::Full`] and heterogeneous rings scan in parallel.
     pub threads: usize,
     /// Rotation-symmetry reduction policy (default [`SymmetryMode::Auto`]).
     pub symmetry: SymmetryMode,
@@ -231,22 +223,10 @@ impl EngineConfig {
     }
 
     /// Resolves the symmetry policy against a concrete instance: `true`
-    /// when this scan should run the necklace-reduced path. The reduced
-    /// scan is inherently sequential, so `Auto` also requires a sequential
-    /// configuration; an explicit `Reduced` wins over `threads` (the scan
-    /// simply runs sequentially) but still degrades to the full path on
-    /// instances the reduction does not apply to.
+    /// when this scan should run the necklace-reduced path, which `Auto`
+    /// takes on every instance the reduction applies to.
     fn use_reduced(&self, ring: &RingInstance) -> bool {
-        match self.symmetry {
-            SymmetryMode::Full => false,
-            SymmetryMode::Reduced => ring.is_rotation_symmetric(),
-            SymmetryMode::Auto => {
-                ring.is_rotation_symmetric()
-                    && self.threads <= 1
-                    && ring.ring_size() >= AUTO_REDUCED_MIN_K
-                    && ring.space().len() >= AUTO_REDUCED_MIN_STATES
-            }
-        }
+        self.symmetry == SymmetryMode::Auto && ring.is_rotation_symmetric()
     }
 }
 
@@ -663,10 +643,12 @@ fn scan_reduced(
     Some(scan)
 }
 
-/// Runs the fused sweep. With `config.threads <= 1` the scan is a single
-/// sequential chunk; otherwise 64-aligned chunks are distributed over
-/// scoped worker threads and merged in ascending chunk order, so the
-/// result is identical to the sequential one.
+/// Runs the fused sweep. Under [`SymmetryMode::Auto`] a rotation-symmetric
+/// ring takes the sequential necklace sweep. Otherwise the sweep is dense:
+/// with `config.threads <= 1` it is a single sequential chunk, and with
+/// more threads 64-aligned chunks are distributed over scoped worker
+/// threads and merged in ascending chunk order, so the result is identical
+/// to the sequential one.
 pub fn fused_scan(ring: &RingInstance, config: &EngineConfig) -> FusedScan {
     fused_scan_metered(ring, config, &CancelToken::new(), None)
         .expect("a fresh token never cancels the scan")
@@ -1009,8 +991,15 @@ mod tests {
         DeadlockSummary::of(&check::illegitimate_deadlocks(ring))
     }
 
+    /// The dense path on `threads` workers, which `Auto` never takes on a
+    /// rotation-symmetric ring.
+    fn dense(threads: usize) -> EngineConfig {
+        EngineConfig::with_threads(threads).with_symmetry(SymmetryMode::Full)
+    }
+
+    /// The dense sweep (sequential or chunked) against the naive sweeps.
     fn assert_scan_matches_naive(ring: &RingInstance, threads: usize) {
-        let scan = fused_scan(ring, &EngineConfig::with_threads(threads));
+        let scan = fused_scan(ring, &dense(threads));
         let naive_legit = ring.space().ids().filter(|&s| ring.is_legit(s)).count() as u64;
         assert_eq!(scan.legit_count, naive_legit, "legit count (t={threads})");
         assert_eq!(
@@ -1064,7 +1053,7 @@ mod tests {
             first: Some(GlobalStateId(8191)),
         };
         assert_eq!(reference_deadlocks(&ring), expected);
-        for symmetry in [SymmetryMode::Full, SymmetryMode::Reduced] {
+        for symmetry in [SymmetryMode::Full, SymmetryMode::Auto] {
             for threads in [1, 2, 8] {
                 let cfg = EngineConfig::with_threads(threads).with_symmetry(symmetry);
                 assert_eq!(
@@ -1086,9 +1075,9 @@ mod tests {
             .build()
             .unwrap();
         let ring = RingInstance::symmetric(&p, 5).unwrap();
-        let seq = fused_scan(&ring, &EngineConfig::sequential());
+        let seq = fused_scan(&ring, &dense(1));
         for threads in [2, 3, 8] {
-            let par = fused_scan(&ring, &EngineConfig::with_threads(threads));
+            let par = fused_scan(&ring, &dense(threads));
             assert_eq!(par.first_closure_violation, seq.first_closure_violation);
         }
         assert_eq!(
@@ -1164,16 +1153,16 @@ mod tests {
         fired.cancel();
         for threads in [1, 3] {
             assert_eq!(
-                fused_scan_metered(&ring, &EngineConfig::with_threads(threads), &fired, None).err(),
+                fused_scan_metered(&ring, &dense(threads), &fired, None).err(),
                 Some(Cancelled)
             );
         }
-        let scan = fused_scan(&ring, &EngineConfig::sequential());
+        let scan = fused_scan(&ring, &dense(1));
         assert!(find_livelock_metered(&ring, &scan, &fired, None).is_err());
         // An expired deadline behaves like an explicit cancel.
         let expired = CancelToken::with_deadline(Instant::now());
         assert!(expired.is_cancelled());
-        assert!(fused_scan_metered(&ring, &EngineConfig::sequential(), &expired, None).is_err());
+        assert!(fused_scan_metered(&ring, &dense(1), &expired, None).is_err());
     }
 
     #[test]
@@ -1222,10 +1211,10 @@ mod tests {
 
     #[test]
     fn metered_counters_are_thread_count_invariant() {
-        // The deterministic counter set must be byte-identical for every
-        // engine thread count; `closure_checks` (per-chunk short-circuit)
-        // is the one scheduling-dependent tally and is excluded from the
-        // deterministic JSON by construction.
+        // The deterministic counter set of the dense path must be
+        // byte-identical for every engine thread count; `closure_checks`
+        // (per-chunk short-circuit) is the one scheduling-dependent tally
+        // and is excluded from the deterministic JSON by construction.
         let p = agreement(&[
             "x[r-1] == 0 && x[r] == 1 -> x[r] := 0",
             "x[r-1] == 1 && x[r] == 0 -> x[r] := 1",
@@ -1235,13 +1224,7 @@ mod tests {
 
         let run = |threads: usize| {
             let counters = EngineCounters::new();
-            let scan = fused_scan_metered(
-                &ring,
-                &EngineConfig::with_threads(threads),
-                &token,
-                Some(&counters),
-            )
-            .unwrap();
+            let scan = fused_scan_metered(&ring, &dense(threads), &token, Some(&counters)).unwrap();
             let livelock = find_livelock_metered(&ring, &scan, &token, Some(&counters)).unwrap();
             (counters.snapshot(), scan, livelock)
         };
@@ -1266,7 +1249,7 @@ mod tests {
         }
 
         // Metered with `None` changes no result.
-        let plain = fused_scan(&ring, &EngineConfig::sequential());
+        let plain = fused_scan(&ring, &dense(1));
         assert_eq!(plain.legit_count, scan.legit_count);
     }
 
@@ -1274,7 +1257,7 @@ mod tests {
     /// of the scan, the whole bitmap, and the livelock witness.
     fn assert_reduced_matches_full(ring: &RingInstance, ctx: &str) {
         let full_cfg = EngineConfig::sequential().with_symmetry(SymmetryMode::Full);
-        let red_cfg = EngineConfig::sequential().with_symmetry(SymmetryMode::Reduced);
+        let red_cfg = EngineConfig::sequential();
         let full = fused_scan(ring, &full_cfg);
         let red = fused_scan(ring, &red_cfg);
         assert_eq!(red.legit_count, full.legit_count, "{ctx}: legit_count");
@@ -1353,7 +1336,7 @@ mod tests {
     }
 
     #[test]
-    fn auto_mode_crosses_over_and_explicit_modes_pin() {
+    fn auto_reduces_every_symmetric_ring_and_full_pins_dense() {
         let p = agreement(&[
             "x[r-1] == 0 && x[r] == 1 -> x[r] := 0",
             "x[r-1] == 1 && x[r] == 0 -> x[r] := 1",
@@ -1365,18 +1348,18 @@ mod tests {
             fused_scan_metered(&ring, cfg, &token, Some(&counters)).unwrap();
             counters.snapshot().orbits_visited
         };
-        // Below the crossover Auto stays dense; explicit Reduced engages.
-        let auto = EngineConfig::sequential();
-        assert_eq!(orbits(6, &auto), 0, "64 states stay on the dense path");
-        assert!(orbits(6, &auto.with_symmetry(SymmetryMode::Reduced)) > 0);
-        // Past the crossover (2^15 = 32768 states) Auto flips to reduced —
-        // sequential only — and explicit Full pins the dense path.
-        assert!(orbits(15, &auto) > 0, "auto crossover at 32768 states");
-        assert_eq!(orbits(15, &EngineConfig::with_threads(4)), 0);
-        assert_eq!(orbits(15, &auto.with_symmetry(SymmetryMode::Full)), 0);
-        // The auto-reduced result still matches the dense one exactly.
+        // Auto walks necklaces at every size and every engine thread count;
+        // Full never does.
+        for k in [1, 2, 6, 15] {
+            for threads in [1, 4] {
+                let auto = EngineConfig::with_threads(threads);
+                assert!(orbits(k, &auto) > 0, "auto K={k} threads={threads}");
+                let full = auto.with_symmetry(SymmetryMode::Full);
+                assert_eq!(orbits(k, &full), 0, "full K={k} threads={threads}");
+            }
+        }
         let ring = RingInstance::symmetric(&p, 15).unwrap();
-        assert_reduced_matches_full(&ring, "K=15 crossover");
+        assert_reduced_matches_full(&ring, "K=15");
     }
 
     #[test]
@@ -1387,7 +1370,7 @@ mod tests {
         assert!(!ring.is_rotation_symmetric());
         let token = CancelToken::new();
         let counters = EngineCounters::new();
-        let cfg = EngineConfig::sequential().with_symmetry(SymmetryMode::Reduced);
+        let cfg = EngineConfig::sequential();
         let red = fused_scan_metered(&ring, &cfg, &token, Some(&counters)).unwrap();
         assert_eq!(
             counters.snapshot().orbits_visited,
@@ -1412,7 +1395,7 @@ mod tests {
         let ring = RingInstance::symmetric(&p, 6).unwrap();
         let fired = CancelToken::new();
         fired.cancel();
-        let cfg = EngineConfig::sequential().with_symmetry(SymmetryMode::Reduced);
+        let cfg = EngineConfig::sequential();
         assert_eq!(
             fused_scan_metered(&ring, &cfg, &fired, None).err(),
             Some(Cancelled)
@@ -1429,7 +1412,7 @@ mod tests {
         ]);
         let ring = RingInstance::symmetric(&p, 6).unwrap();
         let token = CancelToken::new();
-        let cfg = EngineConfig::sequential().with_symmetry(SymmetryMode::Reduced);
+        let cfg = EngineConfig::sequential();
         let run = || {
             let counters = EngineCounters::new();
             let scan = fused_scan_metered(&ring, &cfg, &token, Some(&counters)).unwrap();
@@ -1492,7 +1475,7 @@ mod tests {
         // orbits many times over and fail the first assertion.
         let p = agreement(&["x[r-1] == 1 && x[r] == 0 -> x[r] := 1"]);
         let token = CancelToken::new();
-        let cfg = EngineConfig::sequential().with_symmetry(SymmetryMode::Reduced);
+        let cfg = EngineConfig::sequential();
         for k in [6, 9, 12] {
             let ring = RingInstance::symmetric(&p, k).unwrap();
             let counters = EngineCounters::new();
@@ -1523,12 +1506,15 @@ mod tests {
             "x[r-1] == 0 && x[r] == 1 -> x[r] := 0",
             "x[r-1] == 1 && x[r] == 0 -> x[r] := 1",
         ]);
-        for k in 2..=6 {
-            let ring = RingInstance::symmetric(&p, k).unwrap();
-            let scan = fused_scan(&ring, &EngineConfig::sequential());
-            let a = find_livelock_with(&ring, &scan);
-            let b = check::find_livelock(&ring);
-            assert_eq!(a, b, "K={k}");
+        for symmetry in [SymmetryMode::Full, SymmetryMode::Auto] {
+            let cfg = EngineConfig::sequential().with_symmetry(symmetry);
+            for k in 2..=6 {
+                let ring = RingInstance::symmetric(&p, k).unwrap();
+                let scan = fused_scan(&ring, &cfg);
+                let a = find_livelock_with(&ring, &scan);
+                let b = check::find_livelock(&ring);
+                assert_eq!(a, b, "{symmetry:?} K={k}");
+            }
         }
     }
 }

@@ -306,14 +306,15 @@ proptest! {
         prop_assert_eq!(ra.steps, rb.steps);
     }
 
-    /// The parallel fused engine and the sequential one produce identical
+    /// The parallel dense engine and the sequential one produce identical
     /// convergence reports — same counts, same witnesses — on random
     /// protocols across ring sizes.
     #[test]
     fn parallel_engine_matches_sequential(p in arb_protocol(2), k in 2usize..=7, threads in 2usize..=8) {
         let ring = RingInstance::symmetric(&p, k).unwrap();
-        let seq = check::ConvergenceReport::check_with(&ring, &EngineConfig::sequential());
-        let par = check::ConvergenceReport::check_with(&ring, &EngineConfig::with_threads(threads));
+        let dense = |t| EngineConfig::with_threads(t).with_symmetry(SymmetryMode::Full);
+        let seq = check::ConvergenceReport::check_with(&ring, &dense(1));
+        let par = check::ConvergenceReport::check_with(&ring, &dense(threads));
         prop_assert_eq!(seq.ring_size, par.ring_size);
         prop_assert_eq!(seq.state_count, par.state_count);
         prop_assert_eq!(seq.legit_count, par.legit_count);
@@ -333,10 +334,7 @@ proptest! {
     #[test]
     fn reduced_engine_matches_full(p in arb_protocol(2), k in 1usize..=7, threads in 1usize..=8) {
         let ring = RingInstance::symmetric(&p, k).unwrap();
-        let reduced = check::ConvergenceReport::check_with(
-            &ring,
-            &EngineConfig::sequential().with_symmetry(SymmetryMode::Reduced),
-        );
+        let reduced = check::ConvergenceReport::check_with(&ring, &EngineConfig::sequential());
         let full = check::ConvergenceReport::check_with(
             &ring,
             &EngineConfig::with_threads(threads).with_symmetry(SymmetryMode::Full),

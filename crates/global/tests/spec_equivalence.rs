@@ -1,10 +1,10 @@
 //! Acceptance gate for the fused engine: on every protocol spec shipped in
-//! `specs/`, the parallel engine must produce the *identical* convergence
-//! report as the sequential one at every ring size `K ∈ 2..=8` — same
-//! counts, same witness states. The symmetry-reduced engine is held to the
-//! same contract against the full scan at both thread counts, and both
-//! engines' deadlock count and first deadlock are checked against the
-//! plain reference list.
+//! `specs/`, the parallel dense engine must produce the *identical*
+//! convergence report as the sequential one at every ring size
+//! `K ∈ 1..=8` — same counts, same witness states. The symmetry-reduced
+//! engine (the default `Auto` mode) is held to the same contract against
+//! the dense scan at both thread counts, and both engines' deadlock count
+//! and first deadlock are checked against the plain reference list.
 
 use std::path::PathBuf;
 
@@ -49,14 +49,15 @@ fn assert_reports_equal(a: &ConvergenceReport, b: &ConvergenceReport, ctx: &str)
 
 #[test]
 fn parallel_matches_sequential_on_every_spec() {
+    let dense = |threads| EngineConfig::with_threads(threads).with_symmetry(SymmetryMode::Full);
     for path in &spec_paths() {
         let source = std::fs::read_to_string(path).unwrap();
         let protocol =
             parse_protocol_file(&source).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        for k in 2..=8 {
+        for k in 1..=8 {
             let ring = RingInstance::symmetric(&protocol, k).unwrap();
-            let seq = ConvergenceReport::check_with(&ring, &EngineConfig::sequential());
-            let par = ConvergenceReport::check_with(&ring, &EngineConfig::with_threads(4));
+            let seq = ConvergenceReport::check_with(&ring, &dense(1));
+            let par = ConvergenceReport::check_with(&ring, &dense(4));
             let ctx = format!("{} at K={k}", path.display());
             assert_reports_equal(&seq, &par, &ctx);
             // The fused sequential path must also agree with the plain
@@ -75,8 +76,8 @@ fn parallel_matches_sequential_on_every_spec() {
     }
 }
 
-/// The differential gate for the tentpole: on every shipped spec and every
-/// `K ∈ 2..=8`, the symmetry-reduced engine must reproduce the full-scan
+/// The symmetry differential gate: on every shipped spec and every
+/// `K ∈ 1..=8`, the symmetry-reduced engine must reproduce the full-scan
 /// convergence report byte for byte — with the full scan running both
 /// sequentially and on four threads.
 #[test]
@@ -85,12 +86,9 @@ fn reduced_matches_full_on_every_spec() {
         let source = std::fs::read_to_string(path).unwrap();
         let protocol =
             parse_protocol_file(&source).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        for k in 2..=8 {
+        for k in 1..=8 {
             let ring = RingInstance::symmetric(&protocol, k).unwrap();
-            let reduced = ConvergenceReport::check_with(
-                &ring,
-                &EngineConfig::sequential().with_symmetry(SymmetryMode::Reduced),
-            );
+            let reduced = ConvergenceReport::check_with(&ring, &EngineConfig::sequential());
             assert_eq!(
                 reduced.illegitimate_deadlocks,
                 DeadlockSummary::of(&check::illegitimate_deadlocks(&ring)),

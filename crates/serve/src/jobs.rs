@@ -340,7 +340,6 @@ impl JobRequest {
         let symmetry = match self.symmetry {
             SymmetryMode::Auto => "auto",
             SymmetryMode::Full => "full",
-            SymmetryMode::Reduced => "reduced",
         };
         let mut key = format!(
             "{}:{}:{}..{}:{}:{}",
@@ -540,7 +539,6 @@ fn execute_synthesis(
         max_resolve_sets: req.max_resolve_sets,
         threads: req.threads,
         prune: req.prune,
-        ..SynthesisConfig::default()
     };
     let counters = SynthesisCounters::new();
     let lane = PhaseLane {
@@ -613,6 +611,15 @@ action x[r-1] == 1 && x[r] == 0 -> x[r] := 1
         let many = spec_body("\"kind\": \"verify\", \"k\": 4, \"threads\": 100000");
         let many = JobRequest::from_json(&many).unwrap();
         assert_eq!((many.threads, many.cache_key()), (max_threads(), key));
+        // `reduced` is another spelling of `auto`, so it shares the key.
+        let mode = |m: &str| {
+            let extra = format!("\"kind\": \"verify\", \"k\": 4, \"symmetry\": \"{m}\"");
+            JobRequest::from_json(&spec_body(&extra))
+                .unwrap()
+                .cache_key()
+        };
+        assert_eq!(mode("reduced"), req.cache_key());
+        assert!(mode("full").ends_with(":full"));
     }
 
     #[test]

@@ -66,8 +66,6 @@ pub struct SynthesisConfig {
     /// Stop after this many accepted solutions (use 1 for first-solution
     /// mode).
     pub max_solutions: usize,
-    /// Budget for RCG cycle enumeration when computing `Resolve`.
-    pub cycle_budget: CycleBudget,
     /// Worker threads for candidate verification (1 = sequential; the
     /// outcome is identical either way).
     pub threads: usize,
@@ -83,7 +81,6 @@ impl Default for SynthesisConfig {
             max_resolve_sets: 32,
             max_combinations: 4096,
             max_solutions: 64,
-            cycle_budget: CycleBudget::default(),
             threads: 1,
             prune: true,
         }
@@ -305,7 +302,7 @@ impl LocalSynthesizer {
         let deadlocks = protocol.local_deadlocks();
         let illegit = protocol.legit().negated();
         let induced = rcg.induced(&deadlocks);
-        let enumeration = simple_cycles(&induced, self.config.cycle_budget);
+        let enumeration = simple_cycles(&induced, CycleBudget::default());
 
         // Families: for each bad cycle, the illegitimate deadlocks on it.
         let mut families: Vec<Vec<usize>> = Vec::new();
@@ -515,7 +512,6 @@ impl LocalSynthesizer {
             let ctx = ScanContext {
                 protocol,
                 rcg: &rcg,
-                cycle_budget: self.config.cycle_budget,
                 name: &name,
                 resolve,
                 space: &space,
@@ -745,7 +741,6 @@ fn candidate_transition_is_valid(protocol: &Protocol, t: LocalTransition) -> boo
 struct ScanContext<'a> {
     protocol: &'a Protocol,
     rcg: &'a Rcg,
-    cycle_budget: CycleBudget,
     name: &'a str,
     resolve: &'a [LocalStateId],
     space: &'a ComboSpace<'a>,
@@ -947,7 +942,7 @@ fn verify_candidate(
     // Deadlock-freedom must hold (it does by construction of Resolve;
     // re-checked exactly for robustness). The RCG depends only on the
     // domain and locality, so the prepared one is valid for every revision.
-    let da = DeadlockAnalysis::analyze_prepared(&candidate, ctx.rcg, ctx.cycle_budget);
+    let da = DeadlockAnalysis::analyze_prepared(&candidate, ctx.rcg);
     if !da.is_free_for_all_k() {
         return (TAG_DEADLOCK, None);
     }
