@@ -27,9 +27,9 @@
 //! `--registry PATH` appends one canonical JSONL row per computed job to
 //! the persistent results registry (query with `selfstab registry`).
 //!
-//! Bind failures (busy port, bad interface), unreadable journals, and
-//! invalid flags are ordinary usage errors: a diagnostic on stderr and
-//! exit 1, never a panic.
+//! Bind failures (busy port, bad interface), unreadable journals, a
+//! journal written by a newer binary, and invalid flags are ordinary
+//! usage errors: a diagnostic on stderr and exit 1, never a panic.
 
 use std::io::Write;
 use std::path::PathBuf;

@@ -117,7 +117,8 @@ pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
 /// `phases_us` carried by the terminal `done`/`failed`/`timed_out`
 /// records. Jobs without a terminal state render as `pending` with zero
 /// phase time — they are the restart's re-enqueue set, not measured
-/// work.
+/// work. A cache `hit` renders as `done` with zero phase time: the cache
+/// answered it, and no phase ran.
 fn serve_journal_stats(
     path: &std::path::Path,
     args: &Args,
@@ -336,10 +337,12 @@ mod tests {
             // A `done` without its body restores nothing, so boot replay
             // re-enqueues the job: stats must not call it done.
             json!({"ev": "done", "id": 4, "exit_code": 0, "phases_us": {"parse": 7}}),
+            // A cache hit on job 1's key: done, and no phase ran.
+            json!({"ev": "hit", "id": 5, "kind": "verify", "key": "a"}),
         ];
         let tab = serve_cross_tab(&replayed("joins.jsonl", &events));
-        assert_eq!(tab["serve"]["jobs"], 4u64);
-        assert_eq!(tab["serve"]["terminal"], 2u64);
+        assert_eq!(tab["serve"]["jobs"], 5u64);
+        assert_eq!(tab["serve"]["terminal"], 3u64);
         let jobs = tab["jobs"].as_array().unwrap();
         assert_eq!(jobs[0]["outcome"], "done");
         assert_eq!(jobs[0]["total_us"], 100u64);
@@ -352,6 +355,9 @@ mod tests {
         assert_eq!(jobs[2]["outcome"], "failed");
         assert_eq!(jobs[3]["outcome"], "pending", "a body-less done");
         assert_eq!(jobs[3]["total_us"], 0u64);
+        assert_eq!(jobs[4]["outcome"], "done", "a cache hit");
+        assert_eq!(jobs[4]["kind"], "verify");
+        assert_eq!(jobs[4]["total_us"], 0u64);
         assert_eq!(tab["phase_totals_us"]["synthesis"], 40u64);
         assert_eq!(tab["grand_total_us"], 140u64);
     }

@@ -645,10 +645,10 @@ fn scan_reduced(
 
 /// Runs the fused sweep. Under [`SymmetryMode::Auto`] a rotation-symmetric
 /// ring takes the sequential necklace sweep. Otherwise the sweep is dense:
-/// with `config.threads <= 1` it is a single sequential chunk, and with
-/// more threads 64-aligned chunks are distributed over scoped worker
-/// threads and merged in ascending chunk order, so the result is identical
-/// to the sequential one.
+/// with `config.threads <= 1`, or a space of at most 4,096 states, it is a
+/// single sequential chunk, and otherwise 64-aligned chunks are
+/// distributed over scoped worker threads and merged in ascending chunk
+/// order, so the result is identical to the sequential one.
 pub fn fused_scan(ring: &RingInstance, config: &EngineConfig) -> FusedScan {
     fused_scan_metered(ring, config, &CancelToken::new(), None)
         .expect("a fresh token never cancels the scan")
@@ -684,7 +684,14 @@ pub fn fused_scan_metered(
         return scan_reduced(ring, &plan, cancel, counters).ok_or(Cancelled);
     }
 
-    if threads == 1 {
+    // Aim for several chunks per worker so stragglers balance out, but
+    // keep chunks 64-aligned so each owns whole bitmap words.
+    let target = (n / (threads as u64 * 8)).max(4096);
+    let chunk = target.div_ceil(64) * 64;
+    let num_chunks = n.div_ceil(chunk) as usize;
+    if threads == 1 || num_chunks <= 1 {
+        // One chunk is the sequential scan: a worker thread for it would
+        // only add its start-up cost.
         let out = scan_chunk(ring, &plan, 0, n, cancel, counters).ok_or(Cancelled)?;
         return Ok(FusedScan {
             legit_count: out.legit_count,
@@ -695,11 +702,6 @@ pub fn fused_scan_metered(
         });
     }
 
-    // Aim for several chunks per worker so stragglers balance out, but
-    // keep chunks 64-aligned so each owns whole bitmap words.
-    let target = (n / (threads as u64 * 8)).max(4096);
-    let chunk = target.div_ceil(64) * 64;
-    let num_chunks = n.div_ceil(chunk) as usize;
     let next = AtomicU64::new(0);
     let results: Mutex<Vec<(usize, ChunkOut)>> = Mutex::new(Vec::with_capacity(num_chunks));
 

@@ -35,6 +35,14 @@
 //! budget, and the file is compacted to exactly the surviving entries. A
 //! restarted server therefore answers repeat traffic from cache
 //! immediately instead of re-verifying its whole working set.
+//!
+//! **Journaled bodies.** Each completed entry also carries one bit for the
+//! server's job journal ([`crate::journal`]): whether the journal already
+//! holds this body, so that a hit can journal a reference to it instead
+//! of a copy. Journal replay restores entries with the bit set; snapshot
+//! replay and [`ResultCache::fulfill`] restore them clear; the server sets
+//! it after its `done` append, and a hit on a clear entry sets it under
+//! the cache lock. Without a journal the bit is never read.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -59,8 +67,14 @@ pub struct CachedDoc {
 /// What a submit found under its cache key.
 #[derive(Debug)]
 pub enum Lookup {
-    /// A completed document: serve it, enqueue nothing.
-    Hit(Arc<CachedDoc>),
+    /// A completed document: serve it, enqueue nothing. `journaled` is
+    /// whether the journal held this body before the lookup. The lookup
+    /// marks the entry journaled either way, because a caller that
+    /// journals the hit writes the body itself when it was not.
+    Hit {
+        doc: Arc<CachedDoc>,
+        journaled: bool,
+    },
     /// Another request is already computing this key; the id is that
     /// request's job. Coalesce onto it, enqueue nothing.
     InFlight(u64),
@@ -73,6 +87,8 @@ enum Entry {
         doc: Arc<CachedDoc>,
         bytes: usize,
         last_used: u64,
+        /// The server's journal already holds this body.
+        journaled: bool,
     },
     InFlight {
         job: u64,
@@ -87,6 +103,18 @@ struct CacheInner {
     tick: u64,
     /// The write-through snapshot appender, if snapshotting is on.
     snapshot: Option<selfstab_campaign::Journal>,
+}
+
+/// Where an inserted document comes from, which decides its snapshot
+/// write-through and its `journaled` bit.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Origin {
+    /// Computed by a pool job: written through, not yet journaled.
+    Computed,
+    /// Replayed from the snapshot file at boot.
+    Snapshot,
+    /// Replayed from the job journal at boot.
+    Journal,
 }
 
 /// The cache. All operations take one short mutex; the documents
@@ -149,12 +177,13 @@ impl ResultCache {
             ) else {
                 continue;
             };
-            cache.insert_restored(
+            cache.insert(
                 key,
                 Arc::new(CachedDoc {
                     body: body.to_owned(),
                     exit_code: code as u8,
                 }),
+                Origin::Snapshot,
             );
             cache.snapshot_restored.fetch_add(1, Ordering::Relaxed);
         }
@@ -189,11 +218,12 @@ impl ResultCache {
         Ok(cache)
     }
 
-    /// Inserts a restored document without touching the snapshot file —
-    /// the boot path for snapshot replay and journal-replayed results.
-    /// Budget enforcement is identical to [`ResultCache::fulfill`].
-    pub fn insert_restored(&self, key: &str, doc: Arc<CachedDoc>) {
-        self.insert(key, doc, false);
+    /// Inserts a result the job journal replayed, marked journaled and
+    /// without touching the snapshot file (the journal already holds
+    /// these bytes durably). Budget enforcement is identical to
+    /// [`ResultCache::fulfill`].
+    pub(crate) fn insert_journaled(&self, key: &str, doc: Arc<CachedDoc>) {
+        self.insert(key, doc, Origin::Journal);
     }
 
     /// Looks up `key`; on a miss, atomically reserves the key for
@@ -204,10 +234,18 @@ impl ResultCache {
         inner.tick += 1;
         let tick = inner.tick;
         match inner.entries.get_mut(key) {
-            Some(Entry::Done { doc, last_used, .. }) => {
+            Some(Entry::Done {
+                doc,
+                last_used,
+                journaled,
+                ..
+            }) => {
                 *last_used = tick;
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Lookup::Hit(Arc::clone(doc))
+                Lookup::Hit {
+                    doc: Arc::clone(doc),
+                    journaled: std::mem::replace(journaled, true),
+                }
             }
             Some(Entry::InFlight { job }) => {
                 self.coalesced.fetch_add(1, Ordering::Relaxed);
@@ -229,14 +267,30 @@ impl ResultCache {
     /// retained). With a snapshot configured, the document is also written
     /// through as a CRC-framed record.
     pub fn fulfill(&self, key: &str, doc: Arc<CachedDoc>) {
-        self.insert(key, doc, true);
+        self.insert(key, doc, Origin::Computed);
     }
 
-    /// The shared insert path behind [`ResultCache::fulfill`] (which
-    /// writes through to the snapshot) and
-    /// [`ResultCache::insert_restored`] (which must not, or boot replay
-    /// would double every record).
-    fn insert(&self, key: &str, doc: Arc<CachedDoc>, write_through: bool) {
+    /// Records that the journal now holds `doc` for `key`, so later hits
+    /// journal a reference to it. A no-op when the entry has since been
+    /// evicted or replaced by another document.
+    pub(crate) fn mark_journaled(&self, key: &str, doc: &Arc<CachedDoc>) {
+        let mut inner = self.inner.lock().expect("cache poisoned");
+        if let Some(Entry::Done {
+            doc: held,
+            journaled,
+            ..
+        }) = inner.entries.get_mut(key)
+        {
+            if Arc::ptr_eq(held, doc) {
+                *journaled = true;
+            }
+        }
+    }
+
+    /// The shared insert path. Only a computed document is written
+    /// through to the snapshot (a replayed one would double every record
+    /// at boot), and only a journal-replayed one starts journaled.
+    fn insert(&self, key: &str, doc: Arc<CachedDoc>, origin: Origin) {
         let bytes = doc.body.len();
         let mut inner = self.inner.lock().expect("cache poisoned");
         inner.tick += 1;
@@ -251,7 +305,7 @@ impl ResultCache {
             }
             return;
         }
-        if write_through {
+        if origin == Origin::Computed {
             if let Some(snapshot) = &inner.snapshot {
                 snapshot.event(&snapshot_record(key, &doc));
             }
@@ -262,6 +316,7 @@ impl ResultCache {
                 doc,
                 bytes,
                 last_used: tick,
+                journaled: origin == Origin::Journal,
             },
         ) {
             inner.bytes -= bytes;
@@ -358,7 +413,7 @@ mod tests {
         }
         c.fulfill("k", doc("result"));
         match c.lookup_or_reserve("k", 3) {
-            Lookup::Hit(d) => assert_eq!(d.body, "result"),
+            Lookup::Hit { doc: d, .. } => assert_eq!(d.body, "result"),
             other => panic!("expected hit, got {other:?}"),
         }
         let stats = c.stats_json();
@@ -377,7 +432,7 @@ mod tests {
         // Abandon never drops a completed document.
         c.fulfill("k", doc("done"));
         c.abandon("k");
-        assert!(matches!(c.lookup_or_reserve("k", 3), Lookup::Hit(_)));
+        assert!(matches!(c.lookup_or_reserve("k", 3), Lookup::Hit { .. }));
     }
 
     #[test]
@@ -388,11 +443,11 @@ mod tests {
             c.fulfill(key, doc(body));
         }
         // Touch `a` so `b` is the LRU victim.
-        assert!(matches!(c.lookup_or_reserve("a", 0), Lookup::Hit(_)));
+        assert!(matches!(c.lookup_or_reserve("a", 0), Lookup::Hit { .. }));
         assert!(matches!(c.lookup_or_reserve("c", 0), Lookup::Miss));
         c.fulfill("c", doc("cccc"));
-        assert!(matches!(c.lookup_or_reserve("a", 0), Lookup::Hit(_)));
-        assert!(matches!(c.lookup_or_reserve("c", 0), Lookup::Hit(_)));
+        assert!(matches!(c.lookup_or_reserve("a", 0), Lookup::Hit { .. }));
+        assert!(matches!(c.lookup_or_reserve("c", 0), Lookup::Hit { .. }));
         assert!(
             matches!(c.lookup_or_reserve("b", 9), Lookup::Miss),
             "b was evicted"
@@ -426,6 +481,42 @@ mod tests {
         assert_eq!(c.stats_json()["evictions"], 1u64);
     }
 
+    /// The `journaled` flag of a hit on `key`, which the lookup then sets.
+    fn hit_journaled(c: &ResultCache, key: &str) -> bool {
+        match c.lookup_or_reserve(key, 0) {
+            Lookup::Hit { journaled, .. } => journaled,
+            other => panic!("expected hit, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_journaled_bit_follows_the_body_onto_the_journal() {
+        let c = cache(1024);
+        // A computed document is not journaled until the server says so;
+        // the first hit claims it (that hit's record carries the body).
+        assert!(matches!(c.lookup_or_reserve("a", 1), Lookup::Miss));
+        c.fulfill("a", doc("alpha"));
+        assert!(!hit_journaled(&c, "a"));
+        assert!(hit_journaled(&c, "a"), "later hits refer to it");
+
+        // The pool's mark lands only on the document it journaled.
+        assert!(matches!(c.lookup_or_reserve("b", 2), Lookup::Miss));
+        let journaled = doc("beta");
+        c.fulfill("b", Arc::clone(&journaled));
+        c.fulfill("b", doc("beta"));
+        c.mark_journaled("b", &journaled);
+        assert!(!hit_journaled(&c, "b"), "a replaced entry starts clear");
+
+        let d = doc("gamma");
+        c.fulfill("c", Arc::clone(&d));
+        c.mark_journaled("c", &d);
+        assert!(hit_journaled(&c, "c"));
+
+        // Journal replay restores entries journaled.
+        c.insert_journaled("d", doc("delta"));
+        assert!(hit_journaled(&c, "d"));
+    }
+
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("selfstab-cache-tests");
         std::fs::create_dir_all(&dir).unwrap();
@@ -454,10 +545,13 @@ mod tests {
             ResultCache::with_snapshot(1024, &reg, &path, selfstab_campaign::FsyncPolicy::Always)
                 .unwrap();
         match c.lookup_or_reserve("a", 0) {
-            Lookup::Hit(d) => assert_eq!(d.body, "alpha"),
+            Lookup::Hit { doc: d, journaled } => {
+                assert_eq!(d.body, "alpha");
+                assert!(!journaled, "the snapshot is not the journal");
+            }
             other => panic!("expected restored hit, got {other:?}"),
         }
-        assert!(matches!(c.lookup_or_reserve("b", 0), Lookup::Hit(_)));
+        assert!(matches!(c.lookup_or_reserve("b", 0), Lookup::Hit { .. }));
         let stats = c.stats_json();
         assert_eq!(stats["snapshot_restored"], 2u64);
         assert_eq!(stats["bytes"], 9u64);
@@ -492,8 +586,8 @@ mod tests {
         .unwrap();
         assert!(matches!(c.lookup_or_reserve("a", 0), Lookup::Miss));
         c.abandon("a");
-        assert!(matches!(c.lookup_or_reserve("b", 0), Lookup::Hit(_)));
-        assert!(matches!(c.lookup_or_reserve("c", 0), Lookup::Hit(_)));
+        assert!(matches!(c.lookup_or_reserve("b", 0), Lookup::Hit { .. }));
+        assert!(matches!(c.lookup_or_reserve("c", 0), Lookup::Hit { .. }));
         drop(c);
         let frames = selfstab_campaign::journal::replay_frames(&path).unwrap();
         let keys: Vec<&str> = frames
@@ -531,7 +625,7 @@ mod tests {
             selfstab_campaign::FsyncPolicy::Always,
         )
         .unwrap();
-        assert!(matches!(c.lookup_or_reserve("a", 0), Lookup::Hit(_)));
+        assert!(matches!(c.lookup_or_reserve("a", 0), Lookup::Hit { .. }));
         assert!(
             matches!(c.lookup_or_reserve("b", 0), Lookup::Miss),
             "the torn record is gone, not resurrected"

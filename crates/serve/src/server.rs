@@ -11,13 +11,15 @@
 //! **Submit flow** (`POST /v1/jobs`): parse → admission gate
 //! ([`Admission`]: per-kind caps and the memory watchdog's shed level —
 //! rejections are `429` + `Retry-After`) → validate ([`JobRequest`]) →
-//! journal the acceptance (when a journal is configured, the `submitted`
-//! record is durable **before** the `202` reaches the client) → consult
-//! the content-addressed cache. A hit answers immediately with a `done`
-//! job backed by the cached document — no pool work. A key already in
-//! flight coalesces onto the computing job's id. Only a true miss
-//! enqueues pool work, under a [`CancelToken`] linked to the drain token
-//! and carrying the request deadline.
+//! consult the content-addressed cache. A hit answers immediately with a
+//! `done` job backed by the cached document — no pool work — and, when a
+//! journal is configured, appends one `hit` record before answering: a
+//! reference to the body the journal already holds for the key, or the
+//! body itself when it holds none yet. A key already in flight coalesces
+//! onto the computing job's id, which is journaled already. Only a true
+//! miss journals a `submitted` record, durable **before** the `202`
+//! reaches the client, and enqueues pool work under a [`CancelToken`]
+//! linked to the drain token and carrying the request deadline.
 //!
 //! **Crash recovery**: at boot, a configured journal is replayed
 //! ([`crate::journal::replay`]) — jobs with terminal records become
@@ -56,7 +58,7 @@ use crate::admission::{spawn_watchdog, Admission, PendingCaps};
 use crate::cache::{CachedDoc, Lookup, ResultCache};
 use crate::http::{HttpError, Request, RequestReader, Response};
 use crate::jobs::{execute, ExecOutcome, JobEntry, JobKind, JobRequest, JobState};
-use crate::journal::{submitted_event, terminal_event, ServeReplay};
+use crate::journal::{hit_event, submitted_event, terminal_event, ServeReplay};
 use crate::trace::{JobTrace, TraceIdGen};
 
 /// How long [`Server::run`] waits for connection threads to flush after
@@ -178,7 +180,8 @@ impl ServeState {
     /// # Errors
     ///
     /// Returns a rendered diagnostic if the journal or snapshot exists
-    /// but cannot be read/reopened — the CLI exits 1 with it.
+    /// but cannot be read/reopened, or the journal is from a newer binary
+    /// — the CLI exits 1 with it.
     pub fn new(config: &ServeConfig) -> Result<Arc<Self>, String> {
         let registry = Registry::new();
         let cache = match &config.cache_snapshot {
@@ -245,10 +248,9 @@ impl ServeState {
             self.jobs_replayed.fetch_add(1, Ordering::Relaxed);
             if let Some(state) = job.terminal {
                 if let JobState::Done { doc } = &state {
-                    // The result resolves again AND warms the cache (no
-                    // snapshot write-through: the journal already holds
-                    // these bytes durably).
-                    self.cache.insert_restored(&job.key, Arc::clone(doc));
+                    // The result resolves again AND warms the cache,
+                    // marked journaled: later hits refer to these bytes.
+                    self.cache.insert_journaled(&job.key, Arc::clone(doc));
                 }
                 self.insert_replayed(job.id, job.kind, &job.key, state);
                 continue;
@@ -258,7 +260,7 @@ impl ServeState {
                     let entry =
                         self.insert_replayed(job.id, request.kind, &job.key, JobState::Queued);
                     match self.cache.lookup_or_reserve(&job.key, job.id) {
-                        Lookup::Hit(doc) => {
+                        Lookup::Hit { doc, .. } => {
                             // The snapshot (or an earlier replayed job)
                             // already has the bytes: terminal without pool
                             // work, journaled so the *next* restart needs
@@ -480,8 +482,10 @@ impl ServeState {
     /// Appends the records `build` returns, timing the build and the
     /// appends (fsync included under `--fsync always`) as one
     /// `serve/journal_append_us` sample. `build` runs only when a journal
-    /// is configured, since a `done` record clones the whole body; a site
-    /// with nothing to append (a drained job) records no sample.
+    /// is configured, since a computed job's `done` record copies the
+    /// whole body (as does the first `hit` on a key the journal holds no
+    /// body for); a site with nothing to append (a drained job) records
+    /// no sample.
     fn journal_event<R: IntoIterator<Item = Value>>(&self, build: impl FnOnce() -> R) {
         let Some(journal) = &self.journal else {
             return;
@@ -571,18 +575,16 @@ impl ServeState {
         let cache_ts = trace.lane.now_us();
         let mut jobs = self.jobs.lock().expect("job table poisoned");
         match self.cache.lookup_or_reserve(&key, id) {
-            Lookup::Hit(doc) => {
+            Lookup::Hit { doc, journaled } => {
                 // Served entirely from cache: a `done` job exists for
-                // uniform polling, but nothing touches the pool. Journal
-                // acceptance + completion so the id resolves across a
-                // restart exactly like a computed job's.
+                // uniform polling, but nothing touches the pool. One `hit`
+                // record makes the id resolve across a restart exactly
+                // like a computed job's; it carries the body only when the
+                // journal holds none for this key yet.
                 trace.since("cache_lookup", "cache", cache_ts, json!({"outcome": "hit"}));
+                let body = (!journaled).then_some(&*doc);
+                self.journal_event(|| Some(hit_event(id, request.kind, &key, body)));
                 let done = JobState::Done { doc };
-                self.journal_event(|| {
-                    let phases_us = JobTelemetry::default().phases.snapshot().to_json();
-                    std::iter::once(submitted_event(id, request.kind, &key, &body))
-                        .chain(terminal_event(id, &done, phases_us))
-                });
                 if let Some(kind) = admitted_kind {
                     self.admission.release(kind);
                 }
@@ -722,6 +724,10 @@ impl ServeState {
                 terminal_event(entry.id, &next, entry.telemetry.phases.snapshot().to_json())
             });
             if let JobState::Done { doc } = &next {
+                // The `done` record is appended: later hits on this key
+                // can refer to it. (A hit between `fulfill` and here found
+                // the key unjournaled and carried the body.)
+                state.cache.mark_journaled(key, doc);
                 let wall_us = exec_started.elapsed().as_micros() as u64;
                 state.append_registry_row(&request, &entry, doc, wall_us);
             }

@@ -210,6 +210,138 @@ fn warm_cache_snapshot_answers_repeat_traffic_without_pool_work() {
     assert_eq!(s.executed(), 0);
 }
 
+/// Submits `body`, which must be a cache hit; returns its job id.
+fn submit_hit(state: &Arc<ServeState>, body: &str) -> u64 {
+    let resp = state.handle(&request("POST", "/v1/jobs", body));
+    assert_eq!(resp.status, 200, "a repeat submit is answered from cache");
+    let doc = body_json(&resp.body);
+    assert_eq!(doc["cached"], true);
+    doc["id"].as_u64().unwrap()
+}
+
+/// The journal's `hit` records, in file order.
+fn hit_records(journal: &Path) -> Vec<Value> {
+    let frames = selfstab_campaign::journal::replay_frames(journal).unwrap();
+    frames
+        .events
+        .into_iter()
+        .filter(|ev| ev["ev"] == "hit")
+        .collect()
+}
+
+#[test]
+fn a_hit_that_refers_to_a_journaled_body_resolves_after_restart() {
+    let journal = tmp("hit-reference.jsonl");
+    let _ = std::fs::remove_file(&journal);
+
+    let s = state_with(journaled_config(&journal));
+    let body = submit_body("verify", ", \"k\": 4");
+    let resp = s.handle(&request("POST", "/v1/jobs", &body));
+    let cold = body_json(&resp.body)["id"].as_u64().unwrap();
+    assert_eq!(await_job(&s, cold), "done");
+    let hit = submit_hit(&s, &body);
+    let (_, before) = result_bytes(&s, hit);
+    s.begin_drain();
+    s.shutdown_pool();
+    drop(s);
+
+    // The `done` record already holds the body: the hit only names it.
+    let hits = hit_records(&journal);
+    assert_eq!(hits.len(), 1);
+    assert_eq!(hits[0]["id"], hit);
+    assert!(hits[0]["body"].is_null(), "{}", hits[0]);
+
+    let s = state_with(journaled_config(&journal));
+    let (status, after) = result_bytes(&s, hit);
+    assert_eq!(status, 200, "the hit id resolves across a restart");
+    assert_eq!(after, before, "byte-identical across restart");
+    assert_eq!(String::from_utf8(after).unwrap(), cli_document(4));
+    assert_eq!(s.executed(), 0);
+    let resp = s.handle(&request(
+        "POST",
+        "/v1/jobs",
+        &submit_body("verify", ", \"k\": 5"),
+    ));
+    let next = body_json(&resp.body)["id"].as_u64().unwrap();
+    assert!(next > hit, "fresh submits never reuse a hit's id");
+}
+
+#[test]
+fn the_first_hit_into_a_fresh_journal_carries_the_body() {
+    let snapshot = tmp("hit-carried.snap");
+    let journal = tmp("hit-carried.jsonl");
+    let _ = std::fs::remove_file(&snapshot);
+    let _ = std::fs::remove_file(&journal);
+    let body = submit_body("verify", ", \"k\": 4");
+
+    // Warm the snapshot on a server without a journal.
+    let s = state_with(ServeConfig {
+        threads: 1,
+        cache_snapshot: Some(snapshot.clone()),
+        fsync: FsyncPolicy::Always,
+        ..ServeConfig::default()
+    });
+    let resp = s.handle(&request("POST", "/v1/jobs", &body));
+    let id = body_json(&resp.body)["id"].as_u64().unwrap();
+    assert_eq!(await_job(&s, id), "done");
+    s.begin_drain();
+    s.shutdown_pool();
+    drop(s);
+
+    // Boot warm into a fresh journal: the journal holds no body for the
+    // key, so the first hit carries it and the second refers to it.
+    let s = state_with(ServeConfig {
+        cache_snapshot: Some(snapshot.clone()),
+        ..journaled_config(&journal)
+    });
+    let first = submit_hit(&s, &body);
+    let second = submit_hit(&s, &body);
+    let (_, before) = result_bytes(&s, first);
+    assert_eq!(result_bytes(&s, second).1, before);
+    s.begin_drain();
+    s.shutdown_pool();
+    drop(s);
+    let hits = hit_records(&journal);
+    assert_eq!(hits.len(), 2);
+    assert_eq!(
+        hits[0]["body"].as_str().map(str::as_bytes),
+        Some(&before[..])
+    );
+    assert!(hits[1]["body"].is_null(), "{}", hits[1]);
+
+    // The journal alone, without the snapshot, resolves both.
+    let s = state_with(journaled_config(&journal));
+    for id in [first, second] {
+        let (status, after) = result_bytes(&s, id);
+        assert_eq!(status, 200, "hit {id} resolves across a restart");
+        assert_eq!(after, before, "hit {id} is byte-identical");
+    }
+    assert_eq!(String::from_utf8(before).unwrap(), cli_document(4));
+    assert_eq!(s.executed(), 0);
+}
+
+#[test]
+fn a_journal_from_a_newer_binary_is_refused() {
+    let journal = tmp("newer.jsonl");
+    let wire = format!(
+        "{}{}",
+        frame(&json!({"ev": "serve", "version": 3})),
+        frame(&json!({"ev": "verdict", "id": 1, "key": "k"})),
+    );
+    std::fs::write(&journal, &wire).unwrap();
+    let err = match ServeState::new(&journaled_config(&journal)) {
+        Ok(_) => panic!("a version 3 journal must not replay"),
+        Err(err) => err,
+    };
+    assert!(err.contains("version 3"), "{err}");
+    assert!(err.contains("version 2"), "{err}");
+    assert_eq!(
+        std::fs::read_to_string(&journal).unwrap(),
+        wire,
+        "the refused journal is left as it was"
+    );
+}
+
 #[test]
 fn chaos_panics_are_retried_to_the_fault_free_document() {
     // Find a seed whose plan kills this job's first attempt — the
@@ -332,14 +464,18 @@ enum Ev {
     Header,
     Submitted(u64),
     Terminal(u64, &'static str),
+    /// A cache hit and the body it must resolve to.
+    Hit(u64, &'static str),
 }
 
-/// A realistic interleaved journal: submits and terminals mixed, job 4
-/// never finishing. Returns the wire bytes and, per frame, its end
+/// A realistic interleaved journal: submits, terminals and cache hits
+/// mixed, job 4 never finishing. Hit 5 refers to job 1's body, hit 6
+/// carries its own body for a key no earlier record holds, and hit 7
+/// refers to hit 6's. Returns the wire bytes and, per frame, its end
 /// offset and its event.
 fn synthetic_journal() -> (Vec<u8>, Vec<(usize, Ev)>) {
     let frames = vec![
-        (json!({"ev": "serve", "version": 1}), Ev::Header),
+        (json!({"ev": "serve", "version": 2}), Ev::Header),
         (
             json!({"ev": "submitted", "id": 1, "kind": "verify", "key": "key-1", "request": {"kind": "verify", "k": 3}}),
             Ev::Submitted(1),
@@ -365,8 +501,20 @@ fn synthetic_journal() -> (Vec<u8>, Vec<(usize, Ev)>) {
             Ev::Submitted(4),
         ),
         (
+            json!({"ev": "hit", "id": 5, "kind": "verify", "key": "key-1"}),
+            Ev::Hit(5, "doc-1"),
+        ),
+        (
             json!({"ev": "timed_out", "id": 3, "partial": "rows…"}),
             Ev::Terminal(3, "timed_out"),
+        ),
+        (
+            json!({"ev": "hit", "id": 6, "kind": "sweep", "key": "key-6", "exit_code": 2, "body": "doc-6"}),
+            Ev::Hit(6, "doc-6"),
+        ),
+        (
+            json!({"ev": "hit", "id": 7, "kind": "sweep", "key": "key-6"}),
+            Ev::Hit(7, "doc-6"),
         ),
     ];
     let mut wire = Vec::new();
@@ -382,7 +530,8 @@ proptest! {
     /// Truncating the journal at *any* byte offset, replay recovers
     /// exactly the frames that fully survived: every completed result in
     /// the replay matches a terminal frame inside the valid prefix (none
-    /// invented, none duplicated), and the re-enqueue set is exactly the
+    /// invented, none duplicated), every surviving hit resolves to the
+    /// body it refers to, and the re-enqueue set is exactly the
     /// submitted-but-not-terminal jobs of that prefix.
     #[test]
     fn truncated_replay_reenqueues_exactly_the_non_terminal_jobs(cut in 0usize..4096) {
@@ -406,6 +555,7 @@ proptest! {
         // Fold the surviving frames into the expected table.
         let mut submitted: Vec<u64> = Vec::new();
         let mut terminal: Vec<(u64, &str)> = Vec::new();
+        let mut hits: Vec<(u64, &str)> = Vec::new();
         for (end, ev) in &events {
             if *end > expected_valid {
                 break;
@@ -414,14 +564,27 @@ proptest! {
                 Ev::Header => {}
                 Ev::Submitted(id) => submitted.push(*id),
                 Ev::Terminal(id, label) => terminal.push((*id, label)),
+                Ev::Hit(id, body) => hits.push((*id, body)),
             }
         }
 
-        // Exactly the surviving submits are known — ids are unique, so a
-        // completed result can never appear twice.
+        // Exactly the surviving submits and hits are known: a hit is
+        // known if and only if its own frame survived. Ids are unique, so
+        // a completed result can never appear twice.
         let mut known: Vec<u64> = replayed.jobs.keys().copied().collect();
         known.sort_unstable();
-        prop_assert_eq!(known, submitted.clone());
+        let mut expected_known: Vec<u64> =
+            submitted.iter().chain(hits.iter().map(|(id, _)| id)).copied().collect();
+        expected_known.sort_unstable();
+        prop_assert_eq!(known, expected_known);
+
+        // Every surviving hit is done, with the body it refers to.
+        for &(id, body) in &hits {
+            match &replayed.jobs[&id].terminal {
+                Some(JobState::Done { doc }) => prop_assert_eq!(doc.body.as_str(), body),
+                other => prop_assert!(false, "hit {} replayed as {:?}", id, other),
+            }
+        }
 
         // Terminal states match the surviving terminal frames 1:1.
         for &(id, label) in &terminal {
@@ -439,8 +602,11 @@ proptest! {
         let pending: Vec<u64> = replayed.non_terminal().map(|j| j.id).collect();
         prop_assert_eq!(pending, expected_pending);
 
-        // next_id never collides with a journaled submit.
+        // next_id never collides with a journaled submit or hit.
         let max_submitted = submitted.iter().copied().max().unwrap_or(0);
         prop_assert!(replayed.next_id > max_submitted || submitted.is_empty());
+        for &(id, _) in &hits {
+            prop_assert!(replayed.next_id > id);
+        }
     }
 }
