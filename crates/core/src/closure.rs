@@ -9,7 +9,7 @@
 //! the window; smaller rings are wrap-around instances of the same
 //! valuations, so a pass here implies closure for all `K`.
 
-use selfstab_protocol::{Protocol, Value};
+use selfstab_protocol::{LocalStateId, Protocol, Value};
 
 /// A concrete closure violation found by [`local_closure_check`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -65,12 +65,24 @@ impl std::fmt::Display for ClosureViolation {
 /// ```
 pub fn local_closure_check(protocol: &Protocol) -> Result<(), ClosureViolation> {
     let loc = protocol.locality();
-    let space = protocol.space();
     let d = protocol.domain().size();
+    let legit = protocol.legit();
     let (l, r) = (loc.left() as isize, loc.right() as isize);
     // Joint window spans offsets −(l+r) ..= (l+r) around the writer.
     let span = l + r;
     let width = (2 * span + 1) as usize;
+    let centre = span as usize;
+
+    // Local state of the process at joint offset `o`: its window is offsets
+    // o−l ..= o+r of the joint window, encoded most significant slot first
+    // as `LocalStateSpace::encode` does, without collecting the slots.
+    let local_at = |win: &[Value], o: isize| {
+        let first = (o - l + span) as usize;
+        let id = win[first..=first + span as usize]
+            .iter()
+            .fold(0u32, |id, &v| id * d as u32 + u32::from(v));
+        LocalStateId(id)
+    };
 
     // Enumerate all joint valuations (d^width; small for the supported
     // localities).
@@ -82,30 +94,26 @@ pub fn local_closure_check(protocol: &Protocol) -> Result<(), ClosureViolation> 
             *slot = (rest % d) as Value;
             rest /= d;
         }
-        // Local state of the process at joint offset `o` (its window is
-        // offsets o−l ..= o+r of the joint window).
-        let local_at = |win: &[Value], o: isize| {
-            let vals: Vec<Value> = (-l..=r).map(|dx| win[(o + dx + span) as usize]).collect();
-            space.encode(&vals)
-        };
         let writer_state = local_at(&window, 0);
         // Only consider globally legitimate neighborhoods: all processes
         // whose LC could be affected must currently satisfy it.
-        let all_affected_legit = (-r..=l).all(|o| protocol.legit().holds(local_at(&window, o)));
+        let all_affected_legit = (-r..=l).all(|o| legit.holds(local_at(&window, o)));
         if !all_affected_legit {
             continue;
         }
         for &written in protocol.transitions_from(writer_state) {
-            let mut after = window.clone();
-            after[span as usize] = written;
-            for o in -r..=l {
-                if !protocol.legit().holds(local_at(&after, o)) {
-                    return Err(ClosureViolation {
-                        window: window.clone(),
-                        written,
-                        broken_offset: o,
-                    });
-                }
+            // Write the centre in place, and restore it before reporting:
+            // the violation names the window the write started from.
+            let current = window[centre];
+            window[centre] = written;
+            let broken = (-r..=l).find(|&o| !legit.holds(local_at(&window, o)));
+            window[centre] = current;
+            if let Some(broken_offset) = broken {
+                return Err(ClosureViolation {
+                    window,
+                    written,
+                    broken_offset,
+                });
             }
         }
     }
@@ -161,6 +169,16 @@ mod tests {
             .unwrap();
         let v = local_closure_check(&p).unwrap_err();
         assert_eq!(v.broken_offset, 1, "the successor's LC breaks");
+        // The whole witness: the window the write starts from (not the one
+        // after it), in slot order predecessor, writer, successor.
+        assert_eq!(
+            v,
+            ClosureViolation {
+                window: vec![0, 1, 1],
+                written: 2,
+                broken_offset: 1,
+            }
+        );
     }
 
     #[test]
@@ -194,6 +212,16 @@ mod tests {
             .unwrap()
             .build()
             .unwrap();
-        assert!(local_closure_check(&p).is_err());
+        // The first violation in enumeration order is the window
+        // [left, right, left, self, right]: the writer at its centre
+        // unmatches, breaking its predecessor's LC.
+        assert_eq!(
+            local_closure_check(&p),
+            Err(ClosureViolation {
+                window: vec![0, 1, 0, 2, 1],
+                written: 2,
+                broken_offset: -1,
+            })
+        );
     }
 }

@@ -1,8 +1,9 @@
 //! Livelock-freedom for every ring size: the Theorem 5.14 certificate.
 
+use selfstab_graph::cycles::has_cycle;
 use selfstab_protocol::{LocalTransition, Protocol};
 
-use crate::ltg::{is_process_self_disabling, is_self_terminating, Ltg};
+use crate::ltg::{is_process_self_disabling, Ltg};
 use crate::pseudo::pseudo_livelock_support;
 use crate::trail::{find_contiguous_trail, ContiguousTrail, TrailQuery};
 
@@ -54,14 +55,18 @@ impl LivelockAnalysis {
         Self::analyze_with_ltg(protocol, &Ltg::build(protocol))
     }
 
-    /// Runs the analysis against a pre-built LTG.
+    /// Runs the analysis against a pre-built LTG of `protocol` (built for
+    /// it, or retargeted to it with [`Ltg::retarget`]).
     pub fn analyze_with_ltg(protocol: &Protocol, ltg: &Ltg) -> Self {
         let scope = if protocol.locality().right() == 0 {
             CertificateScope::AllLivelocks
         } else {
             CertificateScope::ContiguousLivelocksOnly
         };
-        let self_terminating = is_self_terminating(protocol);
+        // Assumption 1 read from the given LTG's t-arcs (what
+        // `is_self_terminating` computes after building its own LTG), so a
+        // caller reusing one RCG across revisions never rebuilds it here.
+        let self_terminating = !has_cycle(ltg.t_arcs());
         // Theorem 5.14's supporting lemmas (5.5, 5.12) rely on a process
         // being *disabled* after each of its transitions ("every local
         // transition of any process P_i disables P_i"). Transition-granular

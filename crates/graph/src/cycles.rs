@@ -91,14 +91,14 @@ impl Johnson<'_> {
         let mut found = false;
         self.stack.push(v);
         self.blocked[v] = true;
-        let succs: Vec<usize> = self
-            .g
-            .successors(v)
-            .iter()
-            .map(|&w| w as usize)
-            .filter(|&w| w >= self.start && scc_members.contains(w))
-            .collect();
-        for w in succs {
+        // A copy of the graph reference: the successor slice borrows the
+        // graph, not `self`, so the recursion below needs no per-call list.
+        let g = self.g;
+        for &w in g.successors(v) {
+            let w = w as usize;
+            if w < self.start || !scc_members.contains(w) {
+                continue;
+            }
             if w == self.start {
                 // Length-1 cycles (self-loops) are handled by the pre-pass in
                 // `simple_cycles`; recording them here would duplicate them.

@@ -138,6 +138,39 @@ proptest! {
         }
     }
 
+    /// Minimal hitting sets depend on the families as a set of sets:
+    /// duplicating families, reordering them, or permuting the elements
+    /// inside them returns the same sets in the same order, truncated or
+    /// not.
+    #[test]
+    fn hitting_sets_ignore_duplicates_and_order(
+        fams in proptest::collection::vec(proptest::collection::vec(0usize..8, 1..4), 0..5),
+        copies in proptest::collection::vec(0usize..5, 0..6),
+        shift in 0usize..4,
+        max_sets in 1usize..6,
+    ) {
+        let mut shuffled: Vec<Vec<usize>> = fams.iter().rev().cloned().collect();
+        for &i in &copies {
+            if let Some(f) = fams.get(i) {
+                shuffled.insert(i % (shuffled.len() + 1), f.clone());
+            }
+        }
+        for (i, f) in shuffled.iter_mut().enumerate() {
+            let n = f.len();
+            f.rotate_left((i + shift) % n);
+            if (i + shift) % 2 == 1 {
+                f.reverse();
+            }
+        }
+        for cap in [max_sets, 1000] {
+            prop_assert_eq!(
+                minimal_hitting_sets(&shuffled, cap, 10),
+                minimal_hitting_sets(&fams, cap, 10),
+                "families {:?} vs {:?}, max_sets {}", &shuffled, &fams, cap
+            );
+        }
+    }
+
     /// Reachability: reachable_from is closed under successors.
     #[test]
     fn reachability_closed(g in arb_graph(16, 60)) {

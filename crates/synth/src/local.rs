@@ -38,6 +38,7 @@
 //!   verdict and a per-worker delta-applied LTG ([`Ltg::retarget`])
 //!   instead of from-scratch analyses. See DESIGN.md §14.
 
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -304,22 +305,42 @@ impl LocalSynthesizer {
         let induced = rcg.induced(&deadlocks);
         let enumeration = simple_cycles(&induced, CycleBudget::default());
 
-        // Families: for each bad cycle, the illegitimate deadlocks on it.
-        let mut families: Vec<Vec<usize>> = Vec::new();
+        // Families: each bad cycle's illegitimate deadlocks, sorted and
+        // folded into one entry per distinct family, in first-occurrence
+        // order, with the number of cycles that produced it; a truncated
+        // enumeration repeats a few families thousands of times. The search
+        // returns the per-cycle answer: a set hits a family iff it hits
+        // every copy, and each level is collected in (size, lex) order
+        // whatever the element order. It branches on the first family the
+        // partial set misses, which is never a copy, so first-occurrence
+        // order walks the per-cycle search tree (lex order can walk a far
+        // larger one).
+        let mut distinct: Vec<Vec<usize>> = Vec::new();
+        let mut cycles_of: Vec<usize> = Vec::new();
+        let mut position: BTreeMap<Vec<usize>, usize> = BTreeMap::new();
         for cycle in &enumeration.cycles {
-            let bad: Vec<usize> = cycle
+            let mut bad: Vec<usize> = cycle
                 .iter()
                 .copied()
                 .filter(|&v| illegit.holds(LocalStateId(v as u32)))
                 .collect();
-            if !bad.is_empty() {
-                families.push(bad);
+            if bad.is_empty() {
+                continue;
+            }
+            bad.sort_unstable();
+            match position.entry(bad) {
+                Entry::Occupied(at) => cycles_of[*at.get()] += 1,
+                Entry::Vacant(slot) => {
+                    distinct.push(slot.key().clone());
+                    cycles_of.push(1);
+                    slot.insert(distinct.len() - 1);
+                }
             }
         }
-        if families.is_empty() {
+        if distinct.is_empty() {
             return vec![Vec::new()]; // already deadlock-free for all K
         }
-        let sets = minimal_hitting_sets(&families, cap, usize::MAX);
+        let sets = minimal_hitting_sets(&distinct, cap, usize::MAX);
 
         // Exact re-verification (covers the truncated-enumeration case):
         // removing the Resolve states must leave no bad cycle.
@@ -334,14 +355,22 @@ impl LocalSynthesizer {
             .collect();
         // Hitting-set coverage ordering: every minimal hitting set hits
         // every family, so rank by the summed family degree of the set's
-        // states — dense resolve states constrain the most cycles, which
-        // front-loads rejections (and, under pruning, cut installations).
-        // The stable sort keeps the hitting-set enumeration order on ties,
-        // and the order is part of the canonical enumeration: it is applied
-        // identically with pruning on or off.
+        // states, counted per bad cycle (each family weighs its
+        // multiplicity) — dense resolve states constrain the most cycles,
+        // which front-loads rejections (and, under pruning, cut
+        // installations). The stable sort keeps the hitting-set enumeration
+        // order on ties, and the order is part of the canonical
+        // enumeration: it is applied identically with pruning on or off.
         let weight = |set: &[LocalStateId]| -> usize {
             set.iter()
-                .map(|s| families.iter().filter(|f| f.contains(&s.index())).count())
+                .map(|s| {
+                    distinct
+                        .iter()
+                        .zip(&cycles_of)
+                        .filter(|(f, _)| f.binary_search(&s.index()).is_ok())
+                        .map(|(_, &cycles)| cycles)
+                        .sum::<usize>()
+                })
                 .sum()
         };
         sets.sort_by_key(|s| std::cmp::Reverse(weight(s)));
@@ -1184,6 +1213,48 @@ mod tests {
         assert_eq!(sets.len(), 2);
         assert!(sets.contains(&vec![s01]));
         assert!(sets.contains(&vec![s10]));
+    }
+
+    /// These inputs overrun Johnson's cycle budget, so their hitting-set
+    /// families come from a truncated enumeration that repeats a few
+    /// distinct families thousands of times. The resolve sets are the ones
+    /// the per-cycle search returned. Agreement over d = 4 and 5 gets none:
+    /// every hitting set of its truncated families fails the exact
+    /// re-check. (Searched in lex order, agreement's distinct families ran
+    /// past 30 s at d = 5; in first-occurrence order they take 10 µs.)
+    #[test]
+    fn truncated_cycle_enumerations_keep_their_resolve_sets() {
+        // (d, legit predicate, the windows of the one resolve set, if any)
+        let cases: [(usize, &str, &[[u8; 2]]); 4] = [
+            (4, "x[r] + x[r-1] != 3", &[[0, 3], [1, 2], [2, 1], [3, 0]]),
+            (
+                5,
+                "x[r] != x[r-1]",
+                &[[0, 0], [1, 1], [2, 2], [3, 3], [4, 4]],
+            ),
+            (4, "x[r] == x[r-1]", &[]),
+            (5, "x[r] == x[r-1]", &[]),
+        ];
+        for (d, legit, windows) in cases {
+            let p = empty("truncated", d, legit);
+            let rcg = Rcg::build(&p);
+            let induced = rcg.induced(&p.local_deadlocks());
+            assert!(
+                simple_cycles(&induced, CycleBudget::default()).truncated,
+                "`{legit}` over d={d} must overrun the cycle budget"
+            );
+            let sp = p.space();
+            let expected: Vec<Vec<LocalStateId>> = if windows.is_empty() {
+                Vec::new()
+            } else {
+                vec![windows.iter().map(|w| sp.encode(w)).collect()]
+            };
+            assert_eq!(
+                LocalSynthesizer::default().resolve_sets(&p, &rcg),
+                expected,
+                "`{legit}` over d={d}"
+            );
+        }
     }
 
     #[test]

@@ -1,8 +1,14 @@
 //! Property tests: local synthesis emits only generalizable solutions.
 
 use proptest::prelude::*;
+use selfstab_core::rcg::Rcg;
 use selfstab_global::CancelToken;
-use selfstab_protocol::{Domain, Locality, Protocol};
+use selfstab_graph::{
+    cycles::{simple_cycles, CycleBudget},
+    hitting::minimal_hitting_sets,
+    scc::vertices_on_cycles,
+};
+use selfstab_protocol::{Domain, LocalStateId, LocalTransition, Locality, Protocol};
 use selfstab_synth::{GlobalSynthesizer, LocalSynthesizer, SynthesisConfig};
 
 /// An empty protocol with a random non-trivial closed (trivially, since
@@ -23,8 +29,107 @@ fn arb_empty_protocol(d: usize) -> impl Strategy<Value = Protocol> {
     )
 }
 
+/// A protocol whose legitimate windows (about a third) and transitions
+/// (about one state in four, writing `x[r] + offset mod d`) are drawn at
+/// random, so the local deadlocks vary with the draw and many draws have
+/// several resolve sets.
+fn arb_protocol(d: usize) -> impl Strategy<Value = Protocol> {
+    let nstates = d * d;
+    (
+        proptest::collection::vec(0..3usize, nstates),
+        proptest::collection::vec(0..4usize, nstates),
+        proptest::collection::vec(1..d, nstates),
+    )
+        .prop_filter_map(
+            "legit must be non-empty",
+            move |(legit, enabled, offsets)| {
+                if !legit.contains(&0) {
+                    return None;
+                }
+                let empty =
+                    Protocol::builder("rand", Domain::numeric("x", d), Locality::unidirectional())
+                        .legit_fn(|id, _| legit[id.index()] == 0)
+                        .build()
+                        .ok()?;
+                let space = empty.space();
+                let centre = empty.locality().center();
+                let transitions = (0..nstates).filter(|&s| enabled[s] == 0).map(|s| {
+                    let state = LocalStateId(s as u32);
+                    let current = space.value_at(state, centre) as usize;
+                    LocalTransition::new(state, ((current + offsets[s]) % d) as u8)
+                });
+                empty.with_transitions("rand", transitions).ok()
+            },
+        )
+}
+
+/// Reference resolve sets, computed per cycle from public pieces: one
+/// unsorted family per enumerated bad cycle, the hitting-set search over
+/// all of them, the exact Theorem 4.2 re-check, and a stable sort by the
+/// per-cycle family degree of each set.
+fn reference_resolve_sets(p: &Protocol, max_resolve_sets: usize) -> Vec<Vec<LocalStateId>> {
+    let rcg = Rcg::build(p);
+    let illegit = p.legit().negated();
+    let cycles = simple_cycles(&rcg.induced(&p.local_deadlocks()), CycleBudget::default());
+    let families: Vec<Vec<usize>> = cycles
+        .cycles
+        .iter()
+        .map(|c| {
+            c.iter()
+                .copied()
+                .filter(|&v| illegit.holds(LocalStateId(v as u32)))
+                .collect::<Vec<usize>>()
+        })
+        .filter(|f| !f.is_empty())
+        .collect();
+    if families.is_empty() {
+        return vec![Vec::new()];
+    }
+    let mut sets: Vec<Vec<LocalStateId>> =
+        minimal_hitting_sets(&families, max_resolve_sets, usize::MAX)
+            .into_iter()
+            .map(|s| s.into_iter().map(|v| LocalStateId(v as u32)).collect())
+            .filter(|resolve: &Vec<LocalStateId>| {
+                let mut remaining = p.local_deadlocks().as_bitset().clone();
+                for s in resolve {
+                    remaining.remove(s.index());
+                }
+                vertices_on_cycles(&rcg.graph().induced(&remaining))
+                    .iter()
+                    .all(|v| !illegit.holds(LocalStateId(v as u32)))
+            })
+            .collect();
+    let weight = |set: &[LocalStateId]| -> usize {
+        set.iter()
+            .map(|s| families.iter().filter(|f| f.contains(&s.index())).count())
+            .sum()
+    };
+    sets.sort_by_key(|s| std::cmp::Reverse(weight(s)));
+    sets
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The resolve sets, and their order, are those of the per-cycle
+    /// reference, over random protocols whose deadlock sets vary. (d stays
+    /// at most 3: the reference searches one family per cycle, which takes
+    /// seconds in a debug build once the enumeration reaches its budget.)
+    #[test]
+    fn resolve_sets_match_the_per_cycle_reference(
+        p in prop_oneof![arb_protocol(2), arb_protocol(3)],
+        max_resolve_sets in 1usize..5,
+    ) {
+        let synth = LocalSynthesizer::new(SynthesisConfig {
+            max_resolve_sets,
+            ..SynthesisConfig::default()
+        });
+        prop_assert_eq!(
+            synth.resolve_sets(&p, &Rcg::build(&p)),
+            reference_resolve_sets(&p, max_resolve_sets),
+            "protocol {}", p
+        );
+    }
 
     /// Every solution of the local synthesizer is strongly self-stabilizing
     /// at every checked ring size — the generalizability guarantee.
