@@ -86,7 +86,7 @@ pub fn e3() {
     let p = matching::matching_non_generalizable();
     let da = DeadlockAnalysis::analyze(&p);
     println!("Theorem 4.2 verdict: NOT FREE (as expected)");
-    for w in da.witnesses() {
+    for w in da.witnesses().0 {
         let states: Vec<String> = w
             .cycle
             .iter()
@@ -548,23 +548,24 @@ pub fn x2() {
     }
 }
 
-/// Ablation A1: Theorem 4.2 verdict via SCC only vs full witness
-/// enumeration (witness quality costs time).
+/// Ablation A1: the Theorem 4.2 verdict (`analyze_prepared`: the induced
+/// RCG and its SCCs) vs the witness cycles a caller asks for afterwards
+/// (`witnesses()`: Johnson's enumeration).
 pub fn ablate_a1() {
     header("A1", "deadlock check: SCC verdict vs witness enumeration");
     let p = matching::matching_non_generalizable();
     let rcg = Rcg::build(&p);
-    let scc_us = timed_mean(50, || {
-        let induced = rcg.induced(&p.local_deadlocks());
-        let _ = selfstab_graph::scc::vertices_on_cycles(&induced);
-    });
-    let full_us = timed_mean(50, || {
+    let verdict_us = timed_mean(50, || {
         let _ = DeadlockAnalysis::analyze_prepared(&p, &rcg);
     });
+    let analysis = DeadlockAnalysis::analyze_prepared(&p, &rcg);
+    let witnesses_us = timed_mean(50, || {
+        let _ = analysis.witnesses();
+    });
     println!(
-        "SCC-only verdict: {}   with witnesses + ring sizes: {}",
-        fmt_us(scc_us),
-        fmt_us(full_us)
+        "verdict (analyze_prepared): {}   witnesses(): {}",
+        fmt_us(verdict_us),
+        fmt_us(witnesses_us)
     );
 }
 
@@ -599,7 +600,7 @@ pub fn ablate_a2() {
             &cand,
             &TrailQuery {
                 allowed: &support,
-                must_visit: Some(illegit.as_bitset()),
+                must_visit: illegit.as_bitset(),
                 cover_all: false,
             },
         )

@@ -20,7 +20,7 @@ pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
 
     // Witness detail beyond the summary.
     if !report.deadlock.is_free_for_all_k() {
-        for w in report.deadlock.witnesses().iter().take(8) {
+        for w in report.deadlock.witnesses().0.iter().take(8) {
             let states: Vec<String> = w
                 .cycle
                 .iter()

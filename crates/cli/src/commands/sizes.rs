@@ -18,8 +18,8 @@ pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
         analysis.deadlocked_ring_sizes(max)
     };
     let free: Vec<usize> = (1..=max).filter(|k| !sizes.contains(k)).collect();
-    let witnesses: Vec<Vec<String>> = analysis
-        .witnesses()
+    let (witnesses, _) = analysis.witnesses();
+    let cycles: Vec<Vec<String>> = witnesses
         .iter()
         .take(5)
         .map(|w| {
@@ -37,7 +37,7 @@ pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
             "max": max,
             "deadlocked_sizes": sizes.clone(),
             "free_sizes": free,
-            "witness_cycles": witnesses,
+            "witness_cycles": cycles,
         });
         println!("{}", serde_json::to_string_pretty(&doc)?);
         return Ok(true);
@@ -49,7 +49,7 @@ pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
     }
     println!("ring sizes 1..={max} with global deadlocks outside I: {sizes:?}");
     println!("deadlock-free sizes in that range: {free:?}");
-    for (w, cycle) in analysis.witnesses().iter().take(5).zip(&witnesses) {
+    for (w, cycle) in witnesses.iter().zip(&cycles) {
         println!(
             "  witness cycle (len {}): {}",
             w.base_ring_size,

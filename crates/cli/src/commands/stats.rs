@@ -50,13 +50,13 @@ pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
         .as_array()
         .ok_or_else(|| format!("{path}: not a sweep metrics document (no `jobs` array)"))?;
 
+    let tab = cross_tab(&doc, jobs);
     if args.flag("json") {
-        println!("{}", serde_json::to_string_pretty(&cross_tab(&doc, jobs))?);
+        println!("{}", serde_json::to_string_pretty(&tab)?);
         return Ok(true);
     }
-
     let c = &doc["campaign"];
-    println!(
+    let title = format!(
         "campaign {}: {} of {} job(s) executed ({} replayed), {} worker(s), {} engine thread(s)",
         c["fingerprint"].as_str().unwrap_or("?"),
         c["executed"],
@@ -65,50 +65,17 @@ pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
         c["workers"],
         c["engine_threads"]
     );
-
-    let spec_width = jobs
-        .iter()
-        .map(|row| row["spec"].as_str().unwrap_or("?").len())
-        .max()
-        .unwrap_or(4)
-        .max("TOTAL".len());
-    print!("{:<spec_width$}  {:>3}", "spec", "K");
-    for (_, header) in PHASES {
-        print!("  {header:>8}");
-    }
-    println!("  {:>8}  outcome", "total");
-
-    for row in jobs {
-        print!(
-            "{:<spec_width$}  {:>3}",
-            row["spec"].as_str().unwrap_or("?"),
-            row["k"]
-        );
-        let mut total_us = 0;
-        for (key, _) in PHASES {
-            let us = row["phases_us"][key].as_u64().unwrap_or(0);
-            total_us += us;
-            print!("  {:>8}", millis(us));
-        }
-        println!(
-            "  {:>8}  {}",
-            millis(total_us),
-            row["outcome"].as_str().unwrap_or("?")
-        );
-    }
-
-    print!("{:<spec_width$}  {:>3}", "TOTAL", "");
-    let mut grand_us = 0;
-    for (key, _) in PHASES {
-        let us = doc["phase_totals_us"][key].as_u64().unwrap_or(0);
-        grand_us += us;
-        print!("  {:>8}", millis(us));
-    }
-    println!("  {:>8}", millis(grand_us));
-    if jobs.is_empty() {
-        println!("(no jobs executed this run — totals cover journal replay only)");
-    }
-    println!("(all figures ms of wall-clock phase time; counters, not durations, are the deterministic surface)");
+    print_cross_tab(
+        &title,
+        &tab,
+        KeyColumns {
+            headers: ["spec", "K"],
+            id_width: 3,
+            // The bare JSON number, which ignores the column width.
+            id_cell: |row| row["k"].to_string(),
+        },
+        "(no jobs executed this run — totals cover journal replay only)",
+    );
     Ok(true)
 }
 
@@ -138,29 +105,63 @@ fn serve_journal_stats(
         return Ok(true);
     }
 
-    let jobs = tab["jobs"].as_array().map(Vec::as_slice).unwrap_or(&[]);
-    println!(
+    let title = format!(
         "serve journal {}: {} job(s) accepted, {} reached a terminal state",
         path.display(),
-        jobs.len(),
+        tab["serve"]["jobs"],
         tab["serve"]["terminal"]
     );
-    let kind_width = jobs
+    print_cross_tab(
+        &title,
+        &tab,
+        KeyColumns {
+            headers: ["kind", "id"],
+            id_width: 4,
+            id_cell: |row| format!("{:>4}", row["id"].as_u64().unwrap_or(0)),
+        },
+        "(no jobs journaled — header-only journal)",
+    );
+    Ok(true)
+}
+
+/// The two columns that name a cross-tab's rows.
+struct KeyColumns {
+    /// The name and id headers; the name header is also the job field.
+    headers: [&'static str; 2],
+    /// The width of the right-aligned id header.
+    id_width: usize,
+    /// A job's id cell.
+    id_cell: fn(&Value) -> String,
+}
+
+/// Prints a cross-tab document ([`cross_tab`] or [`serve_cross_tab`]) as
+/// text: the title, a header row, one row per job, a TOTAL row, the
+/// `empty_note` when there is no job, and the footer. Sweeps and serve
+/// journals differ only in the title, the key columns and the note.
+fn print_cross_tab(title: &str, tab: &Value, keys: KeyColumns, empty_note: &str) {
+    let KeyColumns {
+        headers: [name, id],
+        id_width,
+        id_cell,
+    } = keys;
+    let jobs = tab["jobs"].as_array().map(Vec::as_slice).unwrap_or(&[]);
+    let width = jobs
         .iter()
-        .map(|row| row["kind"].as_str().unwrap_or("?").len())
+        .map(|row| row[name].as_str().unwrap_or("?").len())
         .max()
         .unwrap_or(4)
         .max("TOTAL".len());
-    print!("{:<kind_width$}  {:>4}", "kind", "id");
+    println!("{title}");
+    print!("{name:<width$}  {id:>id_width$}");
     for (_, header) in PHASES {
         print!("  {header:>8}");
     }
     println!("  {:>8}  outcome", "total");
     for row in jobs {
         print!(
-            "{:<kind_width$}  {:>4}",
-            row["kind"].as_str().unwrap_or("?"),
-            row["id"].as_u64().unwrap_or(0)
+            "{:<width$}  {}",
+            row[name].as_str().unwrap_or("?"),
+            id_cell(row)
         );
         for (key, _) in PHASES {
             print!(
@@ -174,7 +175,7 @@ fn serve_journal_stats(
             row["outcome"].as_str().unwrap_or("?")
         );
     }
-    print!("{:<kind_width$}  {:>4}", "TOTAL", "");
+    print!("{:<width$}  {:>id_width$}", "TOTAL", "");
     for (key, _) in PHASES {
         print!(
             "  {:>8}",
@@ -186,10 +187,9 @@ fn serve_journal_stats(
         millis(tab["grand_total_us"].as_u64().unwrap_or(0))
     );
     if jobs.is_empty() {
-        println!("(no jobs journaled — header-only journal)");
+        println!("{empty_note}");
     }
     println!("(all figures ms of wall-clock phase time; counters, not durations, are the deterministic surface)");
-    Ok(true)
 }
 
 /// Folds a replayed serve journal into the cross-tab document: one entry

@@ -15,9 +15,8 @@ use serde_json::{json, Value};
 
 /// The local [`StabilizationReport`] as JSON.
 pub fn stabilization_report(protocol: &Protocol, report: &StabilizationReport) -> Value {
-    let witnesses: Vec<Value> = report
-        .deadlock
-        .witnesses()
+    let (witnesses, witnesses_truncated) = report.deadlock.witnesses();
+    let witnesses: Vec<Value> = witnesses
         .iter()
         .map(|w| {
             json!({
@@ -38,7 +37,7 @@ pub fn stabilization_report(protocol: &Protocol, report: &StabilizationReport) -
             "local_deadlocks": report.deadlock.local_deadlock_count(),
             "illegitimate_deadlocks": report.deadlock.illegitimate_deadlock_count(),
             "witnesses": witnesses,
-            "witnesses_truncated": report.deadlock.witnesses_truncated(),
+            "witnesses_truncated": witnesses_truncated,
             "deadlocked_ring_sizes_up_to_20": report.deadlock.deadlocked_ring_sizes(20),
         },
         "livelock": {

@@ -828,6 +828,110 @@ fn stats_renders_a_well_formed_cross_tab_for_an_empty_run() {
     }
 }
 
+/// `stats` prints a sweep metrics document and a serve journal as the same
+/// table. Both texts are pinned byte for byte, the empty inputs included.
+#[test]
+fn stats_text_is_pinned_for_sweep_metrics_and_serve_journals() {
+    use serde_json::json;
+
+    let dir = std::env::temp_dir().join("selfstab-stats-pin");
+    std::fs::create_dir_all(&dir).unwrap();
+    let stats = |name: &str, text: &str| -> (PathBuf, String) {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        let out = selfstab(&["stats", path.to_str().unwrap()]);
+        assert!(out.status.success(), "{}", stderr(&out));
+        (path, stdout(&out))
+    };
+    let footer = "(all figures ms of wall-clock phase time; counters, not durations, are the deterministic surface)\n";
+
+    let metrics = json!({
+        "campaign": {"fingerprint": "0123abcd", "executed": 2, "jobs": 3, "replayed": 1,
+                     "workers": 2, "engine_threads": 1},
+        "jobs": [
+            json!({"spec": "agreement.stab", "k": 3, "outcome": "verified",
+                   "phases_us": {"parse": 12, "local_analysis": 340, "fused_scan": 1500, "livelock_dfs": 2750}}),
+            json!({"spec": "three_coloring.stab", "k": 12, "outcome": "failed",
+                   "phases_us": {"parse": 9, "fused_scan": 123456, "journal_append": 80}}),
+        ],
+        "phase_totals_us": {"parse": 21, "local_analysis": 340, "fused_scan": 124956,
+                            "livelock_dfs": 2750, "journal_append": 80},
+    });
+    let (_, text) = stats("metrics.json", &metrics.to_string());
+    assert_eq!(
+        text,
+        "campaign 0123abcd: 2 of 3 job(s) executed (1 replayed), 2 worker(s), 1 engine thread(s)\n\
+         spec                   K     parse     local      scan       dfs   journal   backoff     synth     total  outcome\n\
+         agreement.stab       3     0.012     0.340     1.500     2.750     0.000     0.000     0.000     4.602  verified\n\
+         three_coloring.stab  12     0.009     0.000   123.456     0.000     0.080     0.000     0.000   123.545  failed\n\
+         TOTAL                        0.021     0.340   124.956     2.750     0.080     0.000     0.000   128.147\n"
+            .to_owned()
+            + footer
+    );
+
+    let empty = json!({
+        "campaign": {"fingerprint": "0123abcd", "executed": 0, "jobs": 2, "replayed": 2,
+                     "workers": 1, "engine_threads": 1},
+        "jobs": [],
+    });
+    let (_, text) = stats("empty.metrics.json", &empty.to_string());
+    assert_eq!(
+        text,
+        "campaign 0123abcd: 0 of 2 job(s) executed (2 replayed), 1 worker(s), 1 engine thread(s)\n\
+         spec     K     parse     local      scan       dfs   journal   backoff     synth     total  outcome\n\
+         TOTAL          0.000     0.000     0.000     0.000     0.000     0.000     0.000     0.000\n\
+         (no jobs executed this run — totals cover journal replay only)\n"
+            .to_owned()
+            + footer
+    );
+
+    let header = json!({"ev": "serve", "version": 2});
+    let events = [
+        header.clone(),
+        json!({"ev": "submitted", "id": 1, "kind": "verify", "key": "a"}),
+        json!({"ev": "submitted", "id": 2, "kind": "synthesize", "key": "b"}),
+        json!({"ev": "submitted", "id": 3, "kind": "sweep", "key": "c"}),
+        json!({"ev": "done", "id": 1, "exit_code": 0, "body": "{}",
+               "phases_us": {"parse": 15, "local_analysis": 220, "fused_scan": 4100, "livelock_dfs": 900}}),
+        json!({"ev": "failed", "id": 2, "status": 500, "message": "x",
+               "phases_us": {"synthesis": 12345}}),
+        json!({"ev": "hit", "id": 4, "kind": "verify", "key": "a"}),
+    ];
+    let journal: String = events
+        .iter()
+        .map(selfstab_campaign::journal::frame)
+        .collect();
+    let (path, text) = stats("serve.jsonl", &journal);
+    assert_eq!(
+        text,
+        format!(
+            "serve journal {}: 4 job(s) accepted, 3 reached a terminal state\n",
+            path.display()
+        ) + "kind          id     parse     local      scan       dfs   journal   backoff     synth     total  outcome\n\
+             verify         1     0.015     0.220     4.100     0.900     0.000     0.000     0.000     5.235  done\n\
+             synthesize     2     0.000     0.000     0.000     0.000     0.000     0.000    12.345    12.345  failed\n\
+             sweep          3     0.000     0.000     0.000     0.000     0.000     0.000     0.000     0.000  pending\n\
+             verify         4     0.000     0.000     0.000     0.000     0.000     0.000     0.000     0.000  done\n\
+             TOTAL                0.015     0.220     4.100     0.900     0.000     0.000    12.345    17.580\n"
+            + footer
+    );
+
+    let (path, text) = stats(
+        "header.serve.jsonl",
+        &selfstab_campaign::journal::frame(&header),
+    );
+    assert_eq!(
+        text,
+        format!(
+            "serve journal {}: 0 job(s) accepted, 0 reached a terminal state\n",
+            path.display()
+        ) + "kind     id     parse     local      scan       dfs   journal   backoff     synth     total  outcome\n\
+             TOTAL           0.000     0.000     0.000     0.000     0.000     0.000     0.000     0.000\n\
+             (no jobs journaled — header-only journal)\n"
+            + footer
+    );
+}
+
 #[test]
 fn sweep_json_stdout_is_invariant_under_telemetry_and_verbosity_flags() {
     let specs_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs");

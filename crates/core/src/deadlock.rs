@@ -1,11 +1,11 @@
 //! Deadlock-freedom for every ring size: the Theorem 4.2 check.
 
 use selfstab_graph::{
-    cycles::{simple_cycles, CycleBudget},
+    cycles::{simple_cycles, CycleBudget, CycleEnumeration},
     scc::vertices_on_cycles,
-    BitSet,
+    BitSet, DiGraph,
 };
-use selfstab_protocol::{LocalStateId, Protocol, Value};
+use selfstab_protocol::{LocalStateId, LocalStateSpace, Protocol, Value};
 
 use crate::rcg::Rcg;
 
@@ -34,11 +34,15 @@ impl DeadlockWitness {
     }
 }
 
-/// The result of the Theorem 4.2 deadlock-freedom analysis.
+/// The result of the Theorem 4.2 deadlock-freedom analysis: the RCG
+/// induced over the local deadlocks, the illegitimate ones among them, and
+/// the verdict.
 ///
 /// The verdict ([`DeadlockAnalysis::is_free_for_all_k`]) is **exact** — the
-/// theorem is necessary and sufficient — and is computed from strongly
-/// connected components, independent of the (budgeted) witness enumeration.
+/// theorem is necessary and sufficient — and is computed eagerly from
+/// strongly connected components. The cycles of the induced graph are
+/// diagnostics, enumerated (under a budget) only when asked for, by
+/// [`DeadlockAnalysis::witnesses`] and [`DeadlockAnalysis::deadlock_cycles`].
 ///
 /// # Examples
 ///
@@ -54,22 +58,23 @@ impl DeadlockWitness {
 /// let a = DeadlockAnalysis::analyze(&p);
 /// assert!(!a.is_free_for_all_k());
 /// assert!(a.deadlocked_ring_sizes(6).contains(&1));
+/// let (witnesses, truncated) = a.witnesses();
+/// assert_eq!(witnesses[0].base_ring_size, 1);
+/// assert!(!truncated);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Clone, Debug)]
 pub struct DeadlockAnalysis {
     free: bool,
-    witnesses: Vec<DeadlockWitness>,
-    witnesses_truncated: bool,
     local_deadlock_count: usize,
-    illegitimate_deadlock_count: usize,
-    induced: selfstab_graph::DiGraph,
+    induced: DiGraph,
     bad_states: BitSet,
+    space: LocalStateSpace,
+    center: usize,
 }
 
 impl DeadlockAnalysis {
-    /// Runs the analysis. The verdict is exact; witness enumeration stops
-    /// at the default cycle-enumeration budget.
+    /// Runs the analysis.
     pub fn analyze(protocol: &Protocol) -> Self {
         Self::analyze_prepared(protocol, &Rcg::build(protocol))
     }
@@ -87,41 +92,13 @@ impl DeadlockAnalysis {
 
         let induced = rcg.induced(&deadlocks);
 
-        // Exact verdict: an illegitimate local deadlock on a cycle of the
-        // induced RCG ⟺ global deadlocks outside I exist for some K.
-        let on_cycles = vertices_on_cycles(&induced);
-        let free = bad_states.iter().all(|v| !on_cycles.contains(v));
-
-        // Witness enumeration (budgeted): cycles through bad states.
-        let mut witnesses = Vec::new();
-        let mut truncated = false;
-        if !free {
-            let e = simple_cycles(&induced, CycleBudget::default());
-            truncated = e.truncated;
-            for cycle in e.through(&bad_states) {
-                let ids: Vec<LocalStateId> =
-                    cycle.iter().map(|&v| LocalStateId(v as u32)).collect();
-                let configuration = ids
-                    .iter()
-                    .map(|&s| protocol.space().value_at(s, protocol.locality().center()))
-                    .collect();
-                witnesses.push(DeadlockWitness {
-                    base_ring_size: ids.len(),
-                    cycle: ids,
-                    configuration,
-                });
-            }
-            witnesses.sort_by_key(|w| w.base_ring_size);
-        }
-
         DeadlockAnalysis {
-            free,
-            witnesses,
-            witnesses_truncated: truncated,
+            free: no_bad_cycle(&induced, &bad_states),
             local_deadlock_count: deadlocks.len(),
-            illegitimate_deadlock_count: bad_states.len(),
             induced,
             bad_states,
+            space: *protocol.space(),
+            center: protocol.locality().center(),
         }
     }
 
@@ -131,15 +108,57 @@ impl DeadlockAnalysis {
         self.free
     }
 
-    /// The witness cycles (empty when free; possibly truncated by budget).
-    pub fn witnesses(&self) -> &[DeadlockWitness] {
-        &self.witnesses
+    /// The same exact verdict after hypothetically resolving the local
+    /// deadlocks in `resolve`: `true` iff the induced RCG without them has
+    /// no cycle through an illegitimate local deadlock. `free_without(&[])`
+    /// is [`DeadlockAnalysis::is_free_for_all_k`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a state of `resolve` is outside the local state space.
+    pub fn free_without(&self, resolve: &[LocalStateId]) -> bool {
+        let mut keep = BitSet::full(self.induced.vertex_count());
+        for s in resolve {
+            keep.remove(s.index());
+        }
+        no_bad_cycle(&self.induced.induced(&keep), &self.bad_states)
     }
 
-    /// `true` if the witness list was cut short by the enumeration budget
-    /// (the verdict itself is never affected).
-    pub fn witnesses_truncated(&self) -> bool {
-        self.witnesses_truncated
+    /// Johnson's enumeration of the simple cycles of the induced RCG, in
+    /// enumeration order, under the default cycle budget. It lists every
+    /// cycle, including those through legitimate local deadlocks only.
+    pub fn deadlock_cycles(&self) -> CycleEnumeration {
+        simple_cycles(&self.induced, CycleBudget::default())
+    }
+
+    /// The witness cycles, those of [`DeadlockAnalysis::deadlock_cycles`]
+    /// through an illegitimate local deadlock, shortest first, and whether
+    /// the enumeration budget cut them short (the verdict itself is never
+    /// affected). A free protocol has no witness, and nothing is
+    /// enumerated for it.
+    pub fn witnesses(&self) -> (Vec<DeadlockWitness>, bool) {
+        if self.free {
+            return (Vec::new(), false);
+        }
+        let e = self.deadlock_cycles();
+        let mut witnesses: Vec<DeadlockWitness> = e
+            .through(&self.bad_states)
+            .map(|cycle| {
+                let ids: Vec<LocalStateId> =
+                    cycle.iter().map(|&v| LocalStateId(v as u32)).collect();
+                let configuration = ids
+                    .iter()
+                    .map(|&s| self.space.value_at(s, self.center))
+                    .collect();
+                DeadlockWitness {
+                    base_ring_size: ids.len(),
+                    cycle: ids,
+                    configuration,
+                }
+            })
+            .collect();
+        witnesses.sort_by_key(|w| w.base_ring_size);
+        (witnesses, e.truncated)
     }
 
     /// Number of local deadlock states.
@@ -149,7 +168,7 @@ impl DeadlockAnalysis {
 
     /// Number of illegitimate local deadlock states.
     pub fn illegitimate_deadlock_count(&self) -> usize {
-        self.illegitimate_deadlock_count
+        self.bad_states.len()
     }
 
     /// The **exact** set of ring sizes `1..=max_k` at which a global
@@ -206,6 +225,13 @@ impl DeadlockAnalysis {
     }
 }
 
+/// Theorem 4.2's test: no illegitimate local deadlock lies on a cycle of
+/// the induced RCG ⟺ no global deadlock outside I exists at any K.
+fn no_bad_cycle(induced: &DiGraph, bad_states: &BitSet) -> bool {
+    let on_cycles = vertices_on_cycles(induced);
+    bad_states.iter().all(|v| !on_cycles.contains(v))
+}
+
 impl std::fmt::Display for DeadlockAnalysis {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
@@ -220,11 +246,12 @@ impl std::fmt::Display for DeadlockAnalysis {
         writeln!(
             f,
             "  local deadlocks: {} ({} illegitimate)",
-            self.local_deadlock_count, self.illegitimate_deadlock_count
+            self.local_deadlock_count,
+            self.illegitimate_deadlock_count()
         )?;
         if !self.free {
-            let lens: Vec<String> = self
-                .witnesses
+            let (witnesses, truncated) = self.witnesses();
+            let lens: Vec<String> = witnesses
                 .iter()
                 .map(|w| w.base_ring_size.to_string())
                 .collect();
@@ -232,11 +259,7 @@ impl std::fmt::Display for DeadlockAnalysis {
                 f,
                 "  witness cycle lengths: [{}]{}",
                 lens.join(", "),
-                if self.witnesses_truncated {
-                    " (truncated)"
-                } else {
-                    ""
-                }
+                if truncated { " (truncated)" } else { "" }
             )?;
         }
         Ok(())
@@ -259,7 +282,7 @@ mod tests {
             .unwrap();
         let a = DeadlockAnalysis::analyze(&p);
         assert!(a.is_free_for_all_k());
-        assert!(a.witnesses().is_empty());
+        assert_eq!(a.witnesses(), (Vec::new(), false));
         // deadlocks: 00, 11 (legitimate), 01 (illegitimate but acyclic in
         // the induced RCG? 01 -> 11/10; 10 resolved; so induced over
         // deadlocks {00,11,01}: 01 -> 11, 00 -> 01? 00's continuations are
@@ -292,7 +315,7 @@ mod tests {
             .unwrap();
         let a = DeadlockAnalysis::analyze(&p);
         assert!(!a.is_free_for_all_k());
-        for w in a.witnesses() {
+        for w in a.witnesses().0 {
             assert_eq!(w.cycle.len(), w.base_ring_size);
             assert_eq!(w.configuration.len(), w.base_ring_size);
             // The configuration's windows are exactly the cycle's states.

@@ -128,7 +128,7 @@ impl LivelockAnalysis {
                     protocol,
                     &TrailQuery {
                         allowed: &subset,
-                        must_visit: Some(illegit.as_bitset()),
+                        must_visit: illegit.as_bitset(),
                         cover_all: true,
                     },
                 ) {
@@ -143,7 +143,7 @@ impl LivelockAnalysis {
                 protocol,
                 &TrailQuery {
                     allowed: &support,
-                    must_visit: Some(illegit.as_bitset()),
+                    must_visit: illegit.as_bitset(),
                     cover_all: false,
                 },
             )
@@ -234,7 +234,6 @@ impl std::fmt::Display for LivelockAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pseudo::minimal_pseudo_livelocks;
     use selfstab_protocol::{Domain, Locality};
 
     #[test]
@@ -268,26 +267,27 @@ mod tests {
         assert!(!a.certified_free());
         assert!(a.trail().is_some());
         assert_eq!(a.pseudo_livelock_support().len(), 2);
-        // The minimal pseudo-livelock {t01, t10} has a covering trail.
+        // The pseudo-livelock {t01, t10} has a trail through an
+        // illegitimate state that uses both of its t-arcs, and no other.
         let ltg = Ltg::build(&p);
         let illegit = p.legit().negated();
         let transitions: Vec<LocalTransition> = p.transitions().collect();
-        let covered = minimal_pseudo_livelocks(&transitions, p.space(), p.locality(), 64)
-            .into_iter()
-            .filter(|pl| {
-                find_contiguous_trail(
-                    &ltg,
-                    &p,
-                    &TrailQuery {
-                        allowed: pl,
-                        must_visit: Some(illegit.as_bitset()),
-                        cover_all: true,
-                    },
-                )
-                .is_some()
-            })
-            .count();
-        assert_eq!(covered, 1);
+        let trail = find_contiguous_trail(
+            &ltg,
+            &p,
+            &TrailQuery {
+                allowed: &transitions,
+                must_visit: illegit.as_bitset(),
+                cover_all: true,
+            },
+        )
+        .expect("the pseudo-livelock {t01, t10} has a covering trail");
+        // t01 writes 1 over 0 at ⟨1,0⟩; t10 writes 0 over 1 at ⟨0,1⟩.
+        let t01 = LocalTransition::new(p.space().encode(&[1, 0]), 1);
+        let t10 = LocalTransition::new(p.space().encode(&[0, 1]), 0);
+        let mut expected = vec![t01, t10];
+        expected.sort_unstable();
+        assert_eq!(trail.t_arcs(), expected);
     }
 
     #[test]

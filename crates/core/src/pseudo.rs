@@ -1,12 +1,8 @@
 //! Pseudo-livelocks (Definition 5.13): subsets of local transitions whose
 //! projection on the writable variable forms a repeating value sequence.
 
-use selfstab_graph::{
-    cycles::{simple_cycles, CycleBudget},
-    scc::strongly_connected_components,
-    DiGraph,
-};
-use selfstab_protocol::{LocalStateSpace, LocalTransition, Locality, Value};
+use selfstab_graph::{scc::strongly_connected_components, DiGraph};
+use selfstab_protocol::{LocalStateSpace, LocalTransition, Locality};
 
 /// The projection of a set of local transitions on the writable variable:
 /// a directed graph over domain values with an arc `old → new` for each
@@ -165,68 +161,6 @@ pub fn pseudo_livelock_support(
         .collect()
 }
 
-/// Enumerates the *minimal* pseudo-livelocks within `transitions`: for each
-/// simple cycle of the value projection, every way of realizing each value
-/// arc with one transition.
-///
-/// Minimal pseudo-livelocks are the units the synthesis methodology reasons
-/// about in its step 5 (each is checked for participation in a contiguous
-/// trail). The enumeration is budgeted by `max_results`.
-pub fn minimal_pseudo_livelocks(
-    transitions: &[LocalTransition],
-    space: &LocalStateSpace,
-    locality: Locality,
-    max_results: usize,
-) -> Vec<Vec<LocalTransition>> {
-    let g = value_projection(transitions, space, locality);
-    let cycles = simple_cycles(&g, CycleBudget::default());
-    let mut out = Vec::new();
-    for cycle in &cycles.cycles {
-        // Realizations per arc of the cycle.
-        let n = cycle.len();
-        let arcs: Vec<(Value, Value)> = (0..n)
-            .map(|i| (cycle[i] as Value, cycle[(i + 1) % n] as Value))
-            .collect();
-        let choices: Vec<Vec<LocalTransition>> = arcs
-            .iter()
-            .map(|&(a, b)| {
-                transitions
-                    .iter()
-                    .copied()
-                    .filter(|t| t.write_projection(space, locality) == (a, b))
-                    .collect()
-            })
-            .collect();
-        // Cartesian product, budgeted.
-        let mut stack: Vec<Vec<LocalTransition>> = vec![Vec::new()];
-        for opts in &choices {
-            let mut next = Vec::new();
-            for partial in &stack {
-                for &t in opts {
-                    let mut np = partial.clone();
-                    np.push(t);
-                    next.push(np);
-                    if next.len() + out.len() > max_results {
-                        break;
-                    }
-                }
-            }
-            stack = next;
-        }
-        for mut pl in stack {
-            pl.sort_unstable();
-            pl.dedup();
-            if !pl.is_empty() && !out.contains(&pl) {
-                out.push(pl);
-                if out.len() >= max_results {
-                    return out;
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,46 +221,5 @@ mod tests {
         let t21 = t(&sp, 2, 2, 1);
         let support = pseudo_livelock_support(&[t01, t12, t21], &sp, loc);
         assert_eq!(support, vec![t12, t21]);
-    }
-
-    #[test]
-    fn minimal_enumeration_realizes_each_cycle() {
-        let (sp, loc) = setup();
-        // Two realizations of 1->2 (different guards), one of 2->1.
-        let a = t(&sp, 0, 1, 2);
-        let b = t(&sp, 1, 1, 2);
-        let c = t(&sp, 2, 2, 1);
-        let pls = minimal_pseudo_livelocks(&[a, b, c], &sp, loc, 100);
-        assert_eq!(pls.len(), 2);
-        for pl in &pls {
-            assert!(forms_pseudo_livelock(pl, &sp, loc));
-            assert_eq!(pl.len(), 2);
-            assert!(pl.contains(&c));
-        }
-    }
-
-    #[test]
-    fn three_cycle_enumeration() {
-        let (sp, loc) = setup();
-        let set = [t(&sp, 0, 0, 1), t(&sp, 1, 1, 2), t(&sp, 2, 2, 0)];
-        let pls = minimal_pseudo_livelocks(&set, &sp, loc, 100);
-        assert_eq!(pls.len(), 1);
-        assert_eq!(pls[0].len(), 3);
-    }
-
-    #[test]
-    fn budget_caps_enumeration() {
-        let (sp, loc) = setup();
-        // 3 realizations each way: up to 9 minimal pseudo-livelocks.
-        let set = [
-            t(&sp, 0, 0, 1),
-            t(&sp, 1, 0, 1),
-            t(&sp, 2, 0, 1),
-            t(&sp, 0, 1, 0),
-            t(&sp, 1, 1, 0),
-            t(&sp, 2, 1, 0),
-        ];
-        let pls = minimal_pseudo_livelocks(&set, &sp, loc, 4);
-        assert_eq!(pls.len(), 4);
     }
 }

@@ -64,14 +64,6 @@ impl StabilizationReport {
             && self.livelock.certified_free()
             && self.livelock.scope() == CertificateScope::AllLivelocks
     }
-
-    /// `true` iff strong *convergence* (deadlock- and livelock-freedom
-    /// outside `I`) is established, ignoring closure.
-    pub fn converges_for_all_k(&self) -> bool {
-        self.deadlock.is_free_for_all_k()
-            && self.livelock.certified_free()
-            && self.livelock.scope() == CertificateScope::AllLivelocks
-    }
 }
 
 impl std::fmt::Display for StabilizationReport {
@@ -110,7 +102,6 @@ mod tests {
             .unwrap();
         let r = StabilizationReport::analyze(&p);
         assert!(r.is_self_stabilizing_for_all_k());
-        assert!(r.converges_for_all_k());
         let text = r.to_string();
         assert!(text.contains("FREE for all K"));
         assert!(text.contains("CERTIFIED"));

@@ -122,7 +122,7 @@ pub struct TrailQuery<'a> {
     pub allowed: &'a [LocalTransition],
     /// Require the trail to visit at least one state of this set (pass the
     /// illegitimate states for Theorem 5.14's condition 1).
-    pub must_visit: Option<&'a BitSet>,
+    pub must_visit: &'a BitSet,
     /// Require the trail to use *every* allowed t-arc at least once (the
     /// synthesis methodology's per-pseudo-livelock check). Limited to 16
     /// allowed arcs.
@@ -166,7 +166,7 @@ pub fn find_contiguous_trail(
     }
     let has_out_t: Vec<bool> = (0..n).map(|v| !t_from[v].is_empty()).collect();
 
-    let visit_bit = |v: usize| -> bool { query.must_visit.map(|s| s.contains(v)).unwrap_or(true) };
+    let visit_bit = |v: usize| -> bool { query.must_visit.contains(v) };
 
     // Product node encoding: ((v * 3 + phase) * mask_count + mask) * 2 + visited.
     let node = |v: usize, ph: Phase, mask: u32, visited: bool| -> usize {
@@ -358,7 +358,7 @@ mod tests {
 
     fn query<'a>(
         allowed: &'a [LocalTransition],
-        must_visit: Option<&'a BitSet>,
+        must_visit: &'a BitSet,
         cover_all: bool,
     ) -> TrailQuery<'a> {
         TrailQuery {
@@ -378,9 +378,8 @@ mod tests {
         let support = pseudo_livelock_support(&allowed, p.space(), p.locality());
         assert_eq!(support.len(), 2);
         let illegit = p.legit().negated();
-        let trail =
-            find_contiguous_trail(&ltg, &p, &query(&support, Some(illegit.as_bitset()), false))
-                .expect("the 2-coloring trail must be found");
+        let trail = find_contiguous_trail(&ltg, &p, &query(&support, illegit.as_bitset(), false))
+            .expect("the 2-coloring trail must be found");
         // Trail is closed.
         let first = trail.steps.first().unwrap().from();
         let last = match *trail.steps.last().unwrap() {
@@ -406,7 +405,8 @@ mod tests {
         let allowed: Vec<LocalTransition> = p.transitions().collect();
         let support = pseudo_livelock_support(&allowed, p.space(), p.locality());
         assert!(support.is_empty());
-        assert!(find_contiguous_trail(&ltg, &p, &query(&support, None, false)).is_none());
+        let anywhere = BitSet::full(p.space().len());
+        assert!(find_contiguous_trail(&ltg, &p, &query(&support, &anywhere, false)).is_none());
     }
 
     #[test]
@@ -424,9 +424,8 @@ mod tests {
         let ltg = Ltg::build(&p);
         let allowed: Vec<LocalTransition> = p.transitions().collect();
         let illegit = p.legit().negated();
-        let trail =
-            find_contiguous_trail(&ltg, &p, &query(&allowed, Some(illegit.as_bitset()), true))
-                .expect("Section 6.2 exhibits this trail");
+        let trail = find_contiguous_trail(&ltg, &p, &query(&allowed, illegit.as_bitset(), true))
+            .expect("Section 6.2 exhibits this trail");
         assert_eq!(trail.t_arcs().len(), 2, "both t-arcs participate");
     }
 
@@ -454,7 +453,8 @@ mod tests {
         // the 01 and 23 regions (any window can follow any other via the
         // overlap), so this asserts only that the search terminates and the
         // result (if any) covers everything.
-        if let Some(trail) = find_contiguous_trail(&ltg, &p, &query(&allowed, None, true)) {
+        let anywhere = BitSet::full(p.space().len());
+        if let Some(trail) = find_contiguous_trail(&ltg, &p, &query(&allowed, &anywhere, true)) {
             assert_eq!(trail.t_arcs().len(), 4);
         }
     }
@@ -464,7 +464,8 @@ mod tests {
         let p = two_coloring_resolved();
         let ltg = Ltg::build(&p);
         let allowed: Vec<LocalTransition> = p.transitions().collect();
-        let trail = find_contiguous_trail(&ltg, &p, &query(&allowed, None, false)).unwrap();
+        let anywhere = BitSet::full(p.space().len());
+        let trail = find_contiguous_trail(&ltg, &p, &query(&allowed, &anywhere, false)).unwrap();
         let text = trail.display(&p);
         assert!(text.starts_with('≪') && text.ends_with('≫'));
         assert!(text.contains(", t") || text.contains("t,"));

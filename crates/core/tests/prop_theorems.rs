@@ -9,10 +9,18 @@
 
 use proptest::prelude::*;
 use selfstab_core::{
-    deadlock::DeadlockAnalysis, livelock::LivelockAnalysis, local_closure_check,
-    ltg::is_self_terminating, report::StabilizationReport,
+    deadlock::{DeadlockAnalysis, DeadlockWitness},
+    livelock::LivelockAnalysis,
+    local_closure_check,
+    ltg::is_self_terminating,
+    rcg::Rcg,
+    report::StabilizationReport,
 };
 use selfstab_global::{check, RingInstance};
+use selfstab_graph::{
+    cycles::{simple_cycles, CycleBudget},
+    scc::vertices_on_cycles,
+};
 use selfstab_protocol::{Domain, LocalStateId, LocalTransition, Locality, Protocol};
 
 /// Random unidirectional protocol over domain size `d`.
@@ -110,7 +118,7 @@ proptest! {
     #[test]
     fn theorem_4_2_complete(p in arb_protocol(3)) {
         let a = DeadlockAnalysis::analyze(&p);
-        for w in a.witnesses().iter().take(5) {
+        for w in a.witnesses().0.iter().take(5) {
             if w.base_ring_size > 9 {
                 continue;
             }
@@ -146,6 +154,62 @@ proptest! {
         if any_global {
             prop_assert!(!a.is_free_for_all_k(), "global deadlock exists but local verdict is FREE");
         }
+    }
+
+    /// The analysis agrees with a reference built from public pieces.
+    /// `witnesses()` is Johnson's enumeration of the deadlock-induced RCG
+    /// through the illegitimate deadlocks, stably sorted by length, and
+    /// `(empty, false)` on a free protocol.
+    /// `free_without(R)` is Theorem 4.2 over the deadlocks outside `R`, for
+    /// `R` drawn from the illegitimate deadlocks, and `free_without(&[])`
+    /// is the verdict.
+    #[test]
+    fn deadlock_analysis_matches_the_eager_reference(
+        p in arb_protocol(3),
+        picks in proptest::collection::vec(any::<bool>(), 9),
+    ) {
+        let a = DeadlockAnalysis::analyze(&p);
+        let rcg = Rcg::build(&p);
+        let deadlocks = p.local_deadlocks();
+        let illegit = p.legit().negated();
+        let bad = p.illegitimate_deadlocks();
+
+        let expected = if a.is_free_for_all_k() {
+            (Vec::new(), false)
+        } else {
+            let e = simple_cycles(&rcg.induced(&deadlocks), CycleBudget::default());
+            let mut witnesses: Vec<DeadlockWitness> = e
+                .through(bad.as_bitset())
+                .map(|c| {
+                    let cycle: Vec<LocalStateId> =
+                        c.iter().map(|&v| LocalStateId(v as u32)).collect();
+                    let configuration = cycle
+                        .iter()
+                        .map(|&s| p.space().value_at(s, p.locality().center()))
+                        .collect();
+                    DeadlockWitness { base_ring_size: cycle.len(), cycle, configuration }
+                })
+                .collect();
+            witnesses.sort_by_key(|w| w.base_ring_size);
+            (witnesses, e.truncated)
+        };
+        prop_assert_eq!(a.witnesses(), expected);
+
+        let resolve: Vec<LocalStateId> = bad
+            .as_bitset()
+            .iter()
+            .filter(|&v| picks[v % picks.len()])
+            .map(|v| LocalStateId(v as u32))
+            .collect();
+        let mut remaining = deadlocks.as_bitset().clone();
+        for s in &resolve {
+            remaining.remove(s.index());
+        }
+        let reference = vertices_on_cycles(&rcg.graph().induced(&remaining))
+            .iter()
+            .all(|v| !illegit.holds(LocalStateId(v as u32)));
+        prop_assert_eq!(a.free_without(&resolve), reference, "resolve {:?}", resolve);
+        prop_assert_eq!(a.free_without(&[]), a.is_free_for_all_k());
     }
 
     /// `deadlocked_ring_sizes` is exact: it matches global deadlock

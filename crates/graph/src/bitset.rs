@@ -150,47 +150,12 @@ impl BitSet {
         }
     }
 
-    /// In-place difference: removes every element of `other` from `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ.
-    pub fn difference_with(&mut self, other: &BitSet) {
-        assert_eq!(self.capacity, other.capacity, "BitSet capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !b;
-        }
-    }
-
     /// Complement within `0..capacity`, in place.
     pub fn complement(&mut self) {
         for w in &mut self.words {
             *w = !*w;
         }
         self.trim();
-    }
-
-    /// Returns `true` if `self` and `other` share no element.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ.
-    pub fn is_disjoint(&self, other: &BitSet) -> bool {
-        assert_eq!(self.capacity, other.capacity, "BitSet capacity mismatch");
-        self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
-    }
-
-    /// Returns `true` if every element of `self` is in `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ.
-    pub fn is_subset(&self, other: &BitSet) -> bool {
-        assert_eq!(self.capacity, other.capacity, "BitSet capacity mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .all(|(a, b)| a & !b == 0)
     }
 
     /// Iterates over the members in increasing order.
@@ -295,13 +260,6 @@ mod tests {
         let mut i = a.clone();
         i.intersect_with(&b);
         assert_eq!(i.iter().collect::<Vec<_>>(), vec![3]);
-        let mut d = a.clone();
-        d.difference_with(&b);
-        assert_eq!(d.iter().collect::<Vec<_>>(), vec![1, 5]);
-        assert!(i.is_subset(&a));
-        assert!(i.is_subset(&b));
-        assert!(!a.is_disjoint(&b));
-        assert!(d.is_disjoint(&b));
     }
 
     #[test]

@@ -19,9 +19,6 @@ use crate::scc::strongly_connected_components;
 pub struct CycleBudget {
     /// Maximum number of cycles to collect.
     pub max_cycles: usize,
-    /// Maximum cycle length to report (longer cycles are skipped, not
-    /// counted as truncation).
-    pub max_len: usize,
     /// Maximum number of search steps before giving up.
     pub max_steps: usize,
 }
@@ -30,7 +27,6 @@ impl Default for CycleBudget {
     fn default() -> Self {
         CycleBudget {
             max_cycles: 10_000,
-            max_len: usize::MAX,
             max_steps: 5_000_000,
         }
     }
@@ -102,10 +98,7 @@ impl Johnson<'_> {
             if w == self.start {
                 // Length-1 cycles (self-loops) are handled by the pre-pass in
                 // `simple_cycles`; recording them here would duplicate them.
-                if self.stack.len() >= 2
-                    && self.stack.len() <= self.budget.max_len
-                    && self.out.cycles.len() < self.budget.max_cycles
-                {
+                if self.stack.len() >= 2 && self.out.cycles.len() < self.budget.max_cycles {
                     self.out.cycles.push(self.stack.clone());
                 }
                 found = true;
@@ -169,9 +162,7 @@ pub fn simple_cycles(g: &DiGraph, budget: CycleBudget) -> CycleEnumeration {
                 j.out.truncated = true;
                 break;
             }
-            if budget.max_len >= 1 {
-                j.out.cycles.push(vec![v]);
-            }
+            j.out.cycles.push(vec![v]);
         }
     }
 
@@ -266,23 +257,6 @@ mod tests {
         );
         assert!(e.truncated);
         assert_eq!(e.cycles.len(), 5);
-    }
-
-    #[test]
-    fn max_len_filters_but_does_not_truncate() {
-        let g: DiGraph = [(0, 1), (1, 0), (0, 2), (2, 3), (3, 0)]
-            .into_iter()
-            .collect();
-        let e = simple_cycles(
-            &g,
-            CycleBudget {
-                max_len: 2,
-                ..CycleBudget::default()
-            },
-        );
-        assert!(!e.truncated);
-        assert_eq!(e.cycles.len(), 1);
-        assert_eq!(e.cycles[0].len(), 2);
     }
 
     #[test]

@@ -88,15 +88,6 @@ impl DiGraph {
             .flat_map(|(u, vs)| vs.iter().map(move |&v| (u, v as usize)))
     }
 
-    /// Builds the reverse graph (every arc flipped).
-    pub fn reversed(&self) -> DiGraph {
-        let mut r = DiGraph::new(self.vertex_count());
-        for (u, v) in self.arcs() {
-            r.add_arc(v, u);
-        }
-        r
-    }
-
     /// Builds the subgraph induced by `keep`: the vertex set is unchanged but
     /// only arcs whose both endpoints are in `keep` survive.
     ///
@@ -120,53 +111,6 @@ impl DiGraph {
             }
         }
         g
-    }
-
-    /// The set of vertices reachable from `start` (including `start`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` is out of range.
-    pub fn reachable_from(&self, start: usize) -> BitSet {
-        assert!(start < self.vertex_count(), "start vertex out of range");
-        let mut seen = BitSet::new(self.vertex_count());
-        let mut stack = vec![start];
-        seen.insert(start);
-        while let Some(u) = stack.pop() {
-            for &v in self.successors(u) {
-                if seen.insert(v as usize) {
-                    stack.push(v as usize);
-                }
-            }
-        }
-        seen
-    }
-
-    /// The set of vertices from which some vertex in `targets` is reachable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `targets.capacity() != vertex_count()`.
-    pub fn co_reachable(&self, targets: &BitSet) -> BitSet {
-        assert_eq!(
-            targets.capacity(),
-            self.vertex_count(),
-            "co_reachable target set capacity mismatch"
-        );
-        let rev = self.reversed();
-        let mut seen = BitSet::new(self.vertex_count());
-        let mut stack: Vec<usize> = targets.iter().collect();
-        for &t in &stack {
-            seen.insert(t);
-        }
-        while let Some(u) = stack.pop() {
-            for &v in rev.successors(u) {
-                if seen.insert(v as usize) {
-                    stack.push(v as usize);
-                }
-            }
-        }
-        seen
     }
 }
 
@@ -211,13 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn reversed_roundtrip() {
-        let g = diamond();
-        let rr = g.reversed().reversed();
-        assert_eq!(g, rr);
-    }
-
-    #[test]
     fn induced_subgraph_drops_crossing_arcs() {
         let g = diamond();
         let keep = BitSet::from_iter_with_capacity(4, [0, 1, 3]);
@@ -227,15 +164,6 @@ mod tests {
         assert!(!sub.has_arc(0, 2));
         assert!(!sub.has_arc(2, 3));
         assert_eq!(sub.arc_count(), 2);
-    }
-
-    #[test]
-    fn reachability() {
-        let g = diamond();
-        let r = g.reachable_from(1);
-        assert_eq!(r.iter().collect::<Vec<_>>(), vec![1, 3]);
-        let co = g.co_reachable(&BitSet::from_iter_with_capacity(4, [3]));
-        assert_eq!(co.len(), 4);
     }
 
     #[test]

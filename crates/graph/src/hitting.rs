@@ -24,11 +24,10 @@ use std::collections::BTreeSet;
 /// element lists. Returns hitting sets as sorted element lists, deduplicated,
 /// ordered by (size, lexicographic).
 ///
-/// `max_sets` bounds the number of returned sets; `max_size` bounds the size
-/// of any returned set. Because enumeration proceeds in (size, lex) order,
-/// truncation keeps a *prefix* of the full answer — every returned set is
-/// minimal with respect to the complete family, even when the search stops
-/// early.
+/// `max_sets` bounds the number of returned sets. Because enumeration
+/// proceeds in (size, lex) order, truncation keeps a *prefix* of the full
+/// answer — every returned set is minimal with respect to the complete
+/// family, even when the search stops early.
 ///
 /// # Examples
 ///
@@ -37,7 +36,7 @@ use std::collections::BTreeSet;
 ///
 /// // Families {1,2} and {2,3}: minimal hitting sets are {2} and {1,3}.
 /// let fams = vec![vec![1, 2], vec![2, 3]];
-/// let hs = minimal_hitting_sets(&fams, 10, 10);
+/// let hs = minimal_hitting_sets(&fams, 10);
 /// assert_eq!(hs, vec![vec![2], vec![1, 3]]);
 /// ```
 ///
@@ -45,21 +44,16 @@ use std::collections::BTreeSet;
 ///
 /// ```
 /// use selfstab_graph::hitting::minimal_hitting_sets;
-/// assert!(minimal_hitting_sets(&[vec![]], 10, 10).is_empty());
+/// assert!(minimal_hitting_sets(&[vec![]], 10).is_empty());
 /// ```
-pub fn minimal_hitting_sets(
-    families: &[Vec<usize>],
-    max_sets: usize,
-    max_size: usize,
-) -> Vec<Vec<usize>> {
-    if families.iter().any(|f| f.is_empty()) {
+pub fn minimal_hitting_sets(families: &[Vec<usize>], max_sets: usize) -> Vec<Vec<usize>> {
+    // The cap comes first: with no family, the one hitting set is the
+    // empty set, and a zero cap returns none.
+    if max_sets == 0 || families.iter().any(|f| f.is_empty()) {
         return Vec::new();
     }
     if families.is_empty() {
         return vec![Vec::new()];
-    }
-    if max_sets == 0 {
-        return Vec::new();
     }
 
     // Iterative deepening: level `k` enumerates exactly the minimal hitting
@@ -68,8 +62,7 @@ pub fn minimal_hitting_sets(
     // pruned; a branch that hits every family *before* reaching size `k` was
     // already found at a shallower level, so it is not re-emitted.
     let mut minimal: Vec<Vec<usize>> = Vec::new();
-    let depth_cap = max_size.min(families.len());
-    for k in 1..=depth_cap {
+    for k in 1..=families.len() {
         if minimal.len() >= max_sets {
             break;
         }
@@ -144,19 +137,19 @@ mod tests {
 
     #[test]
     fn no_families_hit_by_empty_set() {
-        assert_eq!(minimal_hitting_sets(&[], 10, 10), vec![Vec::<usize>::new()]);
+        assert_eq!(minimal_hitting_sets(&[], 10), vec![Vec::<usize>::new()]);
     }
 
     #[test]
     fn single_family_each_singleton() {
-        let hs = minimal_hitting_sets(&[vec![1, 2, 3]], 10, 10);
+        let hs = minimal_hitting_sets(&[vec![1, 2, 3]], 10);
         assert_eq!(hs, vec![vec![1], vec![2], vec![3]]);
     }
 
     #[test]
     fn shared_element_dominates() {
         let fams = vec![vec![0, 1], vec![0, 2], vec![0, 3]];
-        let hs = minimal_hitting_sets(&fams, 100, 10);
+        let hs = minimal_hitting_sets(&fams, 100);
         assert!(hs.contains(&vec![0]));
         assert!(hs.contains(&vec![1, 2, 3]));
         // {0,1} is not minimal.
@@ -166,28 +159,21 @@ mod tests {
     #[test]
     fn disjoint_families_need_one_each() {
         let fams = vec![vec![1], vec![2], vec![3]];
-        let hs = minimal_hitting_sets(&fams, 10, 10);
+        let hs = minimal_hitting_sets(&fams, 10);
         assert_eq!(hs, vec![vec![1, 2, 3]]);
-    }
-
-    #[test]
-    fn max_size_prunes() {
-        let fams = vec![vec![1], vec![2], vec![3]];
-        let hs = minimal_hitting_sets(&fams, 10, 2);
-        assert!(hs.is_empty());
     }
 
     #[test]
     fn duplicate_elements_within_branching_dedup() {
         let fams = vec![vec![1, 2], vec![1, 2]];
-        let hs = minimal_hitting_sets(&fams, 10, 10);
+        let hs = minimal_hitting_sets(&fams, 10);
         assert_eq!(hs, vec![vec![1], vec![2]]);
     }
 
     #[test]
     fn max_sets_truncates() {
         let fams = vec![vec![1, 2, 3, 4, 5]];
-        let hs = minimal_hitting_sets(&fams, 2, 10);
+        let hs = minimal_hitting_sets(&fams, 2);
         assert_eq!(hs, vec![vec![1], vec![2]]);
     }
 
@@ -200,16 +186,16 @@ mod tests {
     #[test]
     fn truncation_never_returns_a_superset_of_an_unfound_minimal_set() {
         let fams = vec![vec![1, 2], vec![2, 3]];
-        assert_eq!(minimal_hitting_sets(&fams, 1, 10), vec![vec![2]]);
+        assert_eq!(minimal_hitting_sets(&fams, 1), vec![vec![2]]);
     }
 
     /// Truncated answers are prefixes of the full (size, lex) enumeration.
     #[test]
     fn truncated_result_is_a_prefix_of_the_full_enumeration() {
         let fams = vec![vec![0, 1], vec![0, 2], vec![1, 3], vec![2, 3]];
-        let full = minimal_hitting_sets(&fams, usize::MAX, 10);
+        let full = minimal_hitting_sets(&fams, usize::MAX);
         for n in 0..=full.len() {
-            assert_eq!(minimal_hitting_sets(&fams, n, 10), full[..n]);
+            assert_eq!(minimal_hitting_sets(&fams, n), full[..n]);
         }
     }
 
@@ -217,7 +203,7 @@ mod tests {
     #[test]
     fn output_is_size_then_lex_ordered() {
         let fams = vec![vec![0, 1, 4], vec![1, 2], vec![2, 3, 4]];
-        let hs = minimal_hitting_sets(&fams, usize::MAX, 10);
+        let hs = minimal_hitting_sets(&fams, usize::MAX);
         for w in hs.windows(2) {
             let (a, b) = (&w[0], &w[1]);
             assert!(a.len() < b.len() || (a.len() == b.len() && a < b));
@@ -226,6 +212,14 @@ mod tests {
 
     #[test]
     fn max_sets_zero_returns_nothing() {
-        assert!(minimal_hitting_sets(&[vec![1]], 0, 10).is_empty());
+        assert!(minimal_hitting_sets(&[vec![1]], 0).is_empty());
+    }
+
+    /// With no family the one minimal hitting set is the empty set, and a
+    /// zero cap still returns none.
+    #[test]
+    fn max_sets_zero_caps_the_empty_answer_too() {
+        assert!(minimal_hitting_sets(&[], 0).is_empty());
+        assert_eq!(minimal_hitting_sets(&[], 1), vec![Vec::<usize>::new()]);
     }
 }

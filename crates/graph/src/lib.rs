@@ -7,8 +7,8 @@
 //! * [`DiGraph`] — a compact directed graph over integer vertices with
 //!   adjacency lists, used for Right Continuation Graphs (RCGs), Local
 //!   Transition Graphs (LTGs) and global transition systems.
-//! * [`scc`] — iterative Tarjan strongly-connected components and graph
-//!   condensation (used by the Theorem 4.2 deadlock-freedom check).
+//! * [`scc`] — iterative Tarjan strongly-connected components and the
+//!   vertices on cycles (used by the Theorem 4.2 deadlock-freedom check).
 //! * [`cycles`] — Johnson-style enumeration of simple directed cycles with
 //!   budget limits (used to produce deadlock witness cycles and the ring
 //!   sizes they correspond to).
@@ -52,4 +52,4 @@ pub mod scc;
 pub use bitset::BitSet;
 pub use cycles::{simple_cycles, CycleBudget, CycleEnumeration};
 pub use digraph::DiGraph;
-pub use scc::{condensation, strongly_connected_components, Condensation, SccDecomposition};
+pub use scc::{strongly_connected_components, SccDecomposition};

@@ -1,4 +1,5 @@
-//! Strongly-connected components (iterative Tarjan) and condensation.
+//! Strongly-connected components (iterative Tarjan) and the vertices on
+//! cycles.
 
 use crate::bitset::BitSet;
 use crate::digraph::DiGraph;
@@ -114,41 +115,6 @@ pub fn strongly_connected_components(g: &DiGraph) -> SccDecomposition {
     }
 }
 
-/// The condensation of a graph: one vertex per SCC, with arcs between
-/// distinct components that carry at least one original arc.
-#[derive(Clone, Debug)]
-pub struct Condensation {
-    /// The component DAG.
-    pub dag: DiGraph,
-    /// The underlying decomposition.
-    pub sccs: SccDecomposition,
-}
-
-/// Computes the condensation DAG of `g`.
-///
-/// # Examples
-///
-/// ```
-/// use selfstab_graph::{DiGraph, scc::condensation};
-///
-/// let g: DiGraph = [(0, 1), (1, 0), (1, 2)].into_iter().collect();
-/// let c = condensation(&g);
-/// assert_eq!(c.dag.vertex_count(), 2);
-/// assert_eq!(c.dag.arc_count(), 1);
-/// ```
-pub fn condensation(g: &DiGraph) -> Condensation {
-    let sccs = strongly_connected_components(g);
-    let mut dag = DiGraph::new(sccs.components().len());
-    for (u, v) in g.arcs() {
-        let cu = sccs.component_of(u);
-        let cv = sccs.component_of(v);
-        if cu != cv {
-            dag.add_arc(cu, cv);
-        }
-    }
-    Condensation { dag, sccs }
-}
-
 /// Returns the set of vertices that lie on at least one directed cycle:
 /// members of a multi-vertex SCC, or vertices with a self-loop.
 ///
@@ -202,16 +168,6 @@ mod tests {
         // reverse topological order: {2,3} is emitted before {0,1}
         assert_eq!(d.components()[0], vec![2, 3]);
         assert_eq!(d.components()[1], vec![0, 1]);
-    }
-
-    #[test]
-    fn condensation_is_acyclic() {
-        let g: DiGraph = [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 4)]
-            .into_iter()
-            .collect();
-        let c = condensation(&g);
-        assert_eq!(c.dag.vertex_count(), 3);
-        assert!(vertices_on_cycles(&c.dag).is_empty());
     }
 
     #[test]

@@ -147,6 +147,20 @@ impl Protocol {
         self.local_deadlocks().and(&self.legit.negated())
     }
 
+    /// Checks that `t` may be a transition of this protocol: its source is
+    /// a local state, its target a domain value, and it is not an identity
+    /// write. [`Protocol::with_added_transitions`] and
+    /// [`Protocol::with_transitions`] reject exactly the transitions this
+    /// rejects.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProtocolError::Invalid`] if the transition is out of range
+    /// or is an identity write.
+    pub fn validate_transition(&self, t: LocalTransition) -> Result<(), ProtocolError> {
+        validate_transition(&self.space, self.locality, t)
+    }
+
     /// Derives a protocol with `extra` transitions added to `δ_r` (the
     /// `p_ss` revisions of the synthesis methodology).
     ///
@@ -160,7 +174,7 @@ impl Protocol {
     {
         let mut transitions = self.transitions.clone();
         for t in extra {
-            validate_transition(&self.space, self.locality, t)?;
+            self.validate_transition(t)?;
             transitions.insert(t);
         }
         Ok(Protocol {
@@ -188,7 +202,7 @@ impl Protocol {
     {
         let mut set = BTreeSet::new();
         for t in transitions {
-            validate_transition(&self.space, self.locality, t)?;
+            self.validate_transition(t)?;
             set.insert(t);
         }
         Ok(Protocol {

@@ -65,15 +65,16 @@ fn e3_non_generalizable_matching() {
     let p = matching::matching_non_generalizable();
     let da = DeadlockAnalysis::analyze(&p);
     assert!(!da.is_free_for_all_k());
-    assert!(!da.witnesses_truncated());
+    let (witnesses, truncated) = da.witnesses();
+    assert!(!truncated);
 
     // Witness simple cycles: lengths exactly {4, 6}, all through lls.
-    let mut lens: Vec<usize> = da.witnesses().iter().map(|w| w.base_ring_size).collect();
+    let mut lens: Vec<usize> = witnesses.iter().map(|w| w.base_ring_size).collect();
     lens.sort_unstable();
     lens.dedup();
     assert_eq!(lens, vec![4, 6]);
     let lls = p.space().encode(&[0, 0, 2]);
-    for w in da.witnesses() {
+    for w in &witnesses {
         assert!(
             w.cycle.contains(&lls),
             "every bad cycle passes through ⟨l,l,s⟩"

@@ -20,7 +20,10 @@
 //! * **Shared preparation** — the RCG depends only on the domain and the
 //!   locality, not on the transition relation, so one [`Rcg`] is built per
 //!   protocol and shared by every candidate's deadlock re-check
-//!   ([`DeadlockAnalysis::analyze_prepared`]).
+//!   ([`DeadlockAnalysis::analyze_prepared`]). One [`DeadlockAnalysis`] of
+//!   the input protocol supplies the bad cycles the `Resolve` sets must
+//!   hit and each set's exact Theorem 4.2 verdict
+//!   ([`DeadlockAnalysis::free_without`]).
 //! * **Cancellation** — a cooperative [`CancelToken`] is polled once per
 //!   candidate; on cancellation the verified contiguous prefix is kept, so
 //!   no solution below the cancel point is lost.
@@ -49,11 +52,8 @@ use selfstab_core::ltg::Ltg;
 use selfstab_core::pseudo::forms_pseudo_livelock_union;
 use selfstab_core::rcg::Rcg;
 use selfstab_global::CancelToken;
-use selfstab_graph::{
-    cycles::{simple_cycles, CycleBudget},
-    hitting::minimal_hitting_sets,
-};
-use selfstab_protocol::{LocalPredicate, LocalStateId, LocalTransition, Protocol};
+use selfstab_graph::hitting::minimal_hitting_sets;
+use selfstab_protocol::{LocalStateId, LocalTransition, Protocol};
 use selfstab_telemetry::{span, Phase, PhaseSink, SynthesisCounters};
 
 /// Budgets and switches for the local synthesizer.
@@ -289,21 +289,28 @@ impl LocalSynthesizer {
     /// Each returned set is re-verified exactly (Theorem 4.2 via SCCs), so
     /// the result is correct even if cycle enumeration was truncated.
     pub fn resolve_sets(&self, protocol: &Protocol, rcg: &Rcg) -> Vec<Vec<LocalStateId>> {
-        self.resolve_sets_capped(protocol, rcg, self.config.max_resolve_sets)
+        let deadlocks = DeadlockAnalysis::analyze_prepared(protocol, rcg);
+        self.resolve_sets_capped(protocol, &deadlocks, self.config.max_resolve_sets)
     }
 
-    /// [`LocalSynthesizer::resolve_sets`] with an explicit cap — the engine
-    /// requests one extra set so truncation of the set list is observable.
+    /// [`LocalSynthesizer::resolve_sets`] from the protocol's deadlock
+    /// analysis, with an explicit cap — the engine requests one extra set
+    /// so truncation of the set list is observable.
     fn resolve_sets_capped(
         &self,
         protocol: &Protocol,
-        rcg: &Rcg,
+        deadlocks: &DeadlockAnalysis,
         cap: usize,
     ) -> Vec<Vec<LocalStateId>> {
-        let deadlocks = protocol.local_deadlocks();
-        let illegit = protocol.legit().negated();
-        let induced = rcg.induced(&deadlocks);
-        let enumeration = simple_cycles(&induced, CycleBudget::default());
+        if cap == 0 {
+            return Vec::new();
+        }
+        // No bad cycle exists, so the enumeration would find no family.
+        if deadlocks.is_free_for_all_k() {
+            return vec![Vec::new()];
+        }
+        let legit = protocol.legit();
+        let enumeration = deadlocks.deadlock_cycles();
 
         // Families: each bad cycle's illegitimate deadlocks, sorted and
         // folded into one entry per distinct family, in first-occurrence
@@ -322,7 +329,7 @@ impl LocalSynthesizer {
             let mut bad: Vec<usize> = cycle
                 .iter()
                 .copied()
-                .filter(|&v| illegit.holds(LocalStateId(v as u32)))
+                .filter(|&v| !legit.holds(LocalStateId(v as u32)))
                 .collect();
             if bad.is_empty() {
                 continue;
@@ -340,7 +347,7 @@ impl LocalSynthesizer {
         if distinct.is_empty() {
             return vec![Vec::new()]; // already deadlock-free for all K
         }
-        let sets = minimal_hitting_sets(&distinct, cap, usize::MAX);
+        let sets = minimal_hitting_sets(&distinct, cap);
 
         // Exact re-verification (covers the truncated-enumeration case):
         // removing the Resolve states must leave no bad cycle.
@@ -351,7 +358,7 @@ impl LocalSynthesizer {
                     .map(|v| LocalStateId(v as u32))
                     .collect::<Vec<_>>()
             })
-            .filter(|resolve: &Vec<LocalStateId>| resolved_is_deadlock_free(protocol, rcg, resolve))
+            .filter(|resolve: &Vec<LocalStateId>| deadlocks.free_without(resolve))
             .collect();
         // Hitting-set coverage ordering: every minimal hitting set hits
         // every family, so rank by the summed family degree of the set's
@@ -461,11 +468,12 @@ impl LocalSynthesizer {
     ) -> Result<SynthesisOutcome, SynthesisError> {
         check_domain(protocol.space().domain_size())?;
         let rcg = Rcg::build(protocol);
+        let deadlocks = DeadlockAnalysis::analyze_prepared(protocol, &rcg);
         let name = format!("{}-ss", protocol.name());
 
         // One extra set makes truncation of the set list itself observable.
         let cap = self.config.max_resolve_sets;
-        let sets = self.resolve_sets_capped(protocol, &rcg, cap.saturating_add(1));
+        let sets = self.resolve_sets_capped(protocol, &deadlocks, cap.saturating_add(1));
         let sets_truncated = sets.len() > cap;
         let sets = &sets[..sets.len().min(cap)];
 
@@ -525,7 +533,7 @@ impl LocalSynthesizer {
                     .iter()
                     .map(|opts| {
                         opts.iter()
-                            .map(|&t| candidate_transition_is_valid(protocol, t))
+                            .map(|&t| protocol.validate_transition(t).is_ok())
                             .collect()
                     })
                     .collect(),
@@ -536,7 +544,7 @@ impl LocalSynthesizer {
                 // guard below is defensive: were it ever false, every valid
                 // candidate would be TAG_DEADLOCK and cut-skipping (which
                 // can only certify TAG_TRAIL) must stand down.
-                set_deadlock_free: resolved_is_deadlock_free(protocol, &rcg, resolve),
+                set_deadlock_free: deadlocks.free_without(resolve),
             });
             let ctx = ScanContext {
                 protocol,
@@ -720,10 +728,11 @@ impl PruneState {
 /// Per-`Resolve`-set pruning context handed to the scan.
 struct PruneScanContext<'a> {
     state: &'a PruneState,
-    /// `digit_valid[j][d]`: whether option `d` of state `j` passes the
-    /// (private) transition validation of `with_added_transitions` — a
-    /// per-transition property, so a skipped candidate's `TAG_INVALID` is
-    /// decidable without materializing a protocol.
+    /// `digit_valid[j][d]`: whether option `d` of state `j` passes
+    /// [`Protocol::validate_transition`], the check of
+    /// `with_added_transitions` — a per-transition property, so a skipped
+    /// candidate's `TAG_INVALID` is decidable without materializing a
+    /// protocol.
     digit_valid: Vec<Vec<bool>>,
     /// The shared Theorem 4.2 verdict of this set (see
     /// [`LocalSynthesizer::search`]).
@@ -752,17 +761,6 @@ fn project_cut(
     constraints.sort_unstable();
     constraints.dedup();
     Some(constraints)
-}
-
-/// Mirror of the private transition validation inside
-/// [`Protocol::with_added_transitions`] (range checks plus the
-/// identity-write ban), used by the pruned path's per-digit validity
-/// precompute.
-fn candidate_transition_is_valid(protocol: &Protocol, t: LocalTransition) -> bool {
-    let space = protocol.space();
-    t.source.index() < space.len()
-        && (t.target as usize) < space.domain_size()
-        && space.value_at(t.source, protocol.locality().center()) != t.target
 }
 
 /// Everything a worker needs to verify one candidate, shared read-only
@@ -980,18 +978,7 @@ fn verify_candidate(
     if !la.certified_free() {
         return (TAG_TRAIL, None);
     }
-    let verdict = if la.pseudo_livelock_support().is_empty() {
-        SynthesisVerdict::NoPseudoLivelock
-    } else {
-        SynthesisVerdict::PseudoLivelocksWithoutTrails
-    };
-    let sol = SynthesizedProtocol {
-        protocol: candidate,
-        resolve: ctx.resolve.to_vec(),
-        added: added.to_vec(),
-        verdict,
-    };
-    (TAG_ACCEPT, Some(sol))
+    accept(ctx, candidate, added, &la)
 }
 
 /// The pruned verification of one candidate: exact per-digit validity,
@@ -1077,6 +1064,18 @@ fn verify_candidate_pruned(
         }
         return (TAG_TRAIL, None);
     }
+    accept(ctx, candidate, added, &la)
+}
+
+/// The accepted revision of a candidate whose Theorem 5.14 check `la`
+/// certified it: step 4 when its t-arcs form no pseudo-livelock, step 5
+/// otherwise.
+fn accept(
+    ctx: &ScanContext<'_>,
+    candidate: Protocol,
+    added: &[LocalTransition],
+    la: &LivelockAnalysis,
+) -> (u8, Option<SynthesizedProtocol>) {
     let verdict = if la.pseudo_livelock_support().is_empty() {
         SynthesisVerdict::NoPseudoLivelock
     } else {
@@ -1098,28 +1097,6 @@ fn check_domain(domain_size: usize) -> Result<(), SynthesisError> {
         return Err(SynthesisError::DomainTooLarge { domain_size });
     }
     Ok(())
-}
-
-/// Exact Theorem 4.2 re-check after hypothetically resolving `resolve`:
-/// the RCG induced over the remaining deadlocks must have no cycle through
-/// an illegitimate state.
-fn resolved_is_deadlock_free(protocol: &Protocol, rcg: &Rcg, resolve: &[LocalStateId]) -> bool {
-    let mut remaining = protocol.local_deadlocks().as_bitset().clone();
-    for s in resolve {
-        remaining.remove(s.index());
-    }
-    let induced = rcg.graph().induced(&remaining);
-    let on_cycles = selfstab_graph::scc::vertices_on_cycles(&induced);
-    let illegit = protocol.legit().negated();
-    on_cycles
-        .iter()
-        .all(|v| !illegit.holds(LocalStateId(v as u32)))
-}
-
-/// Convenience: the illegitimate local deadlocks of a protocol, as the
-/// paper's `¬LC_r ∩ D_L` set.
-pub fn illegitimate_deadlocks(protocol: &Protocol) -> LocalPredicate {
-    protocol.illegitimate_deadlocks()
 }
 
 #[cfg(test)]
@@ -1238,9 +1215,10 @@ mod tests {
         for (d, legit, windows) in cases {
             let p = empty("truncated", d, legit);
             let rcg = Rcg::build(&p);
-            let induced = rcg.induced(&p.local_deadlocks());
             assert!(
-                simple_cycles(&induced, CycleBudget::default()).truncated,
+                DeadlockAnalysis::analyze_prepared(&p, &rcg)
+                    .deadlock_cycles()
+                    .truncated,
                 "`{legit}` over d={d} must overrun the cycle budget"
             );
             let sp = p.space();
@@ -1270,6 +1248,31 @@ mod tests {
         assert!(out.is_success());
         assert_eq!(out.solutions()[0].added.len(), 0);
         assert_eq!(out.solutions()[0].resolve.len(), 0);
+    }
+
+    /// A zero cap returns no resolve set, also for a protocol that needs
+    /// none, whose one resolve set is the empty set.
+    #[test]
+    fn zero_resolve_set_cap_returns_no_set() {
+        let free = Protocol::builder("ag", Domain::numeric("x", 2), Locality::unidirectional())
+            .action("x[r-1] == 1 && x[r] == 0 -> x[r] := 1")
+            .unwrap()
+            .legit("x[r] == x[r-1]")
+            .unwrap()
+            .build()
+            .unwrap();
+        for p in [free, empty("agreement", 2, "x[r] == x[r-1]")] {
+            let rcg = Rcg::build(&p);
+            let capped = |max_resolve_sets| {
+                LocalSynthesizer::new(SynthesisConfig {
+                    max_resolve_sets,
+                    ..SynthesisConfig::default()
+                })
+                .resolve_sets(&p, &rcg)
+            };
+            assert!(!capped(1).is_empty());
+            assert!(capped(0).is_empty(), "{}", p.name());
+        }
     }
 
     #[test]

@@ -85,20 +85,19 @@ fn reference_resolve_sets(p: &Protocol, max_resolve_sets: usize) -> Vec<Vec<Loca
     if families.is_empty() {
         return vec![Vec::new()];
     }
-    let mut sets: Vec<Vec<LocalStateId>> =
-        minimal_hitting_sets(&families, max_resolve_sets, usize::MAX)
-            .into_iter()
-            .map(|s| s.into_iter().map(|v| LocalStateId(v as u32)).collect())
-            .filter(|resolve: &Vec<LocalStateId>| {
-                let mut remaining = p.local_deadlocks().as_bitset().clone();
-                for s in resolve {
-                    remaining.remove(s.index());
-                }
-                vertices_on_cycles(&rcg.graph().induced(&remaining))
-                    .iter()
-                    .all(|v| !illegit.holds(LocalStateId(v as u32)))
-            })
-            .collect();
+    let mut sets: Vec<Vec<LocalStateId>> = minimal_hitting_sets(&families, max_resolve_sets)
+        .into_iter()
+        .map(|s| s.into_iter().map(|v| LocalStateId(v as u32)).collect())
+        .filter(|resolve: &Vec<LocalStateId>| {
+            let mut remaining = p.local_deadlocks().as_bitset().clone();
+            for s in resolve {
+                remaining.remove(s.index());
+            }
+            vertices_on_cycles(&rcg.graph().induced(&remaining))
+                .iter()
+                .all(|v| !illegit.holds(LocalStateId(v as u32)))
+        })
+        .collect();
     let weight = |set: &[LocalStateId]| -> usize {
         set.iter()
             .map(|s| families.iter().filter(|f| f.contains(&s.index())).count())

@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bad = matching::matching_non_generalizable();
     let da = DeadlockAnalysis::analyze(&bad);
     println!("\n=== Example 4.3 (non-generalizable) ===\n{da}");
-    for w in da.witnesses() {
+    for w in da.witnesses().0 {
         let states: Vec<String> = w
             .cycle
             .iter()
