@@ -541,9 +541,10 @@ fn execute_job(
 
     // State budget: reject d^K > max_states before allocating anything.
     let d = protocol.domain().size() as u64;
-    let within_budget = (d.checked_pow(job.k as u32))
-        .map(|states| states <= manifest.max_states)
-        .unwrap_or(false);
+    let within_budget = u32::try_from(job.k)
+        .ok()
+        .and_then(|k| d.checked_pow(k))
+        .is_some_and(|states| states <= manifest.max_states);
     if !within_budget {
         result.outcome = Outcome::OverBudget {
             reason: "states".into(),

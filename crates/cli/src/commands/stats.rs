@@ -70,9 +70,8 @@ pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
         &tab,
         KeyColumns {
             headers: ["spec", "K"],
+            id_field: "k",
             id_width: 3,
-            // The bare JSON number, which ignores the column width.
-            id_cell: |row| row["k"].to_string(),
         },
         "(no jobs executed this run — totals cover journal replay only)",
     );
@@ -116,8 +115,8 @@ fn serve_journal_stats(
         &tab,
         KeyColumns {
             headers: ["kind", "id"],
+            id_field: "id",
             id_width: 4,
-            id_cell: |row| format!("{:>4}", row["id"].as_u64().unwrap_or(0)),
         },
         "(no jobs journaled — header-only journal)",
     );
@@ -128,10 +127,10 @@ fn serve_journal_stats(
 struct KeyColumns {
     /// The name and id headers; the name header is also the job field.
     headers: [&'static str; 2],
-    /// The width of the right-aligned id header.
+    /// The job field that holds the numeric id.
+    id_field: &'static str,
+    /// The width of the right-aligned id column.
     id_width: usize,
-    /// A job's id cell.
-    id_cell: fn(&Value) -> String,
 }
 
 /// Prints a cross-tab document ([`cross_tab`] or [`serve_cross_tab`]) as
@@ -141,8 +140,8 @@ struct KeyColumns {
 fn print_cross_tab(title: &str, tab: &Value, keys: KeyColumns, empty_note: &str) {
     let KeyColumns {
         headers: [name, id],
+        id_field,
         id_width,
-        id_cell,
     } = keys;
     let jobs = tab["jobs"].as_array().map(Vec::as_slice).unwrap_or(&[]);
     let width = jobs
@@ -159,9 +158,9 @@ fn print_cross_tab(title: &str, tab: &Value, keys: KeyColumns, empty_note: &str)
     println!("  {:>8}  outcome", "total");
     for row in jobs {
         print!(
-            "{:<width$}  {}",
+            "{:<width$}  {:>id_width$}",
             row[name].as_str().unwrap_or("?"),
-            id_cell(row)
+            row[id_field].as_u64().unwrap_or(0)
         );
         for (key, _) in PHASES {
             print!(

@@ -862,8 +862,8 @@ fn stats_text_is_pinned_for_sweep_metrics_and_serve_journals() {
         text,
         "campaign 0123abcd: 2 of 3 job(s) executed (1 replayed), 2 worker(s), 1 engine thread(s)\n\
          spec                   K     parse     local      scan       dfs   journal   backoff     synth     total  outcome\n\
-         agreement.stab       3     0.012     0.340     1.500     2.750     0.000     0.000     0.000     4.602  verified\n\
-         three_coloring.stab  12     0.009     0.000   123.456     0.000     0.080     0.000     0.000   123.545  failed\n\
+         agreement.stab         3     0.012     0.340     1.500     2.750     0.000     0.000     0.000     4.602  verified\n\
+         three_coloring.stab   12     0.009     0.000   123.456     0.000     0.080     0.000     0.000   123.545  failed\n\
          TOTAL                        0.021     0.340   124.956     2.750     0.080     0.000     0.000   128.147\n"
             .to_owned()
             + footer

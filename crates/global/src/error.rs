@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::state::MAX_RING_SIZE;
+
 /// Errors produced while instantiating or exploring global state spaces.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
@@ -17,6 +19,12 @@ pub enum GlobalError {
     },
     /// Instantiation was asked for a ring of size zero.
     EmptyRing,
+    /// The ring has more processes than a global state id has digits
+    /// ([`crate::state::MAX_RING_SIZE`]).
+    RingTooLarge {
+        /// Ring size.
+        ring_size: usize,
+    },
     /// Per-process behaviors disagree on domain or locality.
     Heterogeneous {
         /// Description of the mismatch.
@@ -43,6 +51,10 @@ impl fmt::Display for GlobalError {
                 "global state space {domain_size}^{ring_size} exceeds the limit of {limit} states"
             ),
             GlobalError::EmptyRing => write!(f, "ring size must be at least 1"),
+            GlobalError::RingTooLarge { ring_size } => write!(
+                f,
+                "ring size {ring_size} exceeds the limit of {MAX_RING_SIZE} processes"
+            ),
             GlobalError::Heterogeneous { message } => {
                 write!(f, "heterogeneous ring instantiation: {message}")
             }
@@ -69,5 +81,7 @@ mod tests {
         };
         assert!(e.to_string().contains("3^40"));
         assert!(GlobalError::EmptyRing.to_string().contains("at least 1"));
+        let e = GlobalError::RingTooLarge { ring_size: 65 };
+        assert!(e.to_string().contains("65"), "{e}");
     }
 }

@@ -26,6 +26,12 @@ impl std::fmt::Display for GlobalStateId {
     }
 }
 
+/// The largest ring size: a `u64` global state id holds at most 64 digits
+/// (`2^64` overflows it). Every ring with `d ≥ 2` beyond it is over any
+/// state budget; a ring with `d = 1` is not, so [`GlobalSpace::new`]
+/// refuses it by size.
+pub const MAX_RING_SIZE: usize = 64;
+
 /// Codec for the global state space of a ring of `K` processes over a
 /// domain of size `d`.
 ///
@@ -64,25 +70,33 @@ impl GlobalSpace {
     /// # Errors
     ///
     /// [`GlobalError::EmptyRing`] if `ring_size == 0`;
+    /// [`GlobalError::RingTooLarge`] if `ring_size > MAX_RING_SIZE`;
     /// [`GlobalError::StateSpaceTooLarge`] if `d^K > max_states` (or `d^K`
     /// does not fit in `u64` at all).
     pub fn new(domain_size: usize, ring_size: usize, max_states: u64) -> Result<Self, GlobalError> {
         if ring_size == 0 {
             return Err(GlobalError::EmptyRing);
         }
+        // K comes from requests, so both limits are checked before anything
+        // of size K is allocated.
+        if ring_size > MAX_RING_SIZE {
+            return Err(GlobalError::RingTooLarge { ring_size });
+        }
         let too_large = || GlobalError::StateSpaceTooLarge {
             domain_size,
             ring_size,
             limit: max_states,
         };
-        let mut weights = vec![1u64; ring_size];
         let mut len: u64 = 1;
-        for i in (0..ring_size).rev() {
-            weights[i] = len;
+        for _ in 0..ring_size {
             len = len
                 .checked_mul(domain_size as u64)
                 .filter(|&l| l <= max_states)
                 .ok_or_else(too_large)?;
+        }
+        let mut weights = vec![1u64; ring_size];
+        for i in (1..ring_size).rev() {
+            weights[i - 1] = weights[i] * domain_size as u64;
         }
         Ok(GlobalSpace {
             domain_size,
@@ -256,6 +270,21 @@ mod tests {
             assert_eq!(sp.value_at(only, i as isize), 0);
         }
         assert_eq!(sp.with_value(only, 5, 0), only);
+    }
+
+    /// A d = 1 ring passes every state budget, so its size is refused on
+    /// its own, before anything of size K is allocated.
+    #[test]
+    fn rings_beyond_sixty_four_processes_are_refused() {
+        use crate::instance::DEFAULT_MAX_STATES;
+        assert_eq!(
+            GlobalSpace::new(1, 64, DEFAULT_MAX_STATES).unwrap().len(),
+            1
+        );
+        assert_eq!(
+            GlobalSpace::new(1, 65, DEFAULT_MAX_STATES).unwrap_err(),
+            GlobalError::RingTooLarge { ring_size: 65 }
+        );
     }
 
     #[test]

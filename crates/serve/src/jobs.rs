@@ -19,7 +19,10 @@ use std::time::{Duration, Instant};
 use selfstab_campaign::telemetry::JobTelemetry;
 use selfstab_core::{spec_hash, SpecHash};
 use selfstab_global::check::ConvergenceReport;
-use selfstab_global::{instance, CancelToken, EngineConfig, RingInstance, SymmetryMode};
+use selfstab_global::state::MAX_RING_SIZE;
+use selfstab_global::{
+    instance, CancelToken, EngineConfig, GlobalError, RingInstance, SymmetryMode,
+};
 use selfstab_protocol::file::parse_protocol_file;
 use selfstab_protocol::Protocol;
 use selfstab_synth::{LocalSynthesizer, SynthesisConfig};
@@ -239,10 +242,18 @@ impl JobRequest {
                 })?,
         };
         // Budget precheck: reject a d^K blowup at submit instead of
-        // queueing a job that can only fail.
+        // queueing a job that can only fail. The ring size comes first: a
+        // d = 1 spec passes the state budget at any K.
         if kind != JobKind::Synthesize {
+            if k_to > MAX_RING_SIZE {
+                let e = GlobalError::RingTooLarge { ring_size: k_to };
+                return Err(SubmitError::BadSpec(e.to_string()));
+            }
             let d = protocol.domain().size() as u64;
-            let over = (d.checked_pow(k_to as u32)).is_none_or(|n| n > max_states);
+            let over = u32::try_from(k_to)
+                .ok()
+                .and_then(|k| d.checked_pow(k))
+                .is_none_or(|n| n > max_states);
             if over {
                 return Err(SubmitError::BadSpec(format!(
                     "instance over budget: {d}^{k_to} global states exceeds max_states {max_states}"
@@ -663,6 +674,28 @@ action x[r-1] == 1 && x[r] == 0 -> x[r] := 1
         let err = JobRequest::from_json(&spec_body("\"kind\": \"verify\", \"k\": 40")).unwrap_err();
         assert_eq!(err.status(), 422);
         assert!(err.message().contains("over budget"));
+    }
+
+    /// A ring size past 64 processes is refused at submit: K = 2^32 + 2
+    /// must not wrap to K = 2 in the budget check, and a one-value domain
+    /// passes any state budget. Either would reach an engine that
+    /// allocates K-sized state.
+    #[test]
+    fn ring_sizes_past_sixty_four_are_422() {
+        let err = JobRequest::from_json(&spec_body("\"kind\": \"verify\", \"k\": 4294967298"))
+            .unwrap_err();
+        assert_eq!(err.status(), 422);
+        assert!(err.message().contains("4294967298"), "{}", err.message());
+        let unary =
+            "protocol unary\ndomain x { 0 }\nlocality unidirectional\nlegit x[r] == x[r-1]\n";
+        let unary = |k: usize| {
+            JobRequest::from_json(&body(&format!(
+                "{{\"kind\": \"verify\", \"k\": {k}, \"spec\": {}}}",
+                serde_json::Value::String(unary.to_owned())
+            )))
+        };
+        assert!(unary(64).is_ok());
+        assert_eq!(unary(65).unwrap_err().status(), 422);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! index space, mirroring `crates/global/src/engine.rs`:
 //!
 //! * **Determinism** — per-candidate verification is a pure function of the
-//!   candidate, chunks are merged in ascending index order, and all budget
-//!   cutoffs are applied on the merged canonical prefix. The
+//!   candidate, each worker hands back the verdicts of the chunks it
+//!   claimed, the chunks are merged in ascending index order, and all
+//!   budget cutoffs are applied on the merged canonical prefix. The
 //!   [`SynthesisOutcome`] (solutions, order, verdicts, counters) is
 //!   identical for every thread count.
 //! * **Exact budgets** — `max_combinations` is a cumulative cap on verified
@@ -22,8 +23,9 @@
 //!   protocol and shared by every candidate's deadlock re-check
 //!   ([`DeadlockAnalysis::analyze_prepared`]). One [`DeadlockAnalysis`] of
 //!   the input protocol supplies the bad cycles the `Resolve` sets must
-//!   hit and each set's exact Theorem 4.2 verdict
-//!   ([`DeadlockAnalysis::free_without`]).
+//!   hit and their exact Theorem 4.2 re-check
+//!   ([`DeadlockAnalysis::free_without`]), which every returned set passes:
+//!   every candidate is deadlock-free by construction.
 //! * **Cancellation** — a cooperative [`CancelToken`] is polled once per
 //!   candidate; on cancellation the verified contiguous prefix is kept, so
 //!   no solution below the cancel point is lost.
@@ -32,19 +34,20 @@
 //!   t-arcs form a pseudo-livelock union whose presence dooms **every**
 //!   superset candidate, because the trail search depends only on the
 //!   s-arcs (space-determined), the allowed t-arcs, and the illegitimate
-//!   states — none of which a superset changes. Cuts are published in a
-//!   lock-free index and each worker skips the cut's upward cone with a
-//!   per-digit subset test; skipped candidates are *recounted* with the
-//!   tag the full engine would have assigned (TAG_TRAIL), so the outcome
-//!   stays byte-identical with pruning on or off, at every thread count.
-//!   Verified candidates reuse the `Resolve` set's shared Theorem 4.2
-//!   verdict and a per-worker delta-applied LTG ([`Ltg::retarget`])
-//!   instead of from-scratch analyses. See DESIGN.md §14.
+//!   states — none of which a superset changes. Cuts sit in one locked
+//!   list that each worker reads once per chunk claim, and each worker
+//!   skips the cut's upward cone with a per-digit subset test; skipped
+//!   candidates are *recounted* with the trail verdict the full engine
+//!   would have assigned, so the outcome stays byte-identical with pruning
+//!   on or off, at every thread count. Verified candidates skip the
+//!   Theorem 4.2 re-check, which holds by construction, and reuse a
+//!   per-worker delta-applied LTG ([`Ltg::retarget`]) instead of
+//!   from-scratch analyses. See DESIGN.md §14.
 
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::RwLock;
 
 use selfstab_core::deadlock::DeadlockAnalysis;
 use selfstab_core::livelock::LivelockAnalysis;
@@ -259,12 +262,20 @@ impl ComboSpace<'_> {
     }
 }
 
-/// Per-candidate verdict tags recorded by the scan (indexable, so the
-/// canonical merge can recount rejections at any cutoff).
-const TAG_INVALID: u8 = 0;
-const TAG_DEADLOCK: u8 = 1;
-const TAG_TRAIL: u8 = 2;
-const TAG_ACCEPT: u8 = 3;
+/// The verdict of one candidate combination, recorded in enumeration
+/// order so the canonical merge can recount rejections at any cutoff.
+enum Verdict {
+    /// The revision fails validation.
+    Invalid,
+    /// The exact Theorem 4.2 re-check of the reference engine finds a
+    /// deadlock.
+    Deadlock,
+    /// Theorem 5.14 does not certify the revision: a qualifying contiguous
+    /// trail exists, or an analysis assumption fails.
+    Trail,
+    /// The accepted revision.
+    Accept(Box<SynthesizedProtocol>),
+}
 
 /// The Section 6 local synthesizer.
 ///
@@ -286,8 +297,10 @@ impl LocalSynthesizer {
     /// local deadlocks hitting every RCG cycle (over local deadlocks) that
     /// passes through an illegitimate state.
     ///
-    /// Each returned set is re-verified exactly (Theorem 4.2 via SCCs), so
-    /// the result is correct even if cycle enumeration was truncated.
+    /// Every returned set passes the exact Theorem 4.2 re-check
+    /// ([`DeadlockAnalysis::free_without`]), so the result is correct even
+    /// if cycle enumeration was truncated, and every candidate built on a
+    /// returned set is deadlock-free for every ring size.
     pub fn resolve_sets(&self, protocol: &Protocol, rcg: &Rcg) -> Vec<Vec<LocalStateId>> {
         let deadlocks = DeadlockAnalysis::analyze_prepared(protocol, rcg);
         self.resolve_sets_capped(protocol, &deadlocks, self.config.max_resolve_sets)
@@ -306,6 +319,8 @@ impl LocalSynthesizer {
             return Vec::new();
         }
         // No bad cycle exists, so the enumeration would find no family.
+        // Otherwise every set, the empty one included, meets the re-check
+        // below.
         if deadlocks.is_free_for_all_k() {
             return vec![Vec::new()];
         }
@@ -343,9 +358,6 @@ impl LocalSynthesizer {
                     slot.insert(distinct.len() - 1);
                 }
             }
-        }
-        if distinct.is_empty() {
-            return vec![Vec::new()]; // already deadlock-free for all K
         }
         let sets = minimal_hitting_sets(&distinct, cap);
 
@@ -487,8 +499,8 @@ impl LocalSynthesizer {
         };
         let mut rejected_invalid: u64 = 0;
         let mut rejected_by_deadlock: u64 = 0;
-        let cancel_polls = AtomicU64::new(0);
-        let prune_state = self.config.prune.then(PruneState::new);
+        let mut tally = Tally::default();
+        let cuts = self.config.prune.then(Cuts::default);
 
         for resolve in sets {
             if outcome.solutions.len() >= self.config.max_solutions
@@ -527,8 +539,8 @@ impl LocalSynthesizer {
             let allowed = total.min(comb_left);
             let sol_cap = (self.config.max_solutions - outcome.solutions.len()) as u64;
 
-            let prune = prune_state.as_ref().map(|state| PruneScanContext {
-                state,
+            let prune = cuts.as_ref().map(|cuts| PruneScanContext {
+                cuts,
                 digit_valid: per_state
                     .iter()
                     .map(|opts| {
@@ -537,14 +549,6 @@ impl LocalSynthesizer {
                             .collect()
                     })
                     .collect(),
-                // The Theorem 4.2 verdict is a function of the candidate's
-                // deadlock set alone, and every combination of this set
-                // resolves exactly `resolve` — one shared verdict covers
-                // them all. Surviving sets are pre-filtered on it, so the
-                // guard below is defensive: were it ever false, every valid
-                // candidate would be TAG_DEADLOCK and cut-skipping (which
-                // can only certify TAG_TRAIL) must stand down.
-                set_deadlock_free: deadlocks.free_without(resolve),
             });
             let ctx = ScanContext {
                 protocol,
@@ -560,34 +564,28 @@ impl LocalSynthesizer {
                 sol_cap,
                 self.config.threads,
                 cancel,
-                &cancel_polls,
+                &mut tally,
             );
 
             // Canonical cutoff: walk the verified prefix in enumeration
             // order, stopping right after the accepted candidate that fills
             // the solution budget.
             let mut taken: u64 = 0;
-            let mut sols_taken: u64 = 0;
-            for &tag in &scan.tags {
+            for verdict in scan.verdicts {
                 taken += 1;
-                match tag {
-                    TAG_INVALID => rejected_invalid += 1,
-                    TAG_DEADLOCK => rejected_by_deadlock += 1,
-                    TAG_TRAIL => outcome.rejected_by_trail += 1,
-                    _ => {
-                        sols_taken += 1;
-                        if sols_taken >= sol_cap {
+                match verdict {
+                    Verdict::Invalid => rejected_invalid += 1,
+                    Verdict::Deadlock => rejected_by_deadlock += 1,
+                    Verdict::Trail => outcome.rejected_by_trail += 1,
+                    Verdict::Accept(sol) => {
+                        outcome.solutions.push(*sol);
+                        if outcome.solutions.len() >= self.config.max_solutions {
                             break;
                         }
                     }
                 }
             }
             outcome.combinations_tried += taken as usize;
-            for (idx, sol) in scan.solutions {
-                if idx < taken {
-                    outcome.solutions.push(sol);
-                }
-            }
             if scan.cancelled {
                 outcome.cancelled = true;
             }
@@ -612,32 +610,21 @@ impl LocalSynthesizer {
             c.solutions_found
                 .fetch_add(outcome.solutions.len() as u64, Ordering::Relaxed);
             c.cancel_polls
-                .fetch_add(cancel_polls.load(Ordering::Relaxed), Ordering::Relaxed);
-            if let Some(p) = &prune_state {
-                c.cones_cut
-                    .fetch_add(p.cones_cut.load(Ordering::Relaxed), Ordering::Relaxed);
-                c.candidates_skipped.fetch_add(
-                    p.candidates_skipped.load(Ordering::Relaxed),
-                    Ordering::Relaxed,
-                );
-                c.delta_reuses
-                    .fetch_add(p.delta_reuses.load(Ordering::Relaxed), Ordering::Relaxed);
-            }
+                .fetch_add(tally.cancel_polls, Ordering::Relaxed);
+            c.cones_cut.fetch_add(tally.cones_cut, Ordering::Relaxed);
+            c.candidates_skipped
+                .fetch_add(tally.candidates_skipped, Ordering::Relaxed);
+            c.delta_reuses
+                .fetch_add(tally.delta_reuses, Ordering::Relaxed);
         }
         Ok(outcome)
     }
 }
 
-/// Capacity of the shared cut index. Corpus workloads install a handful of
-/// cuts; the cut-heavy 5-coloring bench installs under a hundred. Overflow
-/// degrades to plain verification, never to an error.
-const CUT_CAPACITY: usize = 256;
-
-/// Lock-free, append-only index of *cuts*: culpable added-transition
-/// subsets certified by a trail rejection. A published cut `C` proves that
-/// every candidate protocol containing all of `C` admits a qualifying
-/// contiguous trail and is rejected by the Theorem 5.14 check
-/// (`TAG_TRAIL`):
+/// The cut list of one synthesis run: culpable added-transition subsets
+/// certified by a trail rejection. An installed cut `C` proves that every
+/// candidate protocol containing all of `C` admits a qualifying contiguous
+/// trail and gets the trail verdict from the Theorem 5.14 check:
 ///
 /// * the rejecting trail's used t-arcs form a pseudo-livelock union
 ///   (re-checked at installation — the over-approximating `> 12`-support
@@ -653,50 +640,24 @@ const CUT_CAPACITY: usize = 256;
 ///   allowed t-arcs and the fixed illegitimate states);
 /// * and if the superset breaks an analysis assumption instead
 ///   (self-termination, process-self-disabling, closure), it is equally
-///   uncertified — either way the full engine tags it `TAG_TRAIL`.
+///   uncertified — either way the full engine gives it the trail verdict.
 ///
 /// Cuts are stored with their base transitions stripped (the base is part
 /// of every candidate of every `Resolve` set), sorted for subset tests.
-/// Publication is a claim counter over per-slot `OnceLock`s: readers never
-/// block and the crate stays `forbid(unsafe_code)`-clean.
-struct CutIndex {
-    slots: Vec<OnceLock<Vec<LocalTransition>>>,
-    claimed: AtomicUsize,
-}
+/// Workers read the list once per chunk claim and lock it for writing only
+/// to install a cut.
+type Cuts = RwLock<Vec<Vec<LocalTransition>>>;
 
-impl CutIndex {
-    fn new() -> Self {
-        CutIndex {
-            slots: (0..CUT_CAPACITY).map(|_| OnceLock::new()).collect(),
-            claimed: AtomicUsize::new(0),
-        }
+/// Installs a sorted cut unless an installed cut already subsumes it (its
+/// cone contains the new one's), checking and pushing under one write
+/// lock. Returns `true` when the cut was installed.
+fn install_cut(cuts: &Cuts, cut: Vec<LocalTransition>) -> bool {
+    let mut cuts = cuts.write().expect("cut list poisoned");
+    if cuts.iter().any(|c| is_sorted_subset(c, &cut)) {
+        return false;
     }
-
-    /// The fully published cuts (slots claimed but not yet written are
-    /// skipped; they become visible on a later scan).
-    fn published(&self) -> impl Iterator<Item = &[LocalTransition]> {
-        self.slots.iter().filter_map(|s| s.get().map(Vec::as_slice))
-    }
-
-    /// Publishes a sorted cut unless a published cut already subsumes it
-    /// (its cone contains the new one's) or the index is full. Returns
-    /// `true` when a slot was written.
-    fn install(&self, arcs: Vec<LocalTransition>) -> bool {
-        if self.published().any(|c| is_sorted_subset(c, &arcs)) {
-            return false;
-        }
-        if self.claimed.load(Ordering::Relaxed) >= CUT_CAPACITY {
-            return false;
-        }
-        let slot = self.claimed.fetch_add(1, Ordering::Relaxed);
-        if slot >= CUT_CAPACITY {
-            return false;
-        }
-        self.slots[slot]
-            .set(arcs)
-            .expect("cut slot is claimed exactly once");
-        true
-    }
+    cuts.push(cut);
+    true
 }
 
 /// `a ⊆ b` for sorted, deduplicated transition slices.
@@ -704,39 +665,40 @@ fn is_sorted_subset(a: &[LocalTransition], b: &[LocalTransition]) -> bool {
     a.iter().all(|t| b.binary_search(t).is_ok())
 }
 
-/// Shared pruning state for one synthesis run: the cut index plus the
-/// scheduling-dependent work-avoidance tallies (the *verdicts* stay
+/// A worker's scheduling-dependent work tallies, summed over the workers
+/// of a run into the matching [`SynthesisCounters`] (the *verdicts* stay
 /// deterministic; only how much verification was skipped varies).
-struct PruneState {
-    cuts: CutIndex,
-    cones_cut: AtomicU64,
-    candidates_skipped: AtomicU64,
-    delta_reuses: AtomicU64,
+#[derive(Default)]
+struct Tally {
+    /// Cancellation polls, one per candidate started.
+    cancel_polls: u64,
+    /// Cuts installed in the cut list.
+    cones_cut: u64,
+    /// Candidates given the trail verdict from a cut's cone.
+    candidates_skipped: u64,
+    /// Candidates verified over the delta-applied LTG.
+    delta_reuses: u64,
 }
 
-impl PruneState {
-    fn new() -> Self {
-        PruneState {
-            cuts: CutIndex::new(),
-            cones_cut: AtomicU64::new(0),
-            candidates_skipped: AtomicU64::new(0),
-            delta_reuses: AtomicU64::new(0),
-        }
+impl Tally {
+    fn add(&mut self, other: Tally) {
+        self.cancel_polls += other.cancel_polls;
+        self.cones_cut += other.cones_cut;
+        self.candidates_skipped += other.candidates_skipped;
+        self.delta_reuses += other.delta_reuses;
     }
 }
 
 /// Per-`Resolve`-set pruning context handed to the scan.
 struct PruneScanContext<'a> {
-    state: &'a PruneState,
+    /// The run's cut list.
+    cuts: &'a Cuts,
     /// `digit_valid[j][d]`: whether option `d` of state `j` passes
     /// [`Protocol::validate_transition`], the check of
     /// `with_added_transitions` — a per-transition property, so a skipped
-    /// candidate's `TAG_INVALID` is decidable without materializing a
+    /// candidate's invalid verdict is decidable without materializing a
     /// protocol.
     digit_valid: Vec<Vec<bool>>,
-    /// The shared Theorem 4.2 verdict of this set (see
-    /// [`LocalSynthesizer::search`]).
-    set_deadlock_free: bool,
 }
 
 /// Projects a cut onto one `Resolve` set's digit space: the candidate at
@@ -777,25 +739,19 @@ struct ScanContext<'a> {
 
 /// The canonical verified prefix of one `Resolve`-set scan.
 struct SetScan {
-    /// `tags[i]` is the verdict tag of combination `i` (contiguous prefix
+    /// `verdicts[i]` is the verdict of combination `i` (contiguous prefix
     /// of the enumeration; shorter than `allowed` only under cancellation
     /// or a solution-cap early stop).
-    tags: Vec<u8>,
-    /// Accepted candidates within the prefix, ascending by index.
-    solutions: Vec<(u64, SynthesizedProtocol)>,
+    verdicts: Vec<Verdict>,
     /// Whether cancellation cut the prefix short.
     cancelled: bool,
 }
 
-/// One worker's output for one chunk of the combination index space.
-struct ChunkPart {
-    tags: Vec<u8>,
-    solutions: Vec<(u64, SynthesizedProtocol)>,
-}
-
 /// Verifies combinations `0..allowed` of `ctx.space` across `threads`
-/// scoped workers claiming fixed chunks off a shared counter, then merges
-/// completed chunks in ascending order into a canonical contiguous prefix.
+/// scoped workers claiming fixed chunks off a shared counter. Each worker
+/// hands back the verdicts of its chunks and its tallies, which are added
+/// to `tally`; the chunks are merged in ascending order into a canonical
+/// contiguous prefix.
 ///
 /// Workers stop claiming new chunks once `sol_cap` acceptances have been
 /// observed (a hint — the canonical cutoff in [`LocalSynthesizer::search`]
@@ -808,12 +764,11 @@ fn scan_resolve_set(
     sol_cap: u64,
     threads: usize,
     cancel: &CancelToken,
-    cancel_polls: &AtomicU64,
+    tally: &mut Tally,
 ) -> SetScan {
     if allowed == 0 {
         return SetScan {
-            tags: Vec::new(),
-            solutions: Vec::new(),
+            verdicts: Vec::new(),
             cancelled: cancel.is_cancelled(),
         };
     }
@@ -824,20 +779,18 @@ fn scan_resolve_set(
     let num_chunks = allowed.div_ceil(chunk);
     let next = AtomicU64::new(0);
     let sols_hint = AtomicU64::new(0);
-    let results: Mutex<Vec<(u64, ChunkPart)>> = Mutex::new(Vec::new());
 
     let worker = || {
+        let mut chunks: Vec<(u64, Vec<Verdict>)> = Vec::new();
+        let mut tally = Tally::default();
         let mut digits: Vec<usize> = Vec::new();
         let mut added: Vec<LocalTransition> = Vec::new();
-        let mut polls: u64 = 0;
         // Worker-local pruning state: the delta-LTG survives across
         // candidates and chunks; the projected cuts are refreshed at each
-        // chunk claim, picking up cuts other workers published meanwhile
+        // chunk claim, picking up cuts other workers installed meanwhile
         // without any synchronization on the hot per-candidate test.
         let mut ltg: Option<Ltg> = None;
         let mut projected: Vec<Vec<(usize, usize)>> = Vec::new();
-        let mut skipped: u64 = 0;
-        let mut reused: u64 = 0;
         loop {
             if sols_hint.load(Ordering::Relaxed) >= sol_cap {
                 break;
@@ -847,105 +800,88 @@ fn scan_resolve_set(
                 break;
             }
             if let Some(p) = &ctx.prune {
-                if p.set_deadlock_free {
-                    projected.clear();
-                    projected.extend(
-                        p.state
-                            .cuts
-                            .published()
-                            .filter_map(|cut| project_cut(cut, ctx.resolve, ctx.space.per_state)),
-                    );
-                }
+                projected.clear();
+                projected.extend(
+                    p.cuts
+                        .read()
+                        .expect("cut list poisoned")
+                        .iter()
+                        .filter_map(|cut| project_cut(cut, ctx.resolve, ctx.space.per_state)),
+                );
             }
             let lo = c * chunk;
             let hi = (lo + chunk).min(allowed);
             ctx.space.decode(lo, &mut digits);
-            let mut part = ChunkPart {
-                tags: Vec::with_capacity((hi - lo) as usize),
-                solutions: Vec::new(),
-            };
-            let mut aborted = false;
-            for i in lo..hi {
-                polls += 1;
+            let mut verdicts = Vec::with_capacity((hi - lo) as usize);
+            for _ in lo..hi {
+                tally.cancel_polls += 1;
                 if cancel.is_cancelled() {
-                    aborted = true;
                     break;
                 }
-                let (tag, sol) = match &ctx.prune {
+                let verdict = match &ctx.prune {
                     Some(p) => verify_candidate_pruned(
-                        ctx,
-                        p,
-                        &digits,
-                        &projected,
-                        &mut added,
-                        &mut ltg,
-                        &mut skipped,
-                        &mut reused,
+                        ctx, p, &digits, &projected, &mut added, &mut ltg, &mut tally,
                     ),
                     None => {
                         ctx.space.fill(&digits, &mut added);
                         verify_candidate(ctx, &added)
                     }
                 };
-                part.tags.push(tag);
-                if let Some(s) = sol {
-                    part.solutions.push((i, s));
+                if matches!(verdict, Verdict::Accept(_)) {
                     sols_hint.fetch_add(1, Ordering::Relaxed);
                 }
+                verdicts.push(verdict);
                 ctx.space.advance(&mut digits);
             }
-            results
-                .lock()
-                .expect("scan results poisoned")
-                .push((c, part));
+            let aborted = (verdicts.len() as u64) < hi - lo;
+            chunks.push((c, verdicts));
             if aborted {
                 break;
             }
         }
-        cancel_polls.fetch_add(polls, Ordering::Relaxed);
-        if let Some(p) = &ctx.prune {
-            p.state
-                .candidates_skipped
-                .fetch_add(skipped, Ordering::Relaxed);
-            p.state.delta_reuses.fetch_add(reused, Ordering::Relaxed);
-        }
+        (chunks, tally)
     };
 
-    if threads == 1 || num_chunks == 1 {
-        worker();
+    let outputs = if threads == 1 || num_chunks == 1 {
+        vec![worker()]
     } else {
         let worker = &worker;
         std::thread::scope(|scope| {
-            for _ in 0..threads.min(num_chunks as usize) {
-                scope.spawn(worker);
-            }
-        });
-    }
+            let handles: Vec<_> = (0..threads.min(num_chunks as usize))
+                .map(|_| scope.spawn(worker))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        })
+    };
 
     // Merge in ascending chunk order; the prefix ends at the first missing
     // chunk (solution-cap early stop or cancellation) or partial chunk
     // (cancellation only).
-    let mut parts = results.into_inner().expect("scan results poisoned");
-    parts.sort_unstable_by_key(|&(c, _)| c);
-    let mut tags: Vec<u8> = Vec::new();
-    let mut solutions: Vec<(u64, SynthesizedProtocol)> = Vec::new();
-    for (expect, (c, part)) in (0u64..).zip(parts) {
+    let mut chunks: Vec<(u64, Vec<Verdict>)> = Vec::new();
+    for (parts, worker_tally) in outputs {
+        chunks.extend(parts);
+        tally.add(worker_tally);
+    }
+    chunks.sort_unstable_by_key(|&(c, _)| c);
+    let mut verdicts: Vec<Verdict> = Vec::new();
+    for (expect, (c, part)) in (0u64..).zip(chunks) {
         if c != expect {
             break;
         }
         let lo = c * chunk;
         let hi = (lo + chunk).min(allowed);
-        let full = part.tags.len() as u64 == hi - lo;
-        tags.extend_from_slice(&part.tags);
-        solutions.extend(part.solutions);
+        let full = part.len() as u64 == hi - lo;
+        verdicts.extend(part);
         if !full {
             break;
         }
     }
-    let cancelled = (tags.len() as u64) < allowed && cancel.is_cancelled();
+    let cancelled = (verdicts.len() as u64) < allowed && cancel.is_cancelled();
     SetScan {
-        tags,
-        solutions,
+        verdicts,
         cancelled,
     }
 }
@@ -954,16 +890,13 @@ fn scan_resolve_set(
 /// deadlock-freedom re-check (Theorem 4.2 over the shared RCG), then the
 /// Theorem 5.14 trail check distinguishing NPL (no pseudo-livelock among
 /// the added arcs) from PL (support exists but no qualifying trail).
-fn verify_candidate(
-    ctx: &ScanContext<'_>,
-    added: &[LocalTransition],
-) -> (u8, Option<SynthesizedProtocol>) {
+fn verify_candidate(ctx: &ScanContext<'_>, added: &[LocalTransition]) -> Verdict {
     let candidate = match ctx
         .protocol
         .with_added_transitions(ctx.name, added.iter().copied())
     {
         Ok(p) => p,
-        Err(_) => return (TAG_INVALID, None),
+        Err(_) => return Verdict::Invalid,
     };
 
     // Deadlock-freedom must hold (it does by construction of Resolve;
@@ -971,23 +904,24 @@ fn verify_candidate(
     // domain and locality, so the prepared one is valid for every revision.
     let da = DeadlockAnalysis::analyze_prepared(&candidate, ctx.rcg);
     if !da.is_free_for_all_k() {
-        return (TAG_DEADLOCK, None);
+        return Verdict::Deadlock;
     }
 
     let la = LivelockAnalysis::analyze(&candidate);
     if !la.certified_free() {
-        return (TAG_TRAIL, None);
+        return Verdict::Trail;
     }
     accept(ctx, candidate, added, &la)
 }
 
 /// The pruned verification of one candidate: exact per-digit validity,
-/// cut-cone skipping, then delta-verification — the set's shared Theorem
-/// 4.2 verdict plus a retargeted per-worker LTG. The returned tag is
-/// provably the one [`verify_candidate`] would compute (see the module
-/// docs and DESIGN.md §14 for the soundness argument), so the canonical
-/// merge cannot tell the engines apart.
-#[allow(clippy::too_many_arguments)]
+/// cut-cone skipping, then delta-verification over a retargeted per-worker
+/// LTG. A valid candidate resolves exactly its `Resolve` set, which passed
+/// [`DeadlockAnalysis::free_without`], so it is deadlock-free and needs no
+/// Theorem 4.2 re-check. The returned verdict is provably the one
+/// [`verify_candidate`] would compute (see the module docs and DESIGN.md
+/// §14 for the soundness argument), so the canonical merge cannot tell the
+/// engines apart.
 fn verify_candidate_pruned(
     ctx: &ScanContext<'_>,
     p: &PruneScanContext<'_>,
@@ -995,29 +929,26 @@ fn verify_candidate_pruned(
     projected: &[Vec<(usize, usize)>],
     added: &mut Vec<LocalTransition>,
     ltg: &mut Option<Ltg>,
-    skipped: &mut u64,
-    reused: &mut u64,
-) -> (u8, Option<SynthesizedProtocol>) {
+    tally: &mut Tally,
+) -> Verdict {
     // Validity is a per-transition property, so the conjunction of the
     // digit flags is exactly the `with_added_transitions` verdict — no
-    // protocol needs to be materialized to tag an invalid candidate.
+    // protocol needs to be materialized to reject an invalid candidate.
     if digits
         .iter()
         .enumerate()
         .any(|(j, &d)| !p.digit_valid[j][d])
     {
-        return (TAG_INVALID, None);
+        return Verdict::Invalid;
     }
-    // Cut-cone skip. Sound only under a free shared deadlock verdict,
-    // because the full engine checks Theorem 4.2 *before* the trail: were
-    // the verdict not free, the candidate's tag would be TAG_DEADLOCK.
-    if p.set_deadlock_free
-        && projected
-            .iter()
-            .any(|c| c.iter().all(|&(j, d)| digits[j] == d))
+    // Cut-cone skip. The full engine checks Theorem 4.2 before the trail,
+    // so this is sound because the candidate is deadlock-free.
+    if projected
+        .iter()
+        .any(|c| c.iter().all(|&(j, d)| digits[j] == d))
     {
-        *skipped += 1;
-        return (TAG_TRAIL, None);
+        tally.candidates_skipped += 1;
+        return Verdict::Trail;
     }
     ctx.space.fill(digits, added);
     let candidate = match ctx
@@ -1026,16 +957,12 @@ fn verify_candidate_pruned(
     {
         Ok(c) => c,
         // Unreachable (digits are pre-validated); kept so a validation
-        // drift would surface as a wrong tag, not a panic.
-        Err(_) => return (TAG_INVALID, None),
+        // drift would surface as a wrong verdict, not a panic.
+        Err(_) => return Verdict::Invalid,
     };
-    // From here on every verification step reuses shared or delta state
-    // (set verdict, cloned RCG, retargeted t-graph) instead of a
-    // from-scratch analysis.
-    *reused += 1;
-    if !p.set_deadlock_free {
-        return (TAG_DEADLOCK, None);
-    }
+    // From here on verification reuses delta state (cloned RCG,
+    // retargeted t-graph) instead of a from-scratch analysis.
+    tally.delta_reuses += 1;
     let la = match ltg {
         Some(l) => {
             l.retarget(&candidate);
@@ -1057,12 +984,12 @@ fn verify_candidate_pruned(
                     .into_iter()
                     .filter(|&t| !ctx.protocol.has_transition(t))
                     .collect();
-                if p.state.cuts.install(cut) {
-                    p.state.cones_cut.fetch_add(1, Ordering::Relaxed);
+                if install_cut(p.cuts, cut) {
+                    tally.cones_cut += 1;
                 }
             }
         }
-        return (TAG_TRAIL, None);
+        return Verdict::Trail;
     }
     accept(ctx, candidate, added, &la)
 }
@@ -1075,7 +1002,7 @@ fn accept(
     candidate: Protocol,
     added: &[LocalTransition],
     la: &LivelockAnalysis,
-) -> (u8, Option<SynthesizedProtocol>) {
+) -> Verdict {
     let verdict = if la.pseudo_livelock_support().is_empty() {
         SynthesisVerdict::NoPseudoLivelock
     } else {
@@ -1087,7 +1014,7 @@ fn accept(
         added: added.to_vec(),
         verdict,
     };
-    (TAG_ACCEPT, Some(sol))
+    Verdict::Accept(Box::new(sol))
 }
 
 /// The `u8` candidate-value guard (see
@@ -1417,7 +1344,9 @@ mod tests {
 
     /// The pruned engine (the default) and the reference full-enumeration
     /// engine produce byte-identical outcomes on every corpus-shaped
-    /// workload, at every thread count — pruning must be invisible.
+    /// workload, at every thread count — pruning must be invisible. The
+    /// one-solution and five-combination budgets cut the merged verdicts
+    /// mid-set, after workers stopped claiming chunks early.
     #[test]
     fn pruned_and_full_engines_agree_at_every_thread_count() {
         let workloads = [
@@ -1428,23 +1357,39 @@ mod tests {
             (4, "x[r] != x[r-1]"),
             (4, "x[r] + x[r-1] != 3"),
         ];
+        let budgets = [
+            SynthesisConfig::default(),
+            SynthesisConfig {
+                max_solutions: 1,
+                ..SynthesisConfig::default()
+            },
+            SynthesisConfig {
+                max_combinations: 5,
+                ..SynthesisConfig::default()
+            },
+        ];
         for (d, legit) in workloads {
             let p = empty("w", d, legit);
-            let full = LocalSynthesizer::new(SynthesisConfig {
-                prune: false,
-                ..SynthesisConfig::default()
-            })
-            .synthesize(&p)
-            .unwrap();
-            for threads in [1, 2, 8] {
-                let pruned = LocalSynthesizer::new(SynthesisConfig {
-                    prune: true,
-                    threads,
-                    ..SynthesisConfig::default()
+            for budget in &budgets {
+                let full = LocalSynthesizer::new(SynthesisConfig {
+                    prune: false,
+                    ..budget.clone()
                 })
                 .synthesize(&p)
                 .unwrap();
-                assert_eq!(pruned, full, "d={d} legit=`{legit}` threads={threads}");
+                for threads in [1, 2, 8] {
+                    let pruned = LocalSynthesizer::new(SynthesisConfig {
+                        prune: true,
+                        threads,
+                        ..budget.clone()
+                    })
+                    .synthesize(&p)
+                    .unwrap();
+                    assert_eq!(
+                        pruned, full,
+                        "d={d} legit=`{legit}` threads={threads} budget {budget:?}"
+                    );
+                }
             }
         }
     }
@@ -1504,25 +1449,19 @@ mod tests {
         assert_eq!(space.checked_total(), Some(0));
     }
 
-    /// The cut index is append-only, subsumption-deduplicated, and
-    /// saturates at capacity instead of erroring.
+    /// The cut list is append-only and subsumption-deduplicated.
     #[test]
-    fn cut_index_dedups_and_saturates() {
+    fn cut_list_dedups_by_subsumption() {
         let t = |s: u32, v: u8| LocalTransition::new(LocalStateId(s), v);
-        let idx = CutIndex::new();
-        assert!(idx.install(vec![t(0, 1), t(1, 2)]));
-        // A superset cone is subsumed by the published cut.
-        assert!(!idx.install(vec![t(0, 1), t(1, 2), t(2, 0)]));
+        let cuts = Cuts::default();
+        assert!(install_cut(&cuts, vec![t(0, 1), t(1, 2)]));
+        // A superset cone is subsumed by the installed cut.
+        assert!(!install_cut(&cuts, vec![t(0, 1), t(1, 2), t(2, 0)]));
         // The exact same cut is subsumed too.
-        assert!(!idx.install(vec![t(0, 1), t(1, 2)]));
-        // A *subset* is new information (a wider cone) and is published.
-        assert!(idx.install(vec![t(0, 1)]));
-        assert_eq!(idx.published().count(), 2);
-        for s in 2..CUT_CAPACITY as u32 {
-            assert!(idx.install(vec![t(s, 1)]));
-        }
-        assert!(!idx.install(vec![t(9999, 1)]), "capacity saturates");
-        assert_eq!(idx.published().count(), CUT_CAPACITY);
+        assert!(!install_cut(&cuts, vec![t(0, 1), t(1, 2)]));
+        // A *subset* is new information (a wider cone) and is installed.
+        assert!(install_cut(&cuts, vec![t(0, 1)]));
+        assert_eq!(cuts.read().unwrap().len(), 2);
     }
 
     /// Cut projection maps transitions to digit constraints, rejects cuts

@@ -1,6 +1,7 @@
 //! Property tests: local synthesis emits only generalizable solutions.
 
 use proptest::prelude::*;
+use selfstab_core::deadlock::DeadlockAnalysis;
 use selfstab_core::rcg::Rcg;
 use selfstab_global::CancelToken;
 use selfstab_graph::{
@@ -65,8 +66,8 @@ fn arb_protocol(d: usize) -> impl Strategy<Value = Protocol> {
 
 /// Reference resolve sets, computed per cycle from public pieces: one
 /// unsorted family per enumerated bad cycle, the hitting-set search over
-/// all of them, the exact Theorem 4.2 re-check, and a stable sort by the
-/// per-cycle family degree of each set.
+/// all of them (the empty set when there is none), the exact Theorem 4.2
+/// re-check, and a stable sort by the per-cycle family degree of each set.
 fn reference_resolve_sets(p: &Protocol, max_resolve_sets: usize) -> Vec<Vec<LocalStateId>> {
     let rcg = Rcg::build(p);
     let illegit = p.legit().negated();
@@ -82,9 +83,6 @@ fn reference_resolve_sets(p: &Protocol, max_resolve_sets: usize) -> Vec<Vec<Loca
         })
         .filter(|f| !f.is_empty())
         .collect();
-    if families.is_empty() {
-        return vec![Vec::new()];
-    }
     let mut sets: Vec<Vec<LocalStateId>> = minimal_hitting_sets(&families, max_resolve_sets)
         .into_iter()
         .map(|s| s.into_iter().map(|v| LocalStateId(v as u32)).collect())
@@ -111,9 +109,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The resolve sets, and their order, are those of the per-cycle
-    /// reference, over random protocols whose deadlock sets vary. (d stays
-    /// at most 3: the reference searches one family per cycle, which takes
-    /// seconds in a debug build once the enumeration reaches its budget.)
+    /// reference, over random protocols whose deadlock sets vary, and each
+    /// set leaves no bad cycle. (d stays at most 3: the reference searches
+    /// one family per cycle, which takes seconds in a debug build once the
+    /// enumeration reaches its budget.)
     #[test]
     fn resolve_sets_match_the_per_cycle_reference(
         p in prop_oneof![arb_protocol(2), arb_protocol(3)],
@@ -123,8 +122,17 @@ proptest! {
             max_resolve_sets,
             ..SynthesisConfig::default()
         });
+        let rcg = Rcg::build(&p);
+        let sets = synth.resolve_sets(&p, &rcg);
+        let deadlocks = DeadlockAnalysis::analyze_prepared(&p, &rcg);
+        for set in &sets {
+            prop_assert!(
+                deadlocks.free_without(set),
+                "resolve set {:?} of {} leaves a bad cycle", set, p
+            );
+        }
         prop_assert_eq!(
-            synth.resolve_sets(&p, &Rcg::build(&p)),
+            sets,
             reference_resolve_sets(&p, max_resolve_sets),
             "protocol {}", p
         );

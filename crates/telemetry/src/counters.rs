@@ -186,15 +186,14 @@ pub struct SynthesisCounters {
     pub solutions_found: AtomicU64,
     /// Cancellation polls performed (scheduling-dependent; see type docs).
     pub cancel_polls: AtomicU64,
-    /// Cut sets installed in the lattice-pruning index
+    /// Cut sets installed in the lattice-pruning cut list
     /// (scheduling-dependent; see type docs).
     pub cones_cut: AtomicU64,
     /// Candidates tagged from a cut's upward cone without running
     /// verification (scheduling-dependent; see type docs).
     pub candidates_skipped: AtomicU64,
-    /// Candidates verified against a delta-applied LTG or a shared per-set
-    /// deadlock verdict instead of a from-scratch analysis
-    /// (scheduling-dependent; see type docs).
+    /// Candidates verified against a delta-applied LTG instead of a
+    /// from-scratch analysis (scheduling-dependent; see type docs).
     pub delta_reuses: AtomicU64,
 }
 
