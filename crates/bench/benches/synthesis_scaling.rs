@@ -118,35 +118,28 @@ fn paired_overhead(
     (median(ratios), median(on), median(off))
 }
 
-/// Sequential-vs-parallel synthesis and the telemetry tax, recorded to
-/// `BENCH_synthesis.json` at the repo root. The deterministic-merge
-/// contract is asserted (identical outcomes for every thread count)
+/// Synthesis time and the telemetry tax, recorded to `BENCH_synthesis.json`
+/// at the repo root. The metered outcome must equal the unmetered one
 /// before any timing is reported, and metering must stay within 2% of the
 /// unmetered engine — counters are flushed once per run, never inside the
 /// candidate loop.
 fn bench_synthesis_comparison(_c: &mut Criterion) {
     let p = sum_not_three_empty();
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let config = |threads| SynthesisConfig {
+    let config = SynthesisConfig {
         max_solutions: usize::MAX,
         max_combinations: usize::MAX,
-        threads,
         ..SynthesisConfig::default()
     };
-    let sequential = LocalSynthesizer::new(config(1));
-    let parallel = LocalSynthesizer::new(config(threads));
+    let sequential = LocalSynthesizer::new(config.clone());
     let token = CancelToken::new();
 
-    // The engines must agree before their timings mean anything.
+    // The metered run must agree before any timing means anything.
     let baseline = sequential.synthesize(&p).unwrap();
     assert!(!baseline.truncated(), "workload must be fully enumerated");
-    assert_eq!(baseline, parallel.synthesize(&p).unwrap());
     let counters = SynthesisCounters::new();
     assert_eq!(
         baseline,
-        parallel
+        sequential
             .synthesize_metered(&p, &token, Some(&counters), None)
             .unwrap()
     );
@@ -156,9 +149,6 @@ fn bench_synthesis_comparison(_c: &mut Criterion) {
     let reps = 5;
     let seq_us = timed_min(reps, || {
         std::hint::black_box(sequential.synthesize(&p).unwrap());
-    });
-    let par_us = timed_min(reps, || {
-        std::hint::black_box(parallel.synthesize(&p).unwrap());
     });
     let (overhead, enabled_us, disabled_us) = paired_overhead(
         TELEMETRY_PAIRS,
@@ -191,23 +181,14 @@ fn bench_synthesis_comparison(_c: &mut Criterion) {
         .unwrap();
     let snap = phases.snapshot();
 
-    let speedup = seq_us / par_us;
     println!(
         "synthesis_comparison sum-not-three (d=4, {} combinations): \
-         sequential {} | {threads} thread(s) {} ({speedup:.2}x) | \
-         telemetry disabled {} enabled {} ({overhead:.3}x)",
+         sequential {} | telemetry disabled {} enabled {} ({overhead:.3}x)",
         baseline.combinations_tried(),
         fmt_us(seq_us),
-        fmt_us(par_us),
         fmt_us(disabled_us),
         fmt_us(enabled_us),
     );
-    if threads == 1 {
-        println!(
-            "note: 1 hardware core available — the parallel engine and any \
-             thread-count speedups are measured degenerate here"
-        );
-    }
 
     // Lattice pruning, pruned vs full, on the cut-heavy 5-coloring
     // workload. Soundness first: the pruned outcome must be identical to
@@ -219,9 +200,9 @@ fn bench_synthesis_comparison(_c: &mut Criterion) {
     let coloring = five_coloring_empty();
     let full_config = SynthesisConfig {
         prune: false,
-        ..config(1)
+        ..config.clone()
     };
-    let pruned_config = config(1);
+    let pruned_config = config;
     let full_engine = LocalSynthesizer::new(full_config);
     let pruned_engine = LocalSynthesizer::new(pruned_config);
     let full_counters = SynthesisCounters::new();
@@ -267,8 +248,7 @@ fn bench_synthesis_comparison(_c: &mut Criterion) {
         "{{\n  \"bench\": \"synthesis_scaling/synthesis_comparison\",\n  \
          \"protocol\": \"sum-not-three\",\n  \"domain_size\": 4,\n  \
          \"combinations\": {},\n  \"solutions\": {},\n  \
-         \"sequential_us\": {seq_us:.1},\n  \"parallel_us\": {par_us:.1},\n  \
-         \"threads\": {threads},\n  \"speedup_parallel\": {speedup:.2},\n  \
+         \"sequential_us\": {seq_us:.1},\n  \
          \"telemetry_disabled_us\": {disabled_us:.1},\n  \
          \"telemetry_enabled_us\": {enabled_us:.1},\n  \
          \"telemetry_enabled_overhead\": {overhead:.3},\n  \
@@ -283,7 +263,8 @@ fn bench_synthesis_comparison(_c: &mut Criterion) {
          \"candidates_skipped\": {},\n    \
          \"delta_reuses\": {},\n    \
          \"full_us\": {full_us:.1},\n    \"pruned_us\": {pruned_us:.1}\n  }},\n  \
-         \"note\": \"timings from a {threads}-core container; parallel speedups are hardware-bound\"\n}}\n",
+         \"note\": \"best of {reps} runs per engine, each on one thread; timings depend on \
+         the host\"\n}}\n",
         baseline.combinations_tried(),
         baseline.solutions().len(),
         snap.micros[Phase::Synthesis.index()],

@@ -93,16 +93,12 @@ fn bench_engine_comparison(_c: &mut Criterion) {
     let p = sum_not_two::sum_not_two_solution();
     let k = 10;
     let ring = RingInstance::symmetric(&p, k).unwrap();
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let full_seq = EngineConfig::sequential().with_symmetry(SymmetryMode::Full);
-    let full_par = EngineConfig::with_threads(threads).with_symmetry(SymmetryMode::Full);
-    let reduced_cfg = EngineConfig::sequential();
+    let full_seq = EngineConfig::default().with_symmetry(SymmetryMode::Full);
+    let reduced_cfg = EngineConfig::default();
 
     // The engines must agree before their timings mean anything.
     let seed = seed_style_check(&p, &ring);
-    for config in [&full_seq, &full_par, &reduced_cfg] {
+    for config in [&full_seq, &reduced_cfg] {
         let r = check::ConvergenceReport::check_with(&ring, config);
         assert_eq!(seed.0, r.legit_count);
         assert_eq!(seed.1, r.illegitimate_deadlocks);
@@ -119,17 +115,15 @@ fn bench_engine_comparison(_c: &mut Criterion) {
     let fused_seq_us = timed_min(reps, || {
         std::hint::black_box(check::ConvergenceReport::check_with(&ring, &full_seq));
     });
-    let fused_par_us = timed_min(reps, || {
-        std::hint::black_box(check::ConvergenceReport::check_with(&ring, &full_par));
-    });
     let fused_reduced_us = timed_min(reps, || {
         std::hint::black_box(check::ConvergenceReport::check_with(&ring, &reduced_cfg));
     });
 
     // Telemetry cost, both ways. Disabled (`counters: None`) must be free:
     // the metered entry points ARE the engine now, so any overhead here is
-    // overhead every caller pays. Enabled flushes per-chunk locals into
-    // atomics — the contract is "counters cost nothing inside the loop".
+    // overhead every caller pays. Enabled flushes plain locals into
+    // atomics once per pass — the contract is "counters cost nothing
+    // inside the loop".
     let seq = &full_seq;
     let token = CancelToken::new();
     let full_check = |counters: Option<&EngineCounters>| {
@@ -197,16 +191,13 @@ fn bench_engine_comparison(_c: &mut Criterion) {
     });
 
     let speedup_seq = seed_us / fused_seq_us;
-    let speedup_par = seed_us / fused_par_us;
     let speedup_reduced = seed_us / fused_reduced_us;
     let speedup_reduced_vs_full = fused_seq_us / fused_reduced_us;
     println!(
         "engine_comparison sum_not_two K={k}: seed {} | fused(seq) {} ({speedup_seq:.1}x) | \
-         fused({threads} threads) {} ({speedup_par:.1}x) | reduced {} ({speedup_reduced:.1}x, \
-         {speedup_reduced_vs_full:.1}x over full)",
+         reduced {} ({speedup_reduced:.1}x, {speedup_reduced_vs_full:.1}x over full)",
         fmt_us(seed_us),
         fmt_us(fused_seq_us),
-        fmt_us(fused_par_us),
         fmt_us(fused_reduced_us),
     );
     println!(
@@ -224,20 +215,13 @@ fn bench_engine_comparison(_c: &mut Criterion) {
         fmt_us(disabled_us),
         fmt_us(enabled_us),
     );
-    if threads == 1 {
-        println!(
-            "note: 1 hardware core available — the parallel engine and any \
-             thread-count speedups are measured degenerate here"
-        );
-    }
 
     let json = format!(
         "{{\n  \"bench\": \"verify_scaling/engine_comparison\",\n  \"protocol\": \"sum_not_two\",\n  \
          \"ring_size\": {k},\n  \"domain_size\": 3,\n  \"states\": {},\n  \
          \"seed_sequential_us\": {seed_us:.1},\n  \"fused_sequential_us\": {fused_seq_us:.1},\n  \
-         \"fused_parallel_us\": {fused_par_us:.1},\n  \"fused_reduced_us\": {fused_reduced_us:.1},\n  \
-         \"threads\": {threads},\n  \
-         \"speedup_fused_sequential\": {speedup_seq:.2},\n  \"speedup_fused_parallel\": {speedup_par:.2},\n  \
+         \"fused_reduced_us\": {fused_reduced_us:.1},\n  \
+         \"speedup_fused_sequential\": {speedup_seq:.2},\n  \
          \"speedup_reduced\": {speedup_reduced:.2},\n  \
          \"speedup_reduced_vs_full\": {speedup_reduced_vs_full:.2},\n  \
          \"speedup_reduced_scan\": {speedup_reduced_scan:.2},\n  \
@@ -248,8 +232,8 @@ fn bench_engine_comparison(_c: &mut Criterion) {
          \"reduced_phase_totals_us\": {{\"fused_scan\": {}, \"livelock_dfs\": {}}},\n  \
          \"max_k\": {{\"ring_size\": {k_max}, \"states\": {}, \"fused_full_us\": {max_full_us:.1}, \
          \"fused_reduced_us\": {max_reduced_us:.1}, \"speedup_reduced_vs_full\": {:.2}}},\n  \
-         \"note\": \"timings from a {threads}-core container; parallel speedups are hardware-bound \
-         and the reduced engine is sequential by construction\"\n}}\n",
+         \"note\": \"best of {reps} runs per engine, each on one thread; timings depend on \
+         the host\"\n}}\n",
         ring.space().len(),
         snap.micros[Phase::FusedScan.index()],
         snap.micros[Phase::LivelockDfs.index()],
@@ -282,14 +266,12 @@ fn bench_engine_comparison(_c: &mut Criterion) {
                 "states": ring.space().len() as u64,
                 "seed_sequential_us": seed_us,
                 "fused_sequential_us": fused_seq_us,
-                "fused_parallel_us": fused_par_us,
                 "fused_reduced_us": fused_reduced_us,
                 "speedup_fused_sequential": speedup_seq,
-                "speedup_fused_parallel": speedup_par,
                 "speedup_reduced": speedup_reduced,
                 "speedup_reduced_vs_full": speedup_reduced_vs_full,
             }),
-            meta: RegistryRow::meta_now((seed_us + fused_seq_us + fused_par_us) as u64),
+            meta: RegistryRow::meta_now((seed_us + fused_seq_us + fused_reduced_us) as u64),
         };
         let path = std::path::Path::new(&registry);
         if let Err(e) = append_row(path, &row) {

@@ -8,8 +8,7 @@
 //!   "k_from": 2,
 //!   "k_to": 8,
 //!   "max_states": 10000000,
-//!   "timeout_ms": 30000,
-//!   "engine_threads": 1
+//!   "timeout_ms": 30000
 //! }
 //! ```
 //!
@@ -21,15 +20,15 @@
 //!   reported [`Outcome::OverBudget`](crate::Outcome) without running.
 //! * `timeout_ms` — optional per-job wall-clock deadline (cooperatively
 //!   polled by the engine; an aborted job also degrades to `OverBudget`).
-//! * `engine_threads` — intra-check parallelism handed to
-//!   [`EngineConfig`](selfstab_global::EngineConfig), composable with the
-//!   campaign's own `--jobs` worker count. Only the dense scan runs in
-//!   parallel, so it matters under `"symmetry": "full"` alone: the
-//!   default scans one necklace per orbit, sequentially.
 //! * `symmetry` — optional rotation-symmetry reduction policy for every
 //!   job: `"auto"` (default; `"reduced"` is another spelling of it) or
-//!   `"full"`. Like thread counts, the mode never changes any verdict and
+//!   `"full"`. Like worker counts, the mode never changes any verdict and
 //!   is therefore excluded from the fingerprint.
+//!
+//! Every check runs on the thread of the pool worker that claimed it, so
+//! the only parallelism is the campaign's own `--jobs` worker count. An
+//! `engine_threads` key, which older manifests carry, is accepted and has
+//! no effect.
 
 use std::path::{Path, PathBuf};
 
@@ -52,8 +51,6 @@ pub struct Manifest {
     pub max_states: u64,
     /// Optional per-job wall-clock deadline in milliseconds.
     pub timeout_ms: Option<u64>,
-    /// Worker threads *inside* each job's dense fused scan.
-    pub engine_threads: usize,
     /// Rotation-symmetry reduction policy for every job's engine.
     pub symmetry: selfstab_global::SymmetryMode,
 }
@@ -120,7 +117,6 @@ impl Manifest {
             .as_u64()
             .unwrap_or(selfstab_global::instance::DEFAULT_MAX_STATES);
         let timeout_ms = v["timeout_ms"].as_u64();
-        let engine_threads = v["engine_threads"].as_u64().unwrap_or(1) as usize;
         let symmetry = match v["symmetry"].as_str() {
             None => selfstab_global::SymmetryMode::default(),
             Some(mode) => mode.parse().map_err(|e: String| {
@@ -134,7 +130,6 @@ impl Manifest {
             k_to,
             max_states,
             timeout_ms,
-            engine_threads,
             symmetry,
         })
     }
@@ -162,8 +157,8 @@ impl Manifest {
 
     /// A stable fingerprint of the semantic manifest fields (specs, K
     /// range, budgets), used to refuse resuming a journal written by a
-    /// different campaign. Worker counts, engine threads and the symmetry
-    /// mode are excluded: they never change any verdict.
+    /// different campaign. Worker counts and the symmetry mode are
+    /// excluded: they never change any verdict.
     pub fn fingerprint(&self) -> String {
         // FNV-1a over a canonical rendering; no external hash deps.
         let mut canon = String::new();
@@ -311,7 +306,7 @@ mod tests {
         assert_eq!(full.symmetry, selfstab_global::SymmetryMode::Full);
         assert_eq!(reduced.symmetry, selfstab_global::SymmetryMode::Auto);
         // The mode never changes a verdict, so journals must stay
-        // resumable across it — exactly like engine_threads.
+        // resumable across it — exactly like the worker count.
         assert_eq!(a.fingerprint(), full.fingerprint());
         assert_eq!(a.fingerprint(), reduced.fingerprint());
         let bad = Manifest::from_json_text(

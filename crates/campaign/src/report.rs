@@ -142,7 +142,6 @@ mod tests {
             k_to: 3,
             max_states: 1024,
             timeout_ms: None,
-            engine_threads: 1,
             symmetry: selfstab_global::SymmetryMode::Auto,
         }
     }

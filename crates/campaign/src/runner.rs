@@ -53,8 +53,6 @@ impl std::error::Error for CampaignError {}
 pub struct CampaignConfig {
     /// Job-level worker threads (the work-stealing pool size).
     pub workers: usize,
-    /// Override of the manifest's per-job engine threads, if any.
-    pub engine_threads: Option<usize>,
     /// Override of the manifest's rotation-symmetry policy, if any.
     pub symmetry: Option<selfstab_global::SymmetryMode>,
     /// Journal file; `None` runs without journaling (not resumable).
@@ -94,7 +92,6 @@ impl Default for CampaignConfig {
     fn default() -> Self {
         CampaignConfig {
             workers: 1,
-            engine_threads: None,
             symmetry: None,
             journal_path: None,
             resume: false,
@@ -229,13 +226,8 @@ pub fn run_campaign(
     // reuses the Arc.
     let slots: Vec<OnceLock<SpecData>> =
         (0..manifest.specs.len()).map(|_| OnceLock::new()).collect();
-    let engine = EngineConfig::with_threads(
-        config
-            .engine_threads
-            .unwrap_or(manifest.engine_threads)
-            .max(1),
-    )
-    .with_symmetry(config.symmetry.unwrap_or(manifest.symmetry));
+    let engine =
+        EngineConfig::default().with_symmetry(config.symmetry.unwrap_or(manifest.symmetry));
 
     // Telemetry sinks. `None` when neither `--metrics` nor `--trace` was
     // asked for: the job path then allocates no counters and times no
@@ -461,13 +453,7 @@ pub fn run_campaign(
     let rendered_report = report::render(&report);
     let (metrics, trace) = match &tele {
         Some(t) => (
-            Some(t.metrics_json(
-                manifest,
-                &fingerprint,
-                config.workers.max(1),
-                engine.threads.max(1),
-                replayed,
-            )),
+            Some(t.metrics_json(manifest, &fingerprint, config.workers.max(1), replayed)),
             t.trace.as_ref().map(TraceCollector::to_json),
         ),
         None => (None, None),

@@ -3,10 +3,10 @@
 //! builders of the `--metrics` and `--trace` documents.
 //!
 //! The metrics document keeps the engine's **deterministic** counters
-//! (identical for every worker count and engine thread count on a
-//! completed job) strictly apart from **scheduling** numbers (steals,
-//! queue depths, retries, `closure_checks`) and from durations — only the
-//! first class is ever compared across runs.
+//! (identical for every worker count on a completed job) strictly apart
+//! from **scheduling** numbers (steals, queue depths, retries,
+//! `closure_checks`) and from durations — only the first class is ever
+//! compared across runs.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -126,7 +126,6 @@ impl CampaignTelemetry {
         manifest: &Manifest,
         fingerprint: &str,
         workers: usize,
-        engine_threads: usize,
         replayed: usize,
     ) -> Value {
         let records = self.jobs.lock().expect("job records poisoned");
@@ -154,10 +153,9 @@ impl CampaignTelemetry {
         }
         let executed = rows.len();
         let mut campaign = BTreeMap::new();
-        campaign.insert(
-            "engine_threads".to_owned(),
-            Value::from(engine_threads as u64),
-        );
+        // Every check runs on its pool worker's thread; the key stays for
+        // readers of the document.
+        campaign.insert("engine_threads".to_owned(), Value::from(1u64));
         campaign.insert("executed".to_owned(), Value::from(executed as u64));
         campaign.insert("fingerprint".to_owned(), Value::from(fingerprint));
         campaign.insert("jobs".to_owned(), Value::from(jobs.len() as u64));

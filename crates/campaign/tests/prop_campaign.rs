@@ -116,17 +116,16 @@ proptest! {
 
     /// The metrics document's per-job engine counters (and outcomes, and
     /// state counts) are a pure function of the manifest — identical for
-    /// every worker count and engine thread count. Durations, attempts
-    /// and scheduling stats are exempt by construction: they live in
-    /// fields this projection does not read.
+    /// every worker count. Durations, attempts and scheduling stats are
+    /// exempt by construction: they live in fields this projection does
+    /// not read.
     #[test]
     fn metric_counters_are_scheduling_invariant(manifest in arb_manifest()) {
-        let deterministic_rows = |workers: usize, engine_threads: Option<usize>| {
+        let deterministic_rows = |workers: usize| {
             let metrics = run_campaign(
                 &manifest,
                 &CampaignConfig {
                     workers,
-                    engine_threads,
                     telemetry: true,
                     ..CampaignConfig::default()
                 },
@@ -146,15 +145,14 @@ proptest! {
                 })
                 .collect::<Vec<String>>()
         };
-        let base = deterministic_rows(1, None);
+        let base = deterministic_rows(1);
         prop_assert!(!base.is_empty());
-        for (workers, threads) in [(2, None), (4, Some(2))] {
+        for workers in [2, 4] {
             prop_assert_eq!(
-                &deterministic_rows(workers, threads),
+                &deterministic_rows(workers),
                 &base,
-                "counters diverged at workers={} threads={:?}",
-                workers,
-                threads
+                "counters diverged at workers={}",
+                workers
             );
         }
     }

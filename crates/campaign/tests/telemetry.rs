@@ -103,17 +103,16 @@ fn metrics_document_has_the_canonical_shape() {
 
 #[test]
 fn metric_counters_are_invariant_across_workers_and_engine_threads() {
-    // The default mode runs the necklace scan at every engine thread count;
-    // `full` sends the engine-thread axis through the chunked dense scan.
+    // Both engine paths, each also with a manifest `engine_threads` key,
+    // which parses and has no effect.
     const SMALL_FULL: &str = r#"{"specs": ["specs/agreement.stab", "specs/agreement_both.stab"], "k_from": 2, "k_to": 4, "symmetry": "full"}"#;
     for text in [SMALL, SMALL_FULL] {
-        let m = manifest(text);
-        let run = |workers: usize, engine_threads: Option<usize>| {
+        let threaded = text.replacen('{', r#"{"engine_threads": 3, "#, 1);
+        let run = |text: &str, workers: usize| {
             run_campaign(
-                &m,
+                &manifest(text),
                 &CampaignConfig {
                     workers,
-                    engine_threads,
                     telemetry: true,
                     ..CampaignConfig::default()
                 },
@@ -122,12 +121,14 @@ fn metric_counters_are_invariant_across_workers_and_engine_threads() {
             .metrics
             .expect("telemetry produces metrics")
         };
-        let base = deterministic_rows(&run(1, None));
-        for (workers, threads) in [(2, None), (4, None), (1, Some(3)), (3, Some(2))] {
+        let base = deterministic_rows(&run(text, 1));
+        for (text, workers) in [(text, 2), (text, 4), (&threaded[..], 1), (&threaded[..], 3)] {
+            let metrics = run(text, workers);
+            assert_eq!(metrics["campaign"]["engine_threads"], 1u64, "{text}");
             assert_eq!(
-                deterministic_rows(&run(workers, threads)),
+                deterministic_rows(&metrics),
                 base,
-                "counters diverged at workers={workers} threads={threads:?} in {text}"
+                "counters diverged at workers={workers} in {text}"
             );
         }
     }

@@ -2,8 +2,8 @@
 //! [--json]` — the full battery: local proofs, global cross-checks at
 //! every size up to a bound, and trail reconstruction when the livelock
 //! certificate fails. `--symmetry auto|full` selects the rotation-symmetry
-//! reduction policy and `--threads` parallelizes the dense scan that
-//! `full` runs; neither changes any verdict.
+//! reduction policy and never changes any verdict. The checks run on one
+//! thread; `--threads T` still parses and has no effect.
 //!
 //! Exit code 0 means every checked size is self-stabilizing; 2 means some
 //! size FAILS or — far worse — a locally-proven protocol was contradicted
@@ -21,7 +21,8 @@ pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
     let protocol = load_protocol(&args)?;
     let to = args.get_usize("to", 6)?;
     let symmetry: SymmetryMode = args.get("symmetry").unwrap_or("auto").parse()?;
-    let engine = EngineConfig::with_threads(args.get_usize("threads", 1)?).with_symmetry(symmetry);
+    args.get_usize("threads", 1)?;
+    let engine = EngineConfig::default().with_symmetry(symmetry);
     let json_mode = args.flag("json");
 
     let report = StabilizationReport::analyze(&protocol);

@@ -5,9 +5,8 @@
 //! `auto` (the default; `reduced` is another spelling of it) scans one
 //! necklace per rotation orbit and lifts counts by orbit size, producing
 //! the byte-identical report at a fraction of the work; `full` scans every
-//! dense state. `--threads` parallelizes the dense scan only, so it
-//! matters under `full`; the verdict and every reported witness are
-//! identical for any thread count (default 1, fully sequential).
+//! dense state. The check runs on one thread; `--threads T` still parses
+//! (a non-negative number) and has no effect.
 
 use selfstab_global::{check::ConvergenceReport, EngineConfig, RingInstance, SymmetryMode};
 
@@ -22,7 +21,8 @@ pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
         return Err("--to must be at least --k".into());
     }
     let symmetry: SymmetryMode = args.get("symmetry").unwrap_or("auto").parse()?;
-    let engine = EngineConfig::with_threads(args.get_usize("threads", 1)?).with_symmetry(symmetry);
+    args.get_usize("threads", 1)?;
+    let engine = EngineConfig::default().with_symmetry(symmetry);
 
     let mut all_ok = true;
     let mut json_rows = Vec::new();

@@ -11,7 +11,9 @@
 //! The report is canonical JSON — byte-identical for every worker count,
 //! symmetry mode, resume split and retry budget — so it can be diffed,
 //! archived, and gated on in CI. `--symmetry auto|full` overrides the
-//! manifest's rotation-symmetry reduction policy for every job.
+//! manifest's rotation-symmetry reduction policy for every job. Each job
+//! runs on its worker's thread; `--threads T` still parses and has no
+//! effect.
 //!
 //! Observability: `--metrics FILE` writes a metrics document (per-job
 //! engine counters and phase breakdowns, campaign phase totals, pool
@@ -66,10 +68,7 @@ pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
         .as_ref();
     let manifest = Manifest::from_file(manifest_path)?;
 
-    let engine_threads = match args.get("threads") {
-        None => None,
-        Some(_) => Some(args.get_usize("threads", 1)?),
-    };
+    args.get_usize("threads", 1)?;
     let symmetry = match args.get("symmetry") {
         None => None,
         Some(mode) => Some(mode.parse::<selfstab_global::SymmetryMode>()?),
@@ -95,7 +94,6 @@ pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
     let progress = Arc::new(Progress::new());
     let config = CampaignConfig {
         workers: args.get_usize("jobs", 1)?,
-        engine_threads,
         symmetry,
         journal_path: Some(journal_path.clone()),
         resume: args.flag("resume"),

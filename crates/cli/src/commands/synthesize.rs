@@ -1,6 +1,8 @@
 //! `selfstab synthesize <file.stab> [--first] [--threads N] [--json]
 //! [--prune on|off] [--metrics FILE]` — the Section 6 local synthesis
-//! methodology on the streaming parallel engine.
+//! methodology on the streaming engine. Candidates are verified on one
+//! thread; `--threads N` still parses (a positive number) and has no
+//! effect.
 //!
 //! Exit codes follow the verification convention: 0 when synthesis
 //! succeeds, 1 on usage/IO errors, 2 when the methodology ran and declared
@@ -18,8 +20,7 @@ pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
     let args = Args::parse(raw)?;
     logger::set_level_from_flags(args.flag("verbose"), args.flag("quiet"), false);
     let protocol = load_protocol(&args)?;
-    let threads = args.get_usize("threads", 1)?;
-    if threads == 0 {
+    if args.get_usize("threads", 1)? == 0 {
         return Err("option --threads expects a positive number".into());
     }
     let prune = match args.get("prune").unwrap_or("on") {
@@ -31,7 +32,6 @@ pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
     };
     let config = SynthesisConfig {
         max_solutions: if args.flag("first") { 1 } else { 64 },
-        threads,
         prune,
         ..SynthesisConfig::default()
     };
@@ -53,14 +53,15 @@ pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
     ));
 
     if let Some(path) = args.get("metrics") {
-        // The metrics sidecar is the one place the scheduling-dependent
-        // counters (cancel_polls and the pruning tallies) are written out;
-        // `--json` stays byte-identical across thread counts and prune
-        // modes, so it cannot carry them.
+        // The metrics sidecar is the one place the work tallies that
+        // differ between prune modes (and cancel_polls) are written out;
+        // `--json` stays byte-identical across prune modes, so it cannot
+        // carry them. `threads` reads 1: candidates are verified on one
+        // thread.
         let snap = counters.snapshot();
         let doc = serde_json::json!({
             "protocol": protocol.name(),
-            "threads": threads,
+            "threads": 1,
             "prune": prune,
             "counters": {
                 "resolve_sets_examined": snap.resolve_sets_examined,

@@ -2,12 +2,12 @@
 //!
 //! ```text
 //! selfstab analyze    <file.stab>                  local proofs (Theorems 4.2 / 5.14)
-//! selfstab audit      <file.stab> [--to 6] [--threads T] [--symmetry M]  proofs + global cross-checks + reconstruction
-//! selfstab check      <file.stab> --k 5 [--to 8] [--threads T] [--symmetry M]  global model checking at fixed sizes
-//! selfstab sweep      <manifest.json> [--jobs J] [--threads T] [--symmetry M]  batch campaign over a spec corpus
+//! selfstab audit      <file.stab> [--to 6] [--symmetry M]  proofs + global cross-checks + reconstruction
+//! selfstab check      <file.stab> --k 5 [--to 8] [--symmetry M]  global model checking at fixed sizes
+//! selfstab sweep      <manifest.json> [--jobs J] [--symmetry M]  batch campaign over a spec corpus
 //! selfstab stats      <metrics.json|journal>         phase-time cross-tab of a sweep --metrics file or serve journal
 //! selfstab registry   <show|tab|diff> <registry.jsonl> [...]  query the persistent results registry
-//! selfstab synthesize <file.stab> [--first] [--threads T] [--prune on|off] [--metrics FILE] [--json]  Section 6 synthesis methodology
+//! selfstab synthesize <file.stab> [--first] [--prune on|off] [--metrics FILE] [--json]  Section 6 synthesis methodology
 //! selfstab serve      [--port P] [--threads T] [--cache-mb M] [--journal F] [--cache-snapshot F]  HTTP verification service with result caching and crash durability
 //! selfstab sizes      <file.stab> [--max 20]       exact deadlocked ring sizes
 //! selfstab simulate   <file.stab> --k 10 [...]     random-daemon convergence runs
@@ -19,6 +19,11 @@
 //! the protocol is not self-stabilizing" in the exit code: `0` means
 //! verified, `1` means a usage or IO error, `2` means verification failed
 //! (or, for `audit`/`sweep`, a soundness disagreement was detected).
+//!
+//! One check or synthesis runs on one thread; whole jobs run in parallel
+//! in the `sweep --jobs` and `serve --threads` pools. `--threads T` on
+//! `check`, `audit`, `sweep` and `synthesize` still parses and has no
+//! effect.
 
 mod args;
 mod commands;
@@ -88,14 +93,14 @@ USAGE:
 SUBCOMMANDS:
     analyze     Theorem 4.2 / 5.14 local analysis (all ring sizes at once)
     audit       local proofs + global cross-checks + trail reconstruction
-                ([--to K] [--threads T] [--symmetry auto|full] [--json])
+                ([--to K] [--symmetry auto|full] [--json])
     check       explicit-state global check at fixed ring sizes
-                (--k N [--to M] [--threads T] [--symmetry auto|full]
+                (--k N [--to M] [--symmetry auto|full]
                  — `auto`, the default, scans one state per rotation orbit
-                 and lifts counts by orbit size; `full` scans every state,
-                 on T threads; the report is byte-identical)
+                 and lifts counts by orbit size; `full` scans every state;
+                 the report is byte-identical)
     sweep       batch campaign over a manifest's spec × K matrix
-                (--jobs J worker threads, --threads T engine threads per job,
+                (--jobs J worker threads, one job per worker at a time,
                  --symmetry auto|full overrides the manifest policy,
                  --resume to continue from the journal, --journal FILE,
                  --retries N retry panicked jobs with exponential backoff,
@@ -129,12 +134,11 @@ SUBCOMMANDS:
                    to lower-is-better unless listed in
                    --higher-is-better)
     synthesize  add convergence via the Section 6 methodology
-                ([--first] stop at one solution, [--threads T] parallel
-                 candidate verification — same output for every T,
+                ([--first] stop at one solution,
                  [--prune on|off] monotone lattice pruning, default on —
                  identical outcome either way, fewer candidates verified,
                  [--metrics FILE] full counter snapshot sidecar including
-                 the scheduling-dependent pruning tallies,
+                 the pruning tallies,
                  [--json] machine-readable outcome; exit 2 when the
                  methodology declares failure)
     serve       long-running HTTP verification service (JSON job API)

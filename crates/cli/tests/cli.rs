@@ -161,6 +161,7 @@ fn synthesize_json_stdout_is_byte_identical_across_thread_counts() {
     let path = spec("sum_not_two_empty.stab");
     let baseline = selfstab(&["synthesize", path.to_str().unwrap(), "--json"]);
     assert!(baseline.status.success(), "{}", stderr(&baseline));
+    let metrics_path = std::env::temp_dir().join("selfstab-synth-threads.metrics.json");
     for threads in ["1", "2", "8"] {
         let out = selfstab(&[
             "synthesize",
@@ -168,12 +169,18 @@ fn synthesize_json_stdout_is_byte_identical_across_thread_counts() {
             "--json",
             "--threads",
             threads,
+            "--metrics",
+            metrics_path.to_str().unwrap(),
         ]);
         assert!(out.status.success(), "{}", stderr(&out));
         assert_eq!(
             out.stdout, baseline.stdout,
             "--threads {threads} changed the --json bytes"
         );
+        // The sidecar keeps its `threads` key, which reads 1.
+        let metrics: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&metrics_path).unwrap()).unwrap();
+        assert_eq!(metrics["threads"], 1, "--threads {threads}");
     }
 }
 
@@ -991,6 +998,12 @@ fn sweep_metrics_counters_are_byte_identical_across_thread_counts() {
         assert!(out.status.success(), "{}", stderr(&out));
         let metrics: serde_json::Value =
             serde_json::from_str(&std::fs::read_to_string(&metrics_path).unwrap()).unwrap();
+        // `--threads` parses and has no effect: every check runs on its
+        // worker's thread.
+        assert_eq!(
+            metrics["campaign"]["engine_threads"], 1,
+            "--threads {threads}"
+        );
         let rows = metrics["jobs"].as_array().unwrap();
         assert_eq!(rows.len(), 8);
         rows.iter()

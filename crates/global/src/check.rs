@@ -212,15 +212,13 @@ pub struct ConvergenceReport {
 
 impl ConvergenceReport {
     /// Runs the full check: closure, deadlock-freedom and livelock-freedom
-    /// outside `I(K)`. Sequential; see [`ConvergenceReport::check_with`]
-    /// for the parallel engine.
+    /// outside `I(K)`, under the default [`EngineConfig`].
     pub fn check(ring: &RingInstance) -> Self {
-        Self::check_with(ring, &EngineConfig::sequential())
+        Self::check_with(ring, &EngineConfig::default())
     }
 
     /// [`ConvergenceReport::check_metered`] without a deadline or
-    /// telemetry. The report is identical for every `config.threads`
-    /// value.
+    /// telemetry. The report is identical for every `config`.
     pub fn check_with(ring: &RingInstance, config: &EngineConfig) -> Self {
         Self::check_metered(ring, config, &CancelToken::new(), None, None)
             .expect("a fresh token never cancels the check")
@@ -238,7 +236,7 @@ impl ConvergenceReport {
     /// `cancel` aborts the check early (explicitly or by wall-clock
     /// deadline); a completed check is identical to an unbounded one.
     /// `counters` receives the engine's work counters (see the two passes
-    /// for what is counted and which values are thread-count-invariant),
+    /// for what is counted and what each value depends on),
     /// and `phases` times each pass as one [`Phase::FusedScan`] and one
     /// [`Phase::LivelockDfs`] span. Neither changes the report.
     ///

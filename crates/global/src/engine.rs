@@ -1,4 +1,4 @@
-//! Fused, parallel, allocation-free convergence scanning.
+//! Fused, allocation-free convergence scanning.
 //!
 //! [`ConvergenceReport::check`](crate::check::ConvergenceReport::check)
 //! needs three facts about the global state space: the size of `I(K)`, how
@@ -22,15 +22,13 @@
 //!
 //! On a rotation-symmetric ring the default [`SymmetryMode::Auto`] runs the
 //! same pass over one necklace per rotation orbit instead (DESIGN.md §10).
-//! The dense pass splits the id range into 64-aligned chunks handed to a
-//! scoped thread pool ([`EngineConfig::threads`]); each chunk produces an
-//! independent `ChunkOut` summary and the summaries are merged in
-//! ascending chunk order, so **the result is bit-for-bit identical for
-//! every thread count**, including the identity of the first closure
-//! violation and of the first deadlock.
+//! Both passes run on the calling thread, in ascending id order, so the
+//! first closure violation and the first deadlock are the least ones. Whole
+//! checks run concurrently one level up, in the job pools of `sweep --jobs`
+//! and `serve --threads`.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use selfstab_protocol::{LocalStateId, Value};
@@ -159,8 +157,8 @@ pub enum SymmetryMode {
     /// Enumerate one representative per rotation orbit (`~d^K / K`
     /// necklaces), lift counts by orbit size, and run the livelock search
     /// on the quotient graph first — on every rotation-symmetric instance,
-    /// at every `K` and every [`EngineConfig::threads`]. Heterogeneous
-    /// rings, where the reduction does not apply, take the dense path.
+    /// at every `K`. Heterogeneous rings, where the reduction does not
+    /// apply, take the dense path.
     /// Parses from `auto` and, as another spelling, `reduced`.
     #[default]
     Auto,
@@ -183,43 +181,23 @@ impl std::str::FromStr for SymmetryMode {
 }
 
 /// Tuning knobs of the fused engine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker threads for the dense scan. `0` and `1` both mean sequential
-    /// (the default). The necklace scan that [`SymmetryMode::Auto`] runs
-    /// on rotation-symmetric rings is sequential and ignores it, so only
-    /// [`SymmetryMode::Full`] and heterogeneous rings scan in parallel.
-    pub threads: usize,
     /// Rotation-symmetry reduction policy (default [`SymmetryMode::Auto`]).
     pub symmetry: SymmetryMode,
 }
 
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            threads: 1,
-            symmetry: SymmetryMode::Auto,
-        }
-    }
-}
-
 impl EngineConfig {
-    /// A sequential configuration.
-    pub fn sequential() -> Self {
+    /// The default configuration, whatever `threads` says: the engine runs
+    /// on the calling thread. Kept so that callers written against the
+    /// removed per-check thread count still compile.
+    pub fn with_threads(_threads: usize) -> Self {
         EngineConfig::default()
-    }
-
-    /// A configuration with `threads` workers.
-    pub fn with_threads(threads: usize) -> Self {
-        EngineConfig {
-            threads,
-            ..EngineConfig::default()
-        }
     }
 
     /// The same configuration with the given symmetry mode.
     pub fn with_symmetry(self, symmetry: SymmetryMode) -> Self {
-        EngineConfig { symmetry, ..self }
+        EngineConfig { symmetry }
     }
 
     /// Resolves the symmetry policy against a concrete instance: `true`
@@ -266,12 +244,6 @@ impl DeadlockSummary {
         self.count += n;
         self.first.get_or_insert(least);
     }
-
-    /// Appends the summary of a later (higher) id range.
-    fn merge(&mut self, later: DeadlockSummary) {
-        self.count += later.count;
-        self.first = self.first.or(later.first);
-    }
 }
 
 /// The result of one fused sweep over the global state space.
@@ -303,16 +275,8 @@ impl FusedScan {
     }
 }
 
-/// Per-chunk accumulator; chunks merge associatively in ascending order.
-struct ChunkOut {
-    legit_count: u64,
-    deadlocks: DeadlockSummary,
-    violation: Option<(GlobalStateId, Move)>,
-    /// The bitmap words covering the chunk's (64-aligned) id range.
-    bits: Vec<u64>,
-}
-
-/// Precomputed window geometry shared by every chunk of one scan.
+/// Precomputed window geometry of one ring, shared by its scan and its
+/// livelock search.
 struct ScanPlan {
     ring_size: usize,
     domain_size: u64,
@@ -419,36 +383,37 @@ impl ScanPlan {
     }
 }
 
-/// Scans ids `start..end`, where `start` is 64-aligned (or 0). Returns
-/// `None` if the token fired mid-chunk.
+/// The dense sweep over every id in `0..d^K`, in ascending order. Returns
+/// `None` if the token fired before it completed.
 ///
 /// Telemetry discipline: the loop tallies into plain locals and flushes
-/// them into `counters` **once**, after the chunk completes — so with
+/// them into `counters` **once**, after the sweep completes — so with
 /// `counters: None` the loop is bit-identical to the uninstrumented one,
 /// and with `Some` the per-state cost is still zero.
-fn scan_chunk(
+fn scan_dense(
     ring: &RingInstance,
     plan: &ScanPlan,
-    start: u64,
-    end: u64,
     cancel: &CancelToken,
     counters: Option<&EngineCounters>,
-) -> Option<ChunkOut> {
+) -> Option<FusedScan> {
     let k = plan.ring_size;
     let d = plan.domain_size;
-    let mut digits = ring.space().decode(GlobalStateId(start));
+    let n = ring.space().len();
+    // Id 0 is the all-zero ring.
+    let mut digits: Vec<Value> = vec![0; k];
     let mut locals: Vec<LocalStateId> = vec![LocalStateId(0); k];
 
-    let mut out = ChunkOut {
+    let mut scan = FusedScan {
         legit_count: 0,
-        deadlocks: DeadlockSummary::default(),
-        violation: None,
-        bits: vec![0u64; ((end - start) as usize).div_ceil(64)],
+        illegitimate_deadlocks: DeadlockSummary::default(),
+        first_closure_violation: None,
+        legit_bits: vec![0u64; (n as usize).div_ceil(64)],
+        frontier: None,
     };
     let mut polls: u64 = 0;
     let mut closure_checks: u64 = 0;
 
-    for gid in start..end {
+    for gid in 0..n {
         if gid % CANCEL_STRIDE == 0 {
             polls += 1;
             if cancel.is_cancelled() {
@@ -466,14 +431,15 @@ fn scan_chunk(
         }
 
         if all_legit {
-            out.legit_count += 1;
-            out.bits[((gid - start) / 64) as usize] |= 1 << (gid % 64);
-            if out.violation.is_none() {
+            scan.legit_count += 1;
+            scan.legit_bits[(gid / 64) as usize] |= 1 << (gid % 64);
+            if scan.first_closure_violation.is_none() {
                 closure_checks += 1;
-                out.violation = first_violation_at(ring, plan, &digits, &locals, gid);
+                scan.first_closure_violation =
+                    first_violation_at(ring, plan, &digits, &locals, gid);
             }
         } else if !any_enabled {
-            out.deadlocks.add(GlobalStateId(gid), 1);
+            scan.illegitimate_deadlocks.add(GlobalStateId(gid), 1);
         }
 
         // Mixed-radix increment: x_{K-1} is the least significant digit.
@@ -486,15 +452,16 @@ fn scan_chunk(
         }
     }
     if let Some(c) = counters {
-        c.states_visited.fetch_add(end - start, Ordering::Relaxed);
-        c.legit_states.fetch_add(out.legit_count, Ordering::Relaxed);
+        c.states_visited.fetch_add(n, Ordering::Relaxed);
+        c.legit_states
+            .fetch_add(scan.legit_count, Ordering::Relaxed);
         c.deadlocks_found
-            .fetch_add(out.deadlocks.count, Ordering::Relaxed);
+            .fetch_add(scan.illegitimate_deadlocks.count, Ordering::Relaxed);
         c.closure_checks
             .fetch_add(closure_checks, Ordering::Relaxed);
         c.cancel_polls.fetch_add(polls, Ordering::Relaxed);
     }
-    Some(out)
+    Some(scan)
 }
 
 /// The first closure violation out of the legitimate state `gid`, in
@@ -644,11 +611,8 @@ fn scan_reduced(
 }
 
 /// Runs the fused sweep. Under [`SymmetryMode::Auto`] a rotation-symmetric
-/// ring takes the sequential necklace sweep. Otherwise the sweep is dense:
-/// with `config.threads <= 1`, or a space of at most 4,096 states, it is a
-/// single sequential chunk, and otherwise 64-aligned chunks are
-/// distributed over scoped worker threads and merged in ascending chunk
-/// order, so the result is identical to the sequential one.
+/// ring takes the necklace sweep; otherwise the sweep is dense. Both run
+/// on the calling thread.
 pub fn fused_scan(ring: &RingInstance, config: &EngineConfig) -> FusedScan {
     fused_scan_metered(ring, config, &CancelToken::new(), None)
         .expect("a fresh token never cancels the scan")
@@ -658,92 +622,33 @@ pub fn fused_scan(ring: &RingInstance, config: &EngineConfig) -> FusedScan {
 /// (explicitly or by deadline) before the sweep completes, and optionally
 /// flushing work counters into `counters` (states visited, legitimate
 /// states, deadlocks, closure checks, cancel polls). A completed sweep is
-/// identical to an unbounded one. Counters are accumulated per chunk in
-/// plain locals and flushed once at chunk end, so the scan loop pays
+/// identical to an unbounded one. Counters are accumulated in plain locals
+/// and flushed once when the sweep completes, so the scan loop pays
 /// nothing; `counters: None` does no telemetry work at all.
 ///
-/// For a *completed* scan every flushed counter except `closure_checks`
-/// is identical for every `config.threads` value (`closure_checks`
-/// short-circuits per chunk, so its tally depends on the chunking).
+/// For a *completed* scan every flushed counter is a pure function of the
+/// ring and the symmetry mode. `closure_checks` differs between the two
+/// modes: up to the first violation, the dense sweep re-encodes every
+/// legitimate state and the necklace sweep only each orbit's
+/// representative.
 ///
 /// # Errors
 ///
 /// Returns [`Cancelled`] if the token fired before the scan finished
-/// (nothing is flushed for chunks that did not complete).
+/// (nothing is flushed then).
 pub fn fused_scan_metered(
     ring: &RingInstance,
     config: &EngineConfig,
     cancel: &CancelToken,
     counters: Option<&EngineCounters>,
 ) -> Result<FusedScan, Cancelled> {
-    let n = ring.space().len();
     let plan = ScanPlan::new(ring);
-    let threads = config.threads.max(1);
-
-    if config.use_reduced(ring) {
-        return scan_reduced(ring, &plan, cancel, counters).ok_or(Cancelled);
-    }
-
-    // Aim for several chunks per worker so stragglers balance out, but
-    // keep chunks 64-aligned so each owns whole bitmap words.
-    let target = (n / (threads as u64 * 8)).max(4096);
-    let chunk = target.div_ceil(64) * 64;
-    let num_chunks = n.div_ceil(chunk) as usize;
-    if threads == 1 || num_chunks <= 1 {
-        // One chunk is the sequential scan: a worker thread for it would
-        // only add its start-up cost.
-        let out = scan_chunk(ring, &plan, 0, n, cancel, counters).ok_or(Cancelled)?;
-        return Ok(FusedScan {
-            legit_count: out.legit_count,
-            illegitimate_deadlocks: out.deadlocks,
-            first_closure_violation: out.violation,
-            legit_bits: out.bits,
-            frontier: None,
-        });
-    }
-
-    let next = AtomicU64::new(0);
-    let results: Mutex<Vec<(usize, ChunkOut)>> = Mutex::new(Vec::with_capacity(num_chunks));
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(num_chunks) {
-            scope.spawn(|| loop {
-                let c = next.fetch_add(1, Ordering::Relaxed);
-                if c >= num_chunks as u64 || cancel.is_cancelled() {
-                    break;
-                }
-                let start = c * chunk;
-                let end = (start + chunk).min(n);
-                match scan_chunk(ring, &plan, start, end, cancel, counters) {
-                    Some(out) => results.lock().unwrap().push((c as usize, out)),
-                    None => break,
-                }
-            });
-        }
-    });
-
-    let mut parts = results.into_inner().unwrap();
-    if parts.len() != num_chunks {
-        return Err(Cancelled);
-    }
-    parts.sort_unstable_by_key(|(c, _)| *c);
-
-    let mut scan = FusedScan {
-        legit_count: 0,
-        illegitimate_deadlocks: DeadlockSummary::default(),
-        first_closure_violation: None,
-        legit_bits: Vec::with_capacity((n as usize).div_ceil(64)),
-        frontier: None,
+    let scan = if config.use_reduced(ring) {
+        scan_reduced(ring, &plan, cancel, counters)
+    } else {
+        scan_dense(ring, &plan, cancel, counters)
     };
-    for (_, part) in parts {
-        scan.legit_count += part.legit_count;
-        scan.illegitimate_deadlocks.merge(part.deadlocks);
-        if scan.first_closure_violation.is_none() {
-            scan.first_closure_violation = part.violation;
-        }
-        scan.legit_bits.extend(part.bits);
-    }
-    Ok(scan)
+    scan.ok_or(Cancelled)
 }
 
 /// Livelock search reusing a fused scan's legitimacy bitmap: the tricolor
@@ -993,26 +898,26 @@ mod tests {
         DeadlockSummary::of(&check::illegitimate_deadlocks(ring))
     }
 
-    /// The dense path on `threads` workers, which `Auto` never takes on a
-    /// rotation-symmetric ring.
-    fn dense(threads: usize) -> EngineConfig {
-        EngineConfig::with_threads(threads).with_symmetry(SymmetryMode::Full)
+    /// The dense path, which `Auto` never takes on a rotation-symmetric
+    /// ring.
+    fn dense() -> EngineConfig {
+        EngineConfig::default().with_symmetry(SymmetryMode::Full)
     }
 
-    /// The dense sweep (sequential or chunked) against the naive sweeps.
-    fn assert_scan_matches_naive(ring: &RingInstance, threads: usize) {
-        let scan = fused_scan(ring, &dense(threads));
+    /// The dense sweep against the naive sweeps.
+    fn assert_scan_matches_naive(ring: &RingInstance) {
+        let scan = fused_scan(ring, &dense());
         let naive_legit = ring.space().ids().filter(|&s| ring.is_legit(s)).count() as u64;
-        assert_eq!(scan.legit_count, naive_legit, "legit count (t={threads})");
+        assert_eq!(scan.legit_count, naive_legit, "legit count");
         assert_eq!(
             scan.illegitimate_deadlocks,
             reference_deadlocks(ring),
-            "deadlocks (t={threads})"
+            "deadlocks"
         );
         assert_eq!(
             scan.first_closure_violation,
             check::closure_violations(ring).into_iter().next(),
-            "closure witness (t={threads})"
+            "closure witness"
         );
         for s in ring.space().ids() {
             assert_eq!(scan.is_legit(s), ring.is_legit(s), "bitmap at {s}");
@@ -1031,17 +936,15 @@ mod tests {
         for p in &protocols {
             for k in 1..=6 {
                 let ring = RingInstance::symmetric(p, k).unwrap();
-                assert_scan_matches_naive(&ring, 1);
-                assert_scan_matches_naive(&ring, 4);
+                assert_scan_matches_naive(&ring);
             }
         }
     }
 
     #[test]
-    fn deadlock_summary_merges_across_chunks() {
-        // The only illegitimate deadlock is all-ones, the last state: at
-        // K=13 (two 4096-state chunks) chunk 0 finds none, so the merged
-        // `first` must come from chunk 1.
+    fn deadlock_summary_finds_the_last_state() {
+        // The only illegitimate deadlock is all-ones, the last of 8,192
+        // states: both sweeps must count it and name it as the least.
         let p = Protocol::builder("tail", Domain::numeric("x", 2), Locality::unidirectional())
             .action("x[r-1] == 0 && x[r] == 1 -> x[r] := 0")
             .unwrap()
@@ -1056,14 +959,12 @@ mod tests {
         };
         assert_eq!(reference_deadlocks(&ring), expected);
         for symmetry in [SymmetryMode::Full, SymmetryMode::Auto] {
-            for threads in [1, 2, 8] {
-                let cfg = EngineConfig::with_threads(threads).with_symmetry(symmetry);
-                assert_eq!(
-                    fused_scan(&ring, &cfg).illegitimate_deadlocks,
-                    expected,
-                    "{symmetry:?} threads={threads}"
-                );
-            }
+            let cfg = EngineConfig::default().with_symmetry(symmetry);
+            assert_eq!(
+                fused_scan(&ring, &cfg).illegitimate_deadlocks,
+                expected,
+                "{symmetry:?}"
+            );
         }
     }
 
@@ -1077,13 +978,8 @@ mod tests {
             .build()
             .unwrap();
         let ring = RingInstance::symmetric(&p, 5).unwrap();
-        let seq = fused_scan(&ring, &dense(1));
-        for threads in [2, 3, 8] {
-            let par = fused_scan(&ring, &dense(threads));
-            assert_eq!(par.first_closure_violation, seq.first_closure_violation);
-        }
         assert_eq!(
-            seq.first_closure_violation,
+            fused_scan(&ring, &dense()).first_closure_violation,
             check::closure_violations(&ring).into_iter().next()
         );
     }
@@ -1100,8 +996,7 @@ mod tests {
             .unwrap();
         for k in 2..=5 {
             let ring = RingInstance::symmetric(&p, k).unwrap();
-            assert_scan_matches_naive(&ring, 1);
-            assert_scan_matches_naive(&ring, 3);
+            assert_scan_matches_naive(&ring);
         }
     }
 
@@ -1134,12 +1029,11 @@ mod tests {
             let digits = vec![v];
             assert_eq!(plan.local_id(&digits, 0).0, v as u32 * 7);
         }
-        assert_scan_matches_naive(&ring, 1);
-        assert_scan_matches_naive(&ring, 4);
+        assert_scan_matches_naive(&ring);
         // With x[r-1] and x[r+1] aliasing x[r], both states are legit and
         // no guard can fire: a correct degenerate scan reports exactly
         // that instead of an empty sweep.
-        let scan = fused_scan(&ring, &EngineConfig::sequential());
+        let scan = fused_scan(&ring, &EngineConfig::default());
         assert_eq!(scan.legit_count, 2);
         assert!(scan.illegitimate_deadlocks.is_empty());
     }
@@ -1153,18 +1047,16 @@ mod tests {
         let ring = RingInstance::symmetric(&p, 6).unwrap();
         let fired = CancelToken::new();
         fired.cancel();
-        for threads in [1, 3] {
-            assert_eq!(
-                fused_scan_metered(&ring, &dense(threads), &fired, None).err(),
-                Some(Cancelled)
-            );
-        }
-        let scan = fused_scan(&ring, &dense(1));
+        assert_eq!(
+            fused_scan_metered(&ring, &dense(), &fired, None).err(),
+            Some(Cancelled)
+        );
+        let scan = fused_scan(&ring, &dense());
         assert!(find_livelock_metered(&ring, &scan, &fired, None).is_err());
         // An expired deadline behaves like an explicit cancel.
         let expired = CancelToken::with_deadline(Instant::now());
         assert!(expired.is_cancelled());
-        assert!(fused_scan_metered(&ring, &dense(1), &expired, None).is_err());
+        assert!(fused_scan_metered(&ring, &dense(), &expired, None).is_err());
     }
 
     #[test]
@@ -1200,8 +1092,8 @@ mod tests {
         let p = agreement(&["x[r-1] == 1 && x[r] == 0 -> x[r] := 1"]);
         let ring = RingInstance::symmetric(&p, 5).unwrap();
         let token = CancelToken::with_deadline(Instant::now() + std::time::Duration::from_secs(60));
-        let bounded = fused_scan_metered(&ring, &EngineConfig::sequential(), &token, None).unwrap();
-        let plain = fused_scan(&ring, &EngineConfig::sequential());
+        let bounded = fused_scan_metered(&ring, &EngineConfig::default(), &token, None).unwrap();
+        let plain = fused_scan(&ring, &EngineConfig::default());
         assert_eq!(bounded.legit_count, plain.legit_count);
         assert_eq!(bounded.illegitimate_deadlocks, plain.illegitimate_deadlocks);
         assert_eq!(plain.illegitimate_deadlocks, reference_deadlocks(&ring));
@@ -1212,54 +1104,37 @@ mod tests {
     }
 
     #[test]
-    fn metered_counters_are_thread_count_invariant() {
-        // The deterministic counter set of the dense path must be
-        // byte-identical for every engine thread count; `closure_checks`
-        // (per-chunk short-circuit) is the one scheduling-dependent tally
-        // and is excluded from the deterministic JSON by construction.
+    fn dense_counters_match_the_scan() {
         let p = agreement(&[
             "x[r-1] == 0 && x[r] == 1 -> x[r] := 0",
             "x[r-1] == 1 && x[r] == 0 -> x[r] := 1",
         ]);
         let ring = RingInstance::symmetric(&p, 6).unwrap();
         let token = CancelToken::new();
-
-        let run = |threads: usize| {
-            let counters = EngineCounters::new();
-            let scan = fused_scan_metered(&ring, &dense(threads), &token, Some(&counters)).unwrap();
-            let livelock = find_livelock_metered(&ring, &scan, &token, Some(&counters)).unwrap();
-            (counters.snapshot(), scan, livelock)
-        };
-
-        let (seq, scan, livelock) = run(1);
-        assert_eq!(seq.states_visited, ring.space().len());
-        assert_eq!(seq.legit_states, scan.legit_count);
-        assert_eq!(seq.deadlocks_found, scan.illegitimate_deadlocks.count);
+        let counters = EngineCounters::new();
+        let scan = fused_scan_metered(&ring, &dense(), &token, Some(&counters)).unwrap();
+        let livelock = find_livelock_metered(&ring, &scan, &token, Some(&counters)).unwrap();
+        let c = counters.snapshot();
+        assert_eq!(c.states_visited, ring.space().len());
+        assert_eq!(c.legit_states, scan.legit_count);
+        assert_eq!(c.deadlocks_found, scan.illegitimate_deadlocks.count);
         assert_eq!(scan.illegitimate_deadlocks, reference_deadlocks(&ring));
         assert!(livelock.is_some(), "this protocol livelocks at K=6");
-        assert!(seq.dfs_steps > 0);
-        assert!(seq.dfs_max_depth > 0);
-        assert!(seq.cancel_polls > 0);
-
-        for threads in [2, 4] {
-            let (par, _, _) = run(threads);
-            assert_eq!(
-                par.deterministic_json(),
-                seq.deterministic_json(),
-                "threads={threads}"
-            );
-        }
+        assert!(c.dfs_steps > 0);
+        assert!(c.dfs_max_depth > 0);
+        assert!(c.cancel_polls > 0);
+        assert_eq!(c.orbits_visited, 0, "the dense sweep walks no necklace");
 
         // Metered with `None` changes no result.
-        let plain = fused_scan(&ring, &dense(1));
+        let plain = fused_scan(&ring, &dense());
         assert_eq!(plain.legit_count, scan.legit_count);
     }
 
     /// Full-vs-reduced byte identity on one instance: every public field
     /// of the scan, the whole bitmap, and the livelock witness.
     fn assert_reduced_matches_full(ring: &RingInstance, ctx: &str) {
-        let full_cfg = EngineConfig::sequential().with_symmetry(SymmetryMode::Full);
-        let red_cfg = EngineConfig::sequential();
+        let full_cfg = dense();
+        let red_cfg = EngineConfig::default();
         let full = fused_scan(ring, &full_cfg);
         let red = fused_scan(ring, &red_cfg);
         assert_eq!(red.legit_count, full.legit_count, "{ctx}: legit_count");
@@ -1350,15 +1225,10 @@ mod tests {
             fused_scan_metered(&ring, cfg, &token, Some(&counters)).unwrap();
             counters.snapshot().orbits_visited
         };
-        // Auto walks necklaces at every size and every engine thread count;
-        // Full never does.
+        // Auto walks necklaces at every size; Full never does.
         for k in [1, 2, 6, 15] {
-            for threads in [1, 4] {
-                let auto = EngineConfig::with_threads(threads);
-                assert!(orbits(k, &auto) > 0, "auto K={k} threads={threads}");
-                let full = auto.with_symmetry(SymmetryMode::Full);
-                assert_eq!(orbits(k, &full), 0, "full K={k} threads={threads}");
-            }
+            assert!(orbits(k, &EngineConfig::default()) > 0, "auto K={k}");
+            assert_eq!(orbits(k, &dense()), 0, "full K={k}");
         }
         let ring = RingInstance::symmetric(&p, 15).unwrap();
         assert_reduced_matches_full(&ring, "K=15");
@@ -1372,17 +1242,14 @@ mod tests {
         assert!(!ring.is_rotation_symmetric());
         let token = CancelToken::new();
         let counters = EngineCounters::new();
-        let cfg = EngineConfig::sequential();
+        let cfg = EngineConfig::default();
         let red = fused_scan_metered(&ring, &cfg, &token, Some(&counters)).unwrap();
         assert_eq!(
             counters.snapshot().orbits_visited,
             0,
             "no necklace walk on an asymmetric ring"
         );
-        let full = fused_scan(
-            &ring,
-            &EngineConfig::sequential().with_symmetry(SymmetryMode::Full),
-        );
+        let full = fused_scan(&ring, &dense());
         assert_eq!(red.legit_count, full.legit_count);
         assert_eq!(red.illegitimate_deadlocks, full.illegitimate_deadlocks);
         assert_eq!(full.illegitimate_deadlocks, reference_deadlocks(&ring));
@@ -1397,7 +1264,7 @@ mod tests {
         let ring = RingInstance::symmetric(&p, 6).unwrap();
         let fired = CancelToken::new();
         fired.cancel();
-        let cfg = EngineConfig::sequential();
+        let cfg = EngineConfig::default();
         assert_eq!(
             fused_scan_metered(&ring, &cfg, &fired, None).err(),
             Some(Cancelled)
@@ -1414,7 +1281,7 @@ mod tests {
         ]);
         let ring = RingInstance::symmetric(&p, 6).unwrap();
         let token = CancelToken::new();
-        let cfg = EngineConfig::sequential();
+        let cfg = EngineConfig::default();
         let run = || {
             let counters = EngineCounters::new();
             let scan = fused_scan_metered(&ring, &cfg, &token, Some(&counters)).unwrap();
@@ -1477,7 +1344,7 @@ mod tests {
         // orbits many times over and fail the first assertion.
         let p = agreement(&["x[r-1] == 1 && x[r] == 0 -> x[r] := 1"]);
         let token = CancelToken::new();
-        let cfg = EngineConfig::sequential();
+        let cfg = EngineConfig::default();
         for k in [6, 9, 12] {
             let ring = RingInstance::symmetric(&p, k).unwrap();
             let counters = EngineCounters::new();
@@ -1509,7 +1376,7 @@ mod tests {
             "x[r-1] == 1 && x[r] == 0 -> x[r] := 1",
         ]);
         for symmetry in [SymmetryMode::Full, SymmetryMode::Auto] {
-            let cfg = EngineConfig::sequential().with_symmetry(symmetry);
+            let cfg = EngineConfig::default().with_symmetry(symmetry);
             for k in 2..=6 {
                 let ring = RingInstance::symmetric(&p, k).unwrap();
                 let scan = fused_scan(&ring, &cfg);

@@ -20,8 +20,7 @@
 //!   `Δ_p | ¬I`), closure, and strong/weak convergence with counterexamples;
 //! * [`engine`] — the fused single-pass scan behind the convergence check:
 //!   one sweep computes the legitimacy count, the deadlock count with the
-//!   least deadlock, and closure at once,
-//!   optionally in parallel, with verdicts independent of the thread count;
+//!   least deadlock, and closure at once;
 //! * [`sim`] — a random/round-robin simulator with transient-fault
 //!   injection and convergence-time measurement;
 //! * [`schedule`] — computation schedules, replay, the livelock-induced

@@ -1,10 +1,9 @@
 //! Acceptance gate for the fused engine: on every protocol spec shipped in
-//! `specs/`, the parallel dense engine must produce the *identical*
-//! convergence report as the sequential one at every ring size
-//! `K ∈ 1..=8` — same counts, same witness states. The symmetry-reduced
-//! engine (the default `Auto` mode) is held to the same contract against
-//! the dense scan at both thread counts, and both engines' deadlock count
-//! and first deadlock are checked against the plain reference list.
+//! `specs/`, the symmetry-reduced engine (the default `Auto` mode) must
+//! produce the *identical* convergence report as the dense scan at every
+//! ring size `K ∈ 1..=8` — same counts, same witness states — and the
+//! legitimacy count, the deadlock count and the first deadlock are checked
+//! against the plain (unfused) reference formulation.
 
 use std::path::PathBuf;
 
@@ -47,39 +46,9 @@ fn assert_reports_equal(a: &ConvergenceReport, b: &ConvergenceReport, ctx: &str)
     assert_eq!(a.livelock, b.livelock, "{ctx}: livelock");
 }
 
-#[test]
-fn parallel_matches_sequential_on_every_spec() {
-    let dense = |threads| EngineConfig::with_threads(threads).with_symmetry(SymmetryMode::Full);
-    for path in &spec_paths() {
-        let source = std::fs::read_to_string(path).unwrap();
-        let protocol =
-            parse_protocol_file(&source).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        for k in 1..=8 {
-            let ring = RingInstance::symmetric(&protocol, k).unwrap();
-            let seq = ConvergenceReport::check_with(&ring, &dense(1));
-            let par = ConvergenceReport::check_with(&ring, &dense(4));
-            let ctx = format!("{} at K={k}", path.display());
-            assert_reports_equal(&seq, &par, &ctx);
-            // The fused sequential path must also agree with the plain
-            // (unfused) reference formulation.
-            assert_eq!(
-                seq.legit_count,
-                ring.space().ids().filter(|&s| ring.is_legit(s)).count() as u64,
-                "{ctx}: legit_count vs reference"
-            );
-            assert_eq!(
-                seq.illegitimate_deadlocks,
-                DeadlockSummary::of(&check::illegitimate_deadlocks(&ring)),
-                "{ctx}: deadlocks vs reference"
-            );
-        }
-    }
-}
-
 /// The symmetry differential gate: on every shipped spec and every
 /// `K ∈ 1..=8`, the symmetry-reduced engine must reproduce the full-scan
-/// convergence report byte for byte — with the full scan running both
-/// sequentially and on four threads.
+/// convergence report byte for byte, and both agree with the reference.
 #[test]
 fn reduced_matches_full_on_every_spec() {
     for path in &spec_paths() {
@@ -88,21 +57,23 @@ fn reduced_matches_full_on_every_spec() {
             parse_protocol_file(&source).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         for k in 1..=8 {
             let ring = RingInstance::symmetric(&protocol, k).unwrap();
-            let reduced = ConvergenceReport::check_with(&ring, &EngineConfig::sequential());
-            assert_eq!(
-                reduced.illegitimate_deadlocks,
-                DeadlockSummary::of(&check::illegitimate_deadlocks(&ring)),
-                "{} at K={k}: reduced deadlocks vs reference",
-                path.display()
+            let ctx = format!("{} at K={k}", path.display());
+            let reduced = ConvergenceReport::check_with(&ring, &EngineConfig::default());
+            let full = ConvergenceReport::check_with(
+                &ring,
+                &EngineConfig::default().with_symmetry(SymmetryMode::Full),
             );
-            for threads in [1usize, 4] {
-                let full = ConvergenceReport::check_with(
-                    &ring,
-                    &EngineConfig::with_threads(threads).with_symmetry(SymmetryMode::Full),
-                );
-                let ctx = format!("{} at K={k}, full threads={threads}", path.display());
-                assert_reports_equal(&reduced, &full, &ctx);
-            }
+            assert_reports_equal(&reduced, &full, &ctx);
+            assert_eq!(
+                full.legit_count,
+                ring.space().ids().filter(|&s| ring.is_legit(s)).count() as u64,
+                "{ctx}: legit_count vs reference"
+            );
+            assert_eq!(
+                full.illegitimate_deadlocks,
+                DeadlockSummary::of(&check::illegitimate_deadlocks(&ring)),
+                "{ctx}: deadlocks vs reference"
+            );
         }
     }
 }

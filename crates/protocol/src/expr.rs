@@ -88,13 +88,22 @@ impl Val {
     }
 }
 
+/// The result of a checked `i64` operation, or the overflow error.
+fn checked(v: Option<i64>) -> Result<Val, ProtocolError> {
+    v.map(Val::Int).ok_or_else(|| ProtocolError::Eval {
+        message: "integer overflow".into(),
+    })
+}
+
 impl Expr {
-    /// Evaluates the expression over a window valuation.
+    /// Evaluates the expression over a window valuation. Arithmetic is
+    /// checked: a result outside `i64` is an error, never a wrapped value.
     ///
     /// # Errors
     ///
     /// Returns [`ProtocolError::Eval`] on type mismatches, division by zero
-    /// (for `%`), or variable offsets outside the locality window.
+    /// (for `%`), integer overflow, or variable offsets outside the
+    /// locality window.
     pub fn eval(&self, window: &[Value], locality: Locality) -> Result<Val, ProtocolError> {
         match self {
             Expr::Var(off) => {
@@ -110,7 +119,7 @@ impl Expr {
                 let v = e.eval(window, locality)?;
                 match op {
                     UnOp::Not => Ok(Val::Bool(!v.as_bool()?)),
-                    UnOp::Neg => Ok(Val::Int(-v.as_int()?)),
+                    UnOp::Neg => checked(v.as_int()?.checked_neg()),
                 }
             }
             Expr::Binary(op, l, r) => {
@@ -137,16 +146,16 @@ impl Expr {
                 let lv = l.eval(window, locality)?.as_int()?;
                 let rv = r.eval(window, locality)?.as_int()?;
                 let out = match op {
-                    BinOp::Add => Val::Int(lv + rv),
-                    BinOp::Sub => Val::Int(lv - rv),
-                    BinOp::Mul => Val::Int(lv * rv),
+                    BinOp::Add => checked(lv.checked_add(rv))?,
+                    BinOp::Sub => checked(lv.checked_sub(rv))?,
+                    BinOp::Mul => checked(lv.checked_mul(rv))?,
                     BinOp::Mod => {
                         if rv == 0 {
                             return Err(ProtocolError::Eval {
                                 message: "modulo by zero".into(),
                             });
                         }
-                        Val::Int(lv.rem_euclid(rv))
+                        checked(lv.checked_rem_euclid(rv))?
                     }
                     BinOp::Eq => Val::Bool(lv == rv),
                     BinOp::Ne => Val::Bool(lv != rv),
@@ -238,6 +247,33 @@ mod tests {
     fn modulo_by_zero_is_an_error() {
         let e = bin(BinOp::Mod, c(1), c(0));
         assert!(e.eval_int(&[0, 0], uni()).is_err());
+    }
+
+    /// Each arithmetic operator refuses a result outside `i64`.
+    #[test]
+    fn overflow_is_an_error_for_every_operator() {
+        let (max, min) = (c(i64::MAX), c(i64::MIN));
+        let cases = [
+            ("+", bin(BinOp::Add, max.clone(), c(1))),
+            ("-", bin(BinOp::Sub, min.clone(), c(1))),
+            ("*", bin(BinOp::Mul, max.clone(), c(2))),
+            ("%", bin(BinOp::Mod, min.clone(), c(-1))),
+            ("unary -", Expr::Unary(UnOp::Neg, Box::new(min))),
+        ];
+        for (op, e) in cases {
+            assert_eq!(
+                e.eval_int(&[0, 0], uni()),
+                Err(ProtocolError::Eval {
+                    message: "integer overflow".into()
+                }),
+                "{op}"
+            );
+        }
+        // The boundary values themselves still evaluate.
+        assert_eq!(
+            bin(BinOp::Sub, max, c(1)).eval_int(&[0, 0], uni()),
+            Ok(i64::MAX - 1)
+        );
     }
 
     #[test]

@@ -22,11 +22,21 @@
 //! * `locality unidirectional | bidirectional | (<left>, <right>)`;
 //! * `legit <boolean expression>` — the local predicate `LC_r`;
 //! * `action <guard> -> <var>[r] := <rhs> (| <rhs>)*` — zero or more.
+//!
+//! The domain and the locality together may span at most
+//! [`MAX_LOCAL_STATES`] local states.
 
 use crate::domain::Domain;
 use crate::error::ProtocolError;
 use crate::locality::Locality;
 use crate::protocol::{Protocol, ProtocolBuilder};
+
+/// The most local states (`d^w`, for `d` domain values and a read window
+/// of `w` positions) a file may declare. Building a protocol evaluates the
+/// legitimate predicate on every local state and keeps per-state tables
+/// (an action index of 24 bytes per state, among others), so this bounds
+/// the memory one parsed file can ask for to tens of megabytes.
+pub const MAX_LOCAL_STATES: u64 = 1 << 20;
 
 fn err(line_no: usize, message: impl Into<String>) -> ProtocolError {
     ProtocolError::Parse {
@@ -66,6 +76,9 @@ pub fn parse_protocol_file(source: &str) -> Result<Protocol, ProtocolError> {
     let mut locality: Option<Locality> = None;
     let mut legit: Option<(usize, String)> = None;
     let mut actions: Vec<(usize, String)> = Vec::new();
+    // The line of the later of the domain and locality declarations: the
+    // one that fixes the size of the local state space.
+    let mut space_line = 0;
 
     for (idx, raw) in source.lines().enumerate() {
         let line_no = idx + 1;
@@ -96,12 +109,14 @@ pub fn parse_protocol_file(source: &str) -> Result<Protocol, ProtocolError> {
                     return Err(err(line_no, "duplicate `domain` declaration"));
                 }
                 domain = Some(parse_domain(line_no, rest)?);
+                space_line = line_no;
             }
             "locality" => {
                 if locality.is_some() {
                     return Err(err(line_no, "duplicate `locality` declaration"));
                 }
                 locality = Some(parse_locality(line_no, rest)?);
+                space_line = line_no;
             }
             "legit" => {
                 if legit.is_some() {
@@ -131,6 +146,17 @@ pub fn parse_protocol_file(source: &str) -> Result<Protocol, ProtocolError> {
     let domain = domain.ok_or_else(|| err(0, "missing `domain` declaration"))?;
     let locality = locality.unwrap_or_default();
     let (legit_line, legit_src) = legit.ok_or_else(|| err(0, "missing `legit` declaration"))?;
+    if !space_fits(domain.size(), locality.window_width()) {
+        return Err(err(
+            space_line,
+            format!(
+                "{} values over a {}-position window exceed the limit of \
+                 {MAX_LOCAL_STATES} local states",
+                domain.size(),
+                locality.window_width()
+            ),
+        ));
+    }
 
     let mut builder: ProtocolBuilder = Protocol::builder(&name, domain, locality);
     for (line_no, src) in &actions {
@@ -142,6 +168,13 @@ pub fn parse_protocol_file(source: &str) -> Result<Protocol, ProtocolError> {
         .legit(&legit_src)
         .map_err(|e| err(legit_line, e.to_string()))?
         .build()
+}
+
+/// Whether `d^w` is at most [`MAX_LOCAL_STATES`].
+fn space_fits(d: usize, w: usize) -> bool {
+    (d as u64)
+        .checked_pow(w as u32)
+        .is_some_and(|states| states <= MAX_LOCAL_STATES)
 }
 
 fn parse_domain(line_no: usize, rest: &str) -> Result<Domain, ProtocolError> {
@@ -347,6 +380,45 @@ legit x[r] == x[r-1]
         let src = "protocol p\ndomain x { 0 1 }\nlocality unidirectional\nlegit x[r] === 0";
         let e = parse_protocol_file(src).unwrap_err();
         assert!(e.to_string().contains("line 4"), "{e}");
+    }
+
+    /// Arithmetic overflow in an assignment or a guard is a line-numbered
+    /// error.
+    #[test]
+    fn overflowing_spec_arithmetic_is_a_parse_error() {
+        let head = "protocol p\ndomain x { 0 1 }\nlocality unidirectional\nlegit x[r] == x[r-1]\n";
+        for action in [
+            "x[r-1] == 1 && x[r] == 0 -> x[r] := (0 - 9223372036854775807 - 1) % (0 - 1)",
+            "x[r-1] == 1 && x[r] * 9223372036854775807 * 9223372036854775807 == 1 -> x[r] := 0",
+        ] {
+            let e = parse_protocol_file(&format!("{head}action {action}\n")).unwrap_err();
+            assert!(e.to_string().contains("line 5"), "{e}");
+            assert!(e.to_string().contains("integer overflow"), "{e}");
+        }
+    }
+
+    /// A local state space above the limit is a parse error at the line
+    /// that fixes its size, before any per-state table is built.
+    #[test]
+    fn oversized_local_state_spaces_are_refused() {
+        let spec = |values: usize, locality: &str| {
+            let labels: Vec<String> = (0..values).map(|v| v.to_string()).collect();
+            format!(
+                "protocol big\ndomain x {{ {} }}\nlocality {locality}\nlegit x[r] == x[r-1]\n",
+                labels.join(" ")
+            )
+        };
+        // 21^9 overflows u32; 102^3 = 1,061,208 is just over 2^20.
+        for (values, locality) in [(21, "(4, 4)"), (102, "bidirectional")] {
+            let e = parse_protocol_file(&spec(values, locality)).unwrap_err();
+            assert!(e.to_string().contains("line 3"), "{e}");
+            assert!(e.to_string().contains("1048576 local states"), "{e}");
+        }
+        // The boundary: 32^4 = 2^20 fits, 33^4 and 255^9 do not.
+        assert!(space_fits(32, 4));
+        assert!(space_fits(101, 3));
+        assert!(!space_fits(33, 4));
+        assert!(!space_fits(255, 9));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! mid-run yields the rows completed so far as a *partial* document —
 //! served with 504, never cached.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use selfstab_campaign::telemetry::JobTelemetry;
@@ -133,8 +133,9 @@ pub struct JobRequest {
     pub max_states: u64,
     /// Rotation-symmetry policy for the scan.
     pub symmetry: SymmetryMode,
-    /// Engine threads per job, at most the host's available parallelism
-    /// (results are thread-count-invariant).
+    /// The request's `threads` field (default 1). It has no effect: every
+    /// job runs on the pool worker that claimed it. Kept so that callers
+    /// written against the removed per-job thread count still compile.
     pub threads: usize,
     /// Wall-clock deadline for the whole job.
     pub timeout: Option<Duration>,
@@ -146,13 +147,6 @@ pub struct JobRequest {
     pub max_resolve_sets: usize,
     /// `synthesize` only: monotone lattice pruning (outcome-invariant).
     pub prune: bool,
-}
-
-/// The most engine threads one job may use: the host's available
-/// parallelism, read once (the query costs syscalls and file reads).
-fn max_threads() -> usize {
-    static MAX: OnceLock<usize> = OnceLock::new();
-    *MAX.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
 }
 
 fn usize_field(body: &Value, key: &str) -> Result<Option<usize>, SubmitError> {
@@ -308,11 +302,7 @@ impl JobRequest {
             })?,
         };
 
-        // Documents are thread-count-invariant, so clamping to the host's
-        // cores never shows in a result; it bounds what one request spawns.
-        let threads = usize_field(body, "threads")?
-            .unwrap_or(1)
-            .clamp(1, max_threads());
+        let threads = usize_field(body, "threads")?.unwrap_or(1);
         let timeout = match &body["timeout_ms"] {
             Value::Null => None,
             v => Some(Duration::from_millis(v.as_u64().ok_or_else(|| {
@@ -341,8 +331,8 @@ impl JobRequest {
 
     /// The content address of this request's *completed* result: the
     /// canonical spec hash plus every input the rendered document depends
-    /// on. Engine `threads` is deliberately excluded (documents are
-    /// thread-count-invariant), as is `timeout_ms` (only completed,
+    /// on. `threads` is deliberately excluded (it has no effect), as is
+    /// `timeout_ms` (only completed,
     /// deadline-independent results are ever cached). `synthesize` keys
     /// additionally carry the synthesis budgets and the prune mode —
     /// differing budgets truncate the outcome differently, so they must
@@ -496,7 +486,7 @@ fn execute_check(
     cancel: &CancelToken,
     trace: Option<&JobTrace>,
 ) -> ExecOutcome {
-    let engine = EngineConfig::with_threads(req.threads).with_symmetry(req.symmetry);
+    let engine = EngineConfig::default().with_symmetry(req.symmetry);
     let counters = EngineCounters::new();
     let mut rows = Vec::new();
     let mut all_ok = true;
@@ -548,8 +538,8 @@ fn execute_synthesis(
         max_solutions: req.max_solutions,
         max_combinations: req.max_combinations,
         max_resolve_sets: req.max_resolve_sets,
-        threads: req.threads,
         prune: req.prune,
+        ..SynthesisConfig::default()
     };
     let counters = SynthesisCounters::new();
     let lane = PhaseLane {
@@ -618,10 +608,10 @@ action x[r-1] == 1 && x[r] == 0 -> x[r] := 1
         assert!(key.contains(":verify:4..4:"), "key was {key}");
         assert!(key.ends_with(":auto"));
         assert!(key.starts_with(&req.hash.to_string()));
-        // Threads clamp to the host and stay out of the key.
+        // Threads stay out of the key.
         let many = spec_body("\"kind\": \"verify\", \"k\": 4, \"threads\": 100000");
         let many = JobRequest::from_json(&many).unwrap();
-        assert_eq!((many.threads, many.cache_key()), (max_threads(), key));
+        assert_eq!((many.threads, many.cache_key()), (100000, key));
         // `reduced` is another spelling of `auto`, so it shares the key.
         let mode = |m: &str| {
             let extra = format!("\"kind\": \"verify\", \"k\": 4, \"symmetry\": \"{m}\"");
@@ -674,6 +664,39 @@ action x[r-1] == 1 && x[r] == 0 -> x[r] := 1
         let err = JobRequest::from_json(&spec_body("\"kind\": \"verify\", \"k\": 40")).unwrap_err();
         assert_eq!(err.status(), 422);
         assert!(err.message().contains("over budget"));
+    }
+
+    /// A spec with overflowing arithmetic, or with a local state space over
+    /// the parse limit (far over it, and just over it), is a 422 from
+    /// `from_json`, which runs on the connection thread.
+    #[test]
+    fn overflowing_and_oversized_specs_are_422() {
+        let submit = |spec: String| {
+            let body = body(&format!(
+                "{{\"kind\": \"verify\", \"k\": 3, \"spec\": {}}}",
+                serde_json::Value::String(spec)
+            ));
+            JobRequest::from_json(&body).unwrap_err()
+        };
+        let overflow = "protocol p\ndomain x { 0 1 }\nlocality unidirectional\n\
+                        legit x[r] == x[r-1]\naction x[r-1] == 1 && x[r] == 0 -> \
+                        x[r] := (0 - 9223372036854775807 - 1) % (0 - 1)\n";
+        let err = submit(overflow.to_owned());
+        assert!(matches!(err, SubmitError::BadSpec(_)), "{}", err.message());
+        assert!(
+            err.message().contains("integer overflow"),
+            "{}",
+            err.message()
+        );
+        for (values, locality) in [(21, "(4, 4)"), (102, "bidirectional")] {
+            let labels: Vec<String> = (0..values).map(|v| v.to_string()).collect();
+            let err = submit(format!(
+                "protocol big\ndomain x {{ {} }}\nlocality {locality}\nlegit x[r] == x[r-1]\n",
+                labels.join(" ")
+            ));
+            assert_eq!(err.status(), 422, "{values} values over {locality}");
+            assert!(err.message().contains("local states"), "{}", err.message());
+        }
     }
 
     /// A ring size past 64 processes is refused at submit: K = 2^32 + 2
@@ -780,6 +803,35 @@ action x[r-1] == 1 && x[r] == 0 -> x[r] := 1
         assert!(phases.calls[Phase::FusedScan.index()] > 0);
         assert!(phases.calls[Phase::LivelockDfs.index()] > 0);
         assert!(telemetry.counters().is_some());
+    }
+
+    /// `threads` is still validated as a non-negative integer, and a
+    /// valid value changes neither the cache key nor a result byte.
+    #[test]
+    fn threads_field_is_validated_and_has_no_effect() {
+        for bad in ["-1", "\"two\"", "1.5"] {
+            let extra = format!("\"kind\": \"verify\", \"k\": 4, \"threads\": {bad}");
+            let err = JobRequest::from_json(&spec_body(&extra)).unwrap_err();
+            assert_eq!(err.status(), 400, "threads {bad}");
+        }
+        let run = |extra: &str| {
+            let req = JobRequest::from_json(&spec_body(extra)).unwrap();
+            let outcome = execute(&req, &JobTelemetry::default(), &CancelToken::new(), None);
+            let ExecOutcome::Done(doc) = outcome else {
+                panic!("expected completion: {extra}");
+            };
+            (req.cache_key(), doc.body, doc.exit_code)
+        };
+        for extra in [
+            "\"kind\": \"sweep\", \"k\": 2, \"to\": 6, \"symmetry\": \"full\"",
+            "\"kind\": \"synthesize\"",
+        ] {
+            assert_eq!(
+                run(&format!("{extra}, \"threads\": 8")),
+                run(extra),
+                "{extra}"
+            );
+        }
     }
 
     #[test]

@@ -36,9 +36,9 @@ pub fn convergence_report(report: &ConvergenceReport) -> Value {
     })
 }
 
-/// A [`SynthesisOutcome`] as JSON. Only deterministic values appear (no
-/// durations, no thread count, no scheduling-dependent counters), so the
-/// document is byte-identical for every `--threads` setting.
+/// A [`SynthesisOutcome`] as JSON. Only the counters that are the same
+/// with pruning on and off appear (no durations, no pruning tallies), so
+/// the document is byte-identical for every `--prune` setting.
 pub fn synthesis_outcome(
     protocol: &Protocol,
     outcome: &SynthesisOutcome,

@@ -80,7 +80,7 @@ fn result_bytes(state: &Arc<ServeState>, id: u64) -> (u16, Vec<u8>) {
 fn cli_document(k: usize) -> String {
     let protocol = parse_protocol_file(AGREEMENT).unwrap();
     let ring = RingInstance::symmetric(&protocol, k).unwrap();
-    let report = ConvergenceReport::check_with(&ring, &EngineConfig::sequential());
+    let report = ConvergenceReport::check_with(&ring, &EngineConfig::default());
     render::check_document(vec![render::convergence_report(&report)])
 }
 

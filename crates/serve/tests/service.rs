@@ -76,7 +76,7 @@ fn await_job(state: &Arc<ServeState>, id: u64) -> String {
 fn cli_document(k: usize) -> String {
     let protocol = parse_protocol_file(AGREEMENT).unwrap();
     let ring = RingInstance::symmetric(&protocol, k).unwrap();
-    let report = ConvergenceReport::check_with(&ring, &EngineConfig::sequential());
+    let report = ConvergenceReport::check_with(&ring, &EngineConfig::default());
     render::check_document(vec![render::convergence_report(&report)])
 }
 

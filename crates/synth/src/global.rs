@@ -121,7 +121,7 @@ impl GlobalSynthesizer {
                 .unwrap_or(self.config.max_combinations as u64);
             let mut digits = Vec::new();
             let mut added = Vec::new();
-            space.decode(0, &mut digits);
+            space.first(&mut digits);
             for _ in 0..total {
                 if outcome.combinations_tried >= self.config.max_combinations
                     || outcome.solutions.len() >= self.config.max_solutions

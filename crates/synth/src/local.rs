@@ -1,23 +1,18 @@
-//! The local synthesis methodology (Section 6), as a streaming parallel
-//! engine.
+//! The local synthesis methodology (Section 6), as a streaming engine.
 //!
 //! Candidate combinations (one recovery transition per `Resolve` state) are
 //! enumerated **lazily** through a mixed-radix index — no materialized
-//! cross-product, O(|Resolve|) memory per in-flight candidate — and verified
-//! by scoped worker threads that claim fixed-size chunks of the combination
-//! index space, mirroring `crates/global/src/engine.rs`:
+//! cross-product, O(|Resolve|) memory — and verified one at a time in
+//! ascending index order on the calling thread. Whole synthesis jobs run
+//! concurrently one level up, in the serve job pool.
 //!
 //! * **Determinism** — per-candidate verification is a pure function of the
-//!   candidate, each worker hands back the verdicts of the chunks it
-//!   claimed, the chunks are merged in ascending index order, and all
-//!   budget cutoffs are applied on the merged canonical prefix. The
-//!   [`SynthesisOutcome`] (solutions, order, verdicts, counters) is
-//!   identical for every thread count.
+//!   candidate, so the [`SynthesisOutcome`] (solutions, order, verdicts,
+//!   counters) is a function of the input and the budgets.
 //! * **Exact budgets** — `max_combinations` is a cumulative cap on verified
-//!   candidates, `max_solutions` cuts the canonical enumeration right after
-//!   the accepted candidate that fills it, and `truncated()` is `true` iff
-//!   unexplored work actually remained. Workers may speculatively verify
-//!   candidates beyond a cutoff; the canonical merge discards that overwork.
+//!   candidates, `max_solutions` stops the enumeration right after the
+//!   accepted candidate that fills it, and `truncated()` is `true` iff
+//!   unexplored work actually remained.
 //! * **Shared preparation** — the RCG depends only on the domain and the
 //!   locality, not on the transition relation, so one [`Rcg`] is built per
 //!   protocol and shared by every candidate's deadlock re-check
@@ -27,27 +22,26 @@
 //!   ([`DeadlockAnalysis::free_without`]), which every returned set passes:
 //!   every candidate is deadlock-free by construction.
 //! * **Cancellation** — a cooperative [`CancelToken`] is polled once per
-//!   candidate; on cancellation the verified contiguous prefix is kept, so
-//!   no solution below the cancel point is lost.
+//!   candidate; on cancellation the verified prefix is kept, so no solution
+//!   below the cancel point is lost.
 //! * **Monotone lattice pruning** (`prune`, on by default) — a candidate
 //!   rejected by a qualifying trail certifies a *cut*: the trail's used
 //!   t-arcs form a pseudo-livelock union whose presence dooms **every**
 //!   superset candidate, because the trail search depends only on the
 //!   s-arcs (space-determined), the allowed t-arcs, and the illegitimate
-//!   states — none of which a superset changes. Cuts sit in one locked
-//!   list that each worker reads once per chunk claim, and each worker
-//!   skips the cut's upward cone with a per-digit subset test; skipped
-//!   candidates are *recounted* with the trail verdict the full engine
-//!   would have assigned, so the outcome stays byte-identical with pruning
-//!   on or off, at every thread count. Verified candidates skip the
-//!   Theorem 4.2 re-check, which holds by construction, and reuse a
-//!   per-worker delta-applied LTG ([`Ltg::retarget`]) instead of
-//!   from-scratch analyses. See DESIGN.md §14.
+//!   states — none of which a superset changes. Cuts sit in one list that
+//!   the run owns; a new cut is projected onto the current `Resolve` set
+//!   at once, so the next candidate in its upward cone is already skipped
+//!   by a per-digit subset test. Skipped candidates are *recounted* with
+//!   the trail verdict the full engine would have assigned, so the outcome
+//!   stays byte-identical with pruning on or off. Verified candidates skip
+//!   the Theorem 4.2 re-check, which holds by construction, and reuse one
+//!   delta-applied LTG per run ([`Ltg::retarget`]) instead of from-scratch
+//!   analyses. See DESIGN.md §14.
 
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::atomic::Ordering;
 
 use selfstab_core::deadlock::DeadlockAnalysis;
 use selfstab_core::livelock::LivelockAnalysis;
@@ -70,8 +64,9 @@ pub struct SynthesisConfig {
     /// Stop after this many accepted solutions (use 1 for first-solution
     /// mode).
     pub max_solutions: usize,
-    /// Worker threads for candidate verification (1 = sequential; the
-    /// outcome is identical either way).
+    /// Has no effect: candidates are verified on the calling thread. Kept
+    /// so that callers written against the removed per-job thread count
+    /// still compile.
     pub threads: usize,
     /// Monotone lattice pruning and delta-verification (see the module
     /// docs). The [`SynthesisOutcome`] is byte-identical with pruning on or
@@ -103,7 +98,7 @@ pub enum SynthesisError {
     },
     /// The candidate cross-product of a `Resolve` set overflows `u64`, so
     /// the mixed-radix index cannot address every combination — silently
-    /// saturating would make the chunked workers enumerate garbage indices.
+    /// saturating would make the scan enumerate garbage indices.
     CombinationSpaceTooLarge {
         /// Number of states in the offending `Resolve` set.
         resolve_states: usize,
@@ -183,7 +178,7 @@ impl SynthesisOutcome {
     }
 
     /// Number of candidate combinations verified (never exceeds
-    /// `max_combinations`; counted on the canonical enumeration prefix).
+    /// `max_combinations`; counted on the enumeration prefix).
     pub fn combinations_tried(&self) -> usize {
         self.combinations_tried
     }
@@ -217,26 +212,21 @@ pub(crate) struct ComboSpace<'a> {
 
 impl ComboSpace<'_> {
     /// Number of combinations, or `None` when the product overflows `u64`
-    /// — `decode`/`advance` assume the total is exact, so a saturated
-    /// count must be a typed error at the caller, never an index into
+    /// — the odometer runs for exactly this many steps, so a saturated
+    /// count must be a typed error at the caller, never a count of
     /// garbage. An empty `Resolve` set has exactly one, empty, combination;
     /// a state with zero options yields `Some(0)` (immediately
-    /// unsatisfiable, and `decode` must not be called).
+    /// unsatisfiable, and the odometer must not be started).
     pub(crate) fn checked_total(&self) -> Option<u64> {
         self.per_state
             .iter()
             .try_fold(1u64, |acc, opts| acc.checked_mul(opts.len() as u64))
     }
 
-    /// Decodes combination `index` into one digit per state.
-    pub(crate) fn decode(&self, mut index: u64, digits: &mut Vec<usize>) {
+    /// Sets `digits` to combination 0, one zero digit per state.
+    pub(crate) fn first(&self, digits: &mut Vec<usize>) {
         digits.clear();
         digits.resize(self.per_state.len(), 0);
-        for j in (0..self.per_state.len()).rev() {
-            let len = self.per_state[j].len() as u64;
-            digits[j] = (index % len) as usize;
-            index /= len;
-        }
     }
 
     /// Odometer step to the next combination (last state varies fastest).
@@ -262,8 +252,7 @@ impl ComboSpace<'_> {
     }
 }
 
-/// The verdict of one candidate combination, recorded in enumeration
-/// order so the canonical merge can recount rejections at any cutoff.
+/// The verdict of one candidate combination.
 enum Verdict {
     /// The revision fails validation.
     Invalid,
@@ -444,15 +433,13 @@ impl LocalSynthesizer {
 
     /// [`LocalSynthesizer::synthesize`] honoring a cooperative
     /// [`CancelToken`], polled once per candidate, with telemetry. On
-    /// cancellation the outcome keeps the canonical verified prefix
-    /// (`cancelled()` and `truncated()` are set) rather than erroring out.
+    /// cancellation the outcome keeps the verified prefix (`cancelled()`
+    /// and `truncated()` are set) rather than erroring out.
     ///
     /// Flushes candidate/rejection counters into `counters` and records
     /// the whole search as one [`Phase::Synthesis`] span in `phases`.
-    /// Counters are flushed once, from the canonically merged outcome, so
-    /// every value except the scheduling-dependent `cancel_polls` is
-    /// thread-count invariant — and the `None` path does no telemetry work
-    /// at all.
+    /// Counters are flushed once, when the search ends, and the `None`
+    /// path does no telemetry work at all.
     ///
     /// # Errors
     ///
@@ -470,8 +457,8 @@ impl LocalSynthesizer {
         })
     }
 
-    /// The engine: resolve-set loop around the chunked parallel candidate
-    /// scan, with all cutoffs applied on the canonical merge.
+    /// The engine: the resolve-set loop around one scan of each set's
+    /// combinations in ascending index order.
     fn search(
         &self,
         protocol: &Protocol,
@@ -500,7 +487,12 @@ impl LocalSynthesizer {
         let mut rejected_invalid: u64 = 0;
         let mut rejected_by_deadlock: u64 = 0;
         let mut tally = Tally::default();
-        let cuts = self.config.prune.then(Cuts::default);
+        // Pruning state that outlives one set: the cut list and the
+        // delta-applied LTG.
+        let mut cuts = Cuts::new();
+        let mut ltg: Option<Ltg> = None;
+        let mut digits: Vec<usize> = Vec::new();
+        let mut added: Vec<LocalTransition> = Vec::new();
 
         for resolve in sets {
             if outcome.solutions.len() >= self.config.max_solutions
@@ -517,7 +509,7 @@ impl LocalSynthesizer {
             outcome.resolve_sets_tried += 1;
 
             // Per-state candidates; a state without candidates makes the
-            // Resolve set immediately unsatisfiable (and `decode` must
+            // Resolve set immediately unsatisfiable (and the odometer must
             // never see its zero-length digit), so it is skipped before a
             // ComboSpace is even formed.
             let per_state: Vec<Vec<LocalTransition>> = resolve
@@ -537,10 +529,15 @@ impl LocalSynthesizer {
             };
             let comb_left = (self.config.max_combinations - outcome.combinations_tried) as u64;
             let allowed = total.min(comb_left);
-            let sol_cap = (self.config.max_solutions - outcome.solutions.len()) as u64;
 
-            let prune = cuts.as_ref().map(|cuts| PruneScanContext {
-                cuts,
+            let ctx = ScanContext {
+                protocol,
+                rcg: &rcg,
+                name: &name,
+                resolve,
+                space: &space,
+            };
+            let mut prune = self.config.prune.then(|| SetPrune {
                 digit_valid: per_state
                     .iter()
                     .map(|opts| {
@@ -549,30 +546,32 @@ impl LocalSynthesizer {
                             .collect()
                     })
                     .collect(),
+                projected: cuts
+                    .iter()
+                    .filter_map(|cut| project_cut(cut, resolve, &per_state))
+                    .collect(),
             });
-            let ctx = ScanContext {
-                protocol,
-                rcg: &rcg,
-                name: &name,
-                resolve,
-                space: &space,
-                prune,
-            };
-            let scan = scan_resolve_set(
-                &ctx,
-                allowed,
-                sol_cap,
-                self.config.threads,
-                cancel,
-                &mut tally,
-            );
 
-            // Canonical cutoff: walk the verified prefix in enumeration
-            // order, stopping right after the accepted candidate that fills
-            // the solution budget.
+            // Verify combinations `0..allowed` in order, stopping right
+            // after the accepted candidate that fills the solution budget.
             let mut taken: u64 = 0;
-            for verdict in scan.verdicts {
+            space.first(&mut digits);
+            while taken < allowed {
+                tally.cancel_polls += 1;
+                if cancel.is_cancelled() {
+                    outcome.cancelled = true;
+                    break;
+                }
                 taken += 1;
+                let verdict = match &mut prune {
+                    Some(p) => verify_candidate_pruned(
+                        &ctx, p, &mut cuts, &digits, &mut added, &mut ltg, &mut tally,
+                    ),
+                    None => {
+                        space.fill(&digits, &mut added);
+                        verify_candidate(&ctx, &added)
+                    }
+                };
                 match verdict {
                     Verdict::Invalid => rejected_invalid += 1,
                     Verdict::Deadlock => rejected_by_deadlock += 1,
@@ -584,11 +583,9 @@ impl LocalSynthesizer {
                         }
                     }
                 }
+                space.advance(&mut digits);
             }
             outcome.combinations_tried += taken as usize;
-            if scan.cancelled {
-                outcome.cancelled = true;
-            }
             if taken < total {
                 // Budget, solution cap, or cancellation left work behind.
                 outcome.truncated = true;
@@ -644,15 +641,11 @@ impl LocalSynthesizer {
 ///
 /// Cuts are stored with their base transitions stripped (the base is part
 /// of every candidate of every `Resolve` set), sorted for subset tests.
-/// Workers read the list once per chunk claim and lock it for writing only
-/// to install a cut.
-type Cuts = RwLock<Vec<Vec<LocalTransition>>>;
+type Cuts = Vec<Vec<LocalTransition>>;
 
 /// Installs a sorted cut unless an installed cut already subsumes it (its
-/// cone contains the new one's), checking and pushing under one write
-/// lock. Returns `true` when the cut was installed.
-fn install_cut(cuts: &Cuts, cut: Vec<LocalTransition>) -> bool {
-    let mut cuts = cuts.write().expect("cut list poisoned");
+/// cone contains the new one's). Returns `true` when the cut was installed.
+fn install_cut(cuts: &mut Cuts, cut: Vec<LocalTransition>) -> bool {
     if cuts.iter().any(|c| is_sorted_subset(c, &cut)) {
         return false;
     }
@@ -665,9 +658,9 @@ fn is_sorted_subset(a: &[LocalTransition], b: &[LocalTransition]) -> bool {
     a.iter().all(|t| b.binary_search(t).is_ok())
 }
 
-/// A worker's scheduling-dependent work tallies, summed over the workers
-/// of a run into the matching [`SynthesisCounters`] (the *verdicts* stay
-/// deterministic; only how much verification was skipped varies).
+/// A run's work tallies, flushed into the matching [`SynthesisCounters`]
+/// (the *verdicts* are the same with pruning on or off; only how much
+/// verification was skipped differs).
 #[derive(Default)]
 struct Tally {
     /// Cancellation polls, one per candidate started.
@@ -680,25 +673,18 @@ struct Tally {
     delta_reuses: u64,
 }
 
-impl Tally {
-    fn add(&mut self, other: Tally) {
-        self.cancel_polls += other.cancel_polls;
-        self.cones_cut += other.cones_cut;
-        self.candidates_skipped += other.candidates_skipped;
-        self.delta_reuses += other.delta_reuses;
-    }
-}
-
-/// Per-`Resolve`-set pruning context handed to the scan.
-struct PruneScanContext<'a> {
-    /// The run's cut list.
-    cuts: &'a Cuts,
+/// The pruning state of one `Resolve`-set scan.
+struct SetPrune {
     /// `digit_valid[j][d]`: whether option `d` of state `j` passes
     /// [`Protocol::validate_transition`], the check of
     /// `with_added_transitions` — a per-transition property, so a skipped
     /// candidate's invalid verdict is decidable without materializing a
     /// protocol.
     digit_valid: Vec<Vec<bool>>,
+    /// The run's cuts projected onto this set's digits (see
+    /// [`project_cut`]): those installed before the set's scan began, then
+    /// each new one as it is installed.
+    projected: Vec<Vec<(usize, usize)>>,
 }
 
 /// Projects a cut onto one `Resolve` set's digit space: the candidate at
@@ -725,165 +711,13 @@ fn project_cut(
     Some(constraints)
 }
 
-/// Everything a worker needs to verify one candidate, shared read-only
-/// across the scoped threads of one `Resolve`-set scan.
+/// Everything needed to verify one candidate of one `Resolve` set.
 struct ScanContext<'a> {
     protocol: &'a Protocol,
     rcg: &'a Rcg,
     name: &'a str,
     resolve: &'a [LocalStateId],
     space: &'a ComboSpace<'a>,
-    /// Pruning context; `None` runs the reference full-verification path.
-    prune: Option<PruneScanContext<'a>>,
-}
-
-/// The canonical verified prefix of one `Resolve`-set scan.
-struct SetScan {
-    /// `verdicts[i]` is the verdict of combination `i` (contiguous prefix
-    /// of the enumeration; shorter than `allowed` only under cancellation
-    /// or a solution-cap early stop).
-    verdicts: Vec<Verdict>,
-    /// Whether cancellation cut the prefix short.
-    cancelled: bool,
-}
-
-/// Verifies combinations `0..allowed` of `ctx.space` across `threads`
-/// scoped workers claiming fixed chunks off a shared counter. Each worker
-/// hands back the verdicts of its chunks and its tallies, which are added
-/// to `tally`; the chunks are merged in ascending order into a canonical
-/// contiguous prefix.
-///
-/// Workers stop claiming new chunks once `sol_cap` acceptances have been
-/// observed (a hint — the canonical cutoff in [`LocalSynthesizer::search`]
-/// is what actually bounds the outcome) and abandon their chunk mid-way
-/// only on cancellation, so in the absence of cancellation the merged
-/// prefix always covers the canonical cutoff.
-fn scan_resolve_set(
-    ctx: &ScanContext<'_>,
-    allowed: u64,
-    sol_cap: u64,
-    threads: usize,
-    cancel: &CancelToken,
-    tally: &mut Tally,
-) -> SetScan {
-    if allowed == 0 {
-        return SetScan {
-            verdicts: Vec::new(),
-            cancelled: cancel.is_cancelled(),
-        };
-    }
-    let threads = threads.max(1);
-    // Chunks small enough to balance trail-check latency across workers,
-    // large enough to amortize the claim + merge bookkeeping.
-    let chunk = allowed.div_ceil(threads as u64 * 4).clamp(1, 64);
-    let num_chunks = allowed.div_ceil(chunk);
-    let next = AtomicU64::new(0);
-    let sols_hint = AtomicU64::new(0);
-
-    let worker = || {
-        let mut chunks: Vec<(u64, Vec<Verdict>)> = Vec::new();
-        let mut tally = Tally::default();
-        let mut digits: Vec<usize> = Vec::new();
-        let mut added: Vec<LocalTransition> = Vec::new();
-        // Worker-local pruning state: the delta-LTG survives across
-        // candidates and chunks; the projected cuts are refreshed at each
-        // chunk claim, picking up cuts other workers installed meanwhile
-        // without any synchronization on the hot per-candidate test.
-        let mut ltg: Option<Ltg> = None;
-        let mut projected: Vec<Vec<(usize, usize)>> = Vec::new();
-        loop {
-            if sols_hint.load(Ordering::Relaxed) >= sol_cap {
-                break;
-            }
-            let c = next.fetch_add(1, Ordering::Relaxed);
-            if c >= num_chunks {
-                break;
-            }
-            if let Some(p) = &ctx.prune {
-                projected.clear();
-                projected.extend(
-                    p.cuts
-                        .read()
-                        .expect("cut list poisoned")
-                        .iter()
-                        .filter_map(|cut| project_cut(cut, ctx.resolve, ctx.space.per_state)),
-                );
-            }
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(allowed);
-            ctx.space.decode(lo, &mut digits);
-            let mut verdicts = Vec::with_capacity((hi - lo) as usize);
-            for _ in lo..hi {
-                tally.cancel_polls += 1;
-                if cancel.is_cancelled() {
-                    break;
-                }
-                let verdict = match &ctx.prune {
-                    Some(p) => verify_candidate_pruned(
-                        ctx, p, &digits, &projected, &mut added, &mut ltg, &mut tally,
-                    ),
-                    None => {
-                        ctx.space.fill(&digits, &mut added);
-                        verify_candidate(ctx, &added)
-                    }
-                };
-                if matches!(verdict, Verdict::Accept(_)) {
-                    sols_hint.fetch_add(1, Ordering::Relaxed);
-                }
-                verdicts.push(verdict);
-                ctx.space.advance(&mut digits);
-            }
-            let aborted = (verdicts.len() as u64) < hi - lo;
-            chunks.push((c, verdicts));
-            if aborted {
-                break;
-            }
-        }
-        (chunks, tally)
-    };
-
-    let outputs = if threads == 1 || num_chunks == 1 {
-        vec![worker()]
-    } else {
-        let worker = &worker;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads.min(num_chunks as usize))
-                .map(|_| scope.spawn(worker))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
-        })
-    };
-
-    // Merge in ascending chunk order; the prefix ends at the first missing
-    // chunk (solution-cap early stop or cancellation) or partial chunk
-    // (cancellation only).
-    let mut chunks: Vec<(u64, Vec<Verdict>)> = Vec::new();
-    for (parts, worker_tally) in outputs {
-        chunks.extend(parts);
-        tally.add(worker_tally);
-    }
-    chunks.sort_unstable_by_key(|&(c, _)| c);
-    let mut verdicts: Vec<Verdict> = Vec::new();
-    for (expect, (c, part)) in (0u64..).zip(chunks) {
-        if c != expect {
-            break;
-        }
-        let lo = c * chunk;
-        let hi = (lo + chunk).min(allowed);
-        let full = part.len() as u64 == hi - lo;
-        verdicts.extend(part);
-        if !full {
-            break;
-        }
-    }
-    let cancelled = (verdicts.len() as u64) < allowed && cancel.is_cancelled();
-    SetScan {
-        verdicts,
-        cancelled,
-    }
 }
 
 /// Verifies one candidate combination: revision validity, the exact
@@ -915,18 +749,19 @@ fn verify_candidate(ctx: &ScanContext<'_>, added: &[LocalTransition]) -> Verdict
 }
 
 /// The pruned verification of one candidate: exact per-digit validity,
-/// cut-cone skipping, then delta-verification over a retargeted per-worker
+/// cut-cone skipping, then delta-verification over the run's retargeted
 /// LTG. A valid candidate resolves exactly its `Resolve` set, which passed
 /// [`DeadlockAnalysis::free_without`], so it is deadlock-free and needs no
 /// Theorem 4.2 re-check. The returned verdict is provably the one
 /// [`verify_candidate`] would compute (see the module docs and DESIGN.md
-/// §14 for the soundness argument), so the canonical merge cannot tell the
-/// engines apart.
+/// §14 for the soundness argument), so the outcome cannot tell the engines
+/// apart. A cut this candidate's trail certifies is installed in `cuts`
+/// and projected into `p` before the next candidate.
 fn verify_candidate_pruned(
     ctx: &ScanContext<'_>,
-    p: &PruneScanContext<'_>,
+    p: &mut SetPrune,
+    cuts: &mut Cuts,
     digits: &[usize],
-    projected: &[Vec<(usize, usize)>],
     added: &mut Vec<LocalTransition>,
     ltg: &mut Option<Ltg>,
     tally: &mut Tally,
@@ -943,7 +778,7 @@ fn verify_candidate_pruned(
     }
     // Cut-cone skip. The full engine checks Theorem 4.2 before the trail,
     // so this is sound because the candidate is deadlock-free.
-    if projected
+    if p.projected
         .iter()
         .any(|c| c.iter().all(|&(j, d)| digits[j] == d))
     {
@@ -984,8 +819,10 @@ fn verify_candidate_pruned(
                     .into_iter()
                     .filter(|&t| !ctx.protocol.has_transition(t))
                     .collect();
-                if install_cut(p.cuts, cut) {
+                let projected = project_cut(&cut, ctx.resolve, ctx.space.per_state);
+                if install_cut(cuts, cut) {
                     tally.cones_cut += 1;
+                    p.projected.extend(projected);
                 }
             }
         }
@@ -1273,25 +1110,6 @@ mod tests {
         }
     }
 
-    /// The outcome is identical for every thread count (chunked merge is
-    /// canonical).
-    #[test]
-    fn outcome_is_invariant_across_thread_counts() {
-        for (d, legit) in [(3, "x[r] + x[r-1] != 2"), (3, "x[r] != x[r-1]")] {
-            let p = empty("t", d, legit);
-            let sequential = LocalSynthesizer::default().synthesize(&p).unwrap();
-            for threads in [2, 4, 8] {
-                let out = LocalSynthesizer::new(SynthesisConfig {
-                    threads,
-                    ..SynthesisConfig::default()
-                })
-                .synthesize(&p)
-                .unwrap();
-                assert_eq!(out, sequential, "threads {threads}");
-            }
-        }
-    }
-
     /// Metered and unmetered runs produce the same outcome; the counters
     /// mirror the outcome's accounting and the phase span is recorded.
     #[test]
@@ -1344,11 +1162,10 @@ mod tests {
 
     /// The pruned engine (the default) and the reference full-enumeration
     /// engine produce byte-identical outcomes on every corpus-shaped
-    /// workload, at every thread count — pruning must be invisible. The
-    /// one-solution and five-combination budgets cut the merged verdicts
-    /// mid-set, after workers stopped claiming chunks early.
+    /// workload — pruning must be invisible. The one-solution and
+    /// five-combination budgets stop the scan mid-set.
     #[test]
-    fn pruned_and_full_engines_agree_at_every_thread_count() {
+    fn pruned_and_full_engines_agree() {
         let workloads = [
             (2, "x[r] == x[r-1]"),
             (2, "x[r] != x[r-1]"),
@@ -1377,47 +1194,49 @@ mod tests {
                 })
                 .synthesize(&p)
                 .unwrap();
-                for threads in [1, 2, 8] {
-                    let pruned = LocalSynthesizer::new(SynthesisConfig {
-                        prune: true,
-                        threads,
-                        ..budget.clone()
-                    })
-                    .synthesize(&p)
-                    .unwrap();
-                    assert_eq!(
-                        pruned, full,
-                        "d={d} legit=`{legit}` threads={threads} budget {budget:?}"
-                    );
-                }
+                let pruned = LocalSynthesizer::new(SynthesisConfig {
+                    prune: true,
+                    ..budget.clone()
+                })
+                .synthesize(&p)
+                .unwrap();
+                assert_eq!(pruned, full, "d={d} legit=`{legit}` budget {budget:?}");
             }
         }
     }
 
-    /// On a workload whose every candidate is trail-rejected (4-coloring),
-    /// pruning actually cuts cones and skips verification work — while the
-    /// recounted outcome still covers the whole combination space.
+    /// On workloads whose every candidate is trail-rejected (4- and
+    /// 5-coloring), pruning cuts cones and skips verification work — while
+    /// the recounted outcome still covers the whole combination space. The
+    /// scan is sequential and projects each new cut at once, so the work
+    /// counts are exact: one cut per verified candidate, every other
+    /// candidate skipped.
     #[test]
     fn pruning_cuts_cones_on_a_rejecting_workload() {
-        let p = empty("4col", 4, "x[r] != x[r-1]");
-        let counters = SynthesisCounters::new();
-        let out = LocalSynthesizer::default()
-            .synthesize_metered(&p, &CancelToken::new(), Some(&counters), None)
-            .unwrap();
-        assert!(!out.is_success());
-        assert_eq!(out.combinations_tried(), out.rejected_by_trail());
-        let snap = counters.snapshot();
-        assert!(snap.cones_cut > 0, "no cut was ever installed");
-        assert!(snap.candidates_skipped > 0, "no cone member was skipped");
-        assert!(snap.delta_reuses > 0, "no verification reused delta state");
-        // Skipped candidates are recounted, never dropped.
-        assert_eq!(snap.combinations_tried, out.combinations_tried() as u64);
-        assert_eq!(snap.rejected_by_trail, out.rejected_by_trail() as u64);
+        // (d, combinations, cones cut, candidates skipped)
+        for (d, combinations, cut, skipped) in [(4, 81, 20, 61), (5, 1024, 84, 940)] {
+            let p = empty("coloring", d, "x[r] != x[r-1]");
+            let counters = SynthesisCounters::new();
+            let out = LocalSynthesizer::default()
+                .synthesize_metered(&p, &CancelToken::new(), Some(&counters), None)
+                .unwrap();
+            assert!(!out.is_success());
+            assert_eq!(out.combinations_tried(), combinations, "d={d}");
+            assert_eq!(out.rejected_by_trail(), combinations, "d={d}");
+            let snap = counters.snapshot();
+            assert_eq!(snap.cones_cut, cut, "d={d}: cones cut");
+            assert_eq!(snap.candidates_skipped, skipped, "d={d}: skipped");
+            assert_eq!(snap.delta_reuses, cut, "d={d}: delta reuses");
+            assert_eq!(snap.cancel_polls, combinations as u64, "d={d}: polls");
+            // Skipped candidates are recounted, never dropped.
+            assert_eq!(snap.combinations_tried, combinations as u64);
+            assert_eq!(snap.rejected_by_trail, combinations as u64);
+        }
     }
 
     /// Satellite regression: a combination space whose product overflows
-    /// `u64` is a typed error, not a saturated count that `decode` would
-    /// misindex.
+    /// `u64` is a typed error, not a saturated count that the odometer
+    /// would run past.
     #[test]
     fn combo_space_overflow_is_detected_not_saturated() {
         let t = |v: u8| LocalTransition::new(LocalStateId(0), v);
@@ -1437,8 +1256,7 @@ mod tests {
     }
 
     /// Satellite regression: a resolve state with zero candidate options
-    /// yields `Some(0)` (immediately unsatisfiable) — the old saturating
-    /// total fed `decode` a modulus of zero.
+    /// yields `Some(0)` (immediately unsatisfiable).
     #[test]
     fn zero_option_state_is_immediately_unsatisfiable() {
         let t = |v: u8| LocalTransition::new(LocalStateId(0), v);
@@ -1453,15 +1271,15 @@ mod tests {
     #[test]
     fn cut_list_dedups_by_subsumption() {
         let t = |s: u32, v: u8| LocalTransition::new(LocalStateId(s), v);
-        let cuts = Cuts::default();
-        assert!(install_cut(&cuts, vec![t(0, 1), t(1, 2)]));
+        let mut cuts = Cuts::new();
+        assert!(install_cut(&mut cuts, vec![t(0, 1), t(1, 2)]));
         // A superset cone is subsumed by the installed cut.
-        assert!(!install_cut(&cuts, vec![t(0, 1), t(1, 2), t(2, 0)]));
+        assert!(!install_cut(&mut cuts, vec![t(0, 1), t(1, 2), t(2, 0)]));
         // The exact same cut is subsumed too.
-        assert!(!install_cut(&cuts, vec![t(0, 1), t(1, 2)]));
+        assert!(!install_cut(&mut cuts, vec![t(0, 1), t(1, 2)]));
         // A *subset* is new information (a wider cone) and is installed.
-        assert!(install_cut(&cuts, vec![t(0, 1)]));
-        assert_eq!(cuts.read().unwrap().len(), 2);
+        assert!(install_cut(&mut cuts, vec![t(0, 1)]));
+        assert_eq!(cuts.len(), 2);
     }
 
     /// Cut projection maps transitions to digit constraints, rejects cuts
@@ -1494,7 +1312,7 @@ mod tests {
         assert_eq!(project_cut(&[], &resolve, &per_state), Some(Vec::new()));
     }
 
-    /// The lazy mixed-radix enumeration matches the old materialized
+    /// The lazy mixed-radix enumeration matches the materialized
     /// nested-loop order: state 0 is the most significant digit.
     #[test]
     fn combo_space_enumerates_in_nested_loop_order() {
@@ -1518,13 +1336,7 @@ mod tests {
         }
         let mut digits = Vec::new();
         let mut added = Vec::new();
-        for (i, expected) in materialized.iter().enumerate() {
-            space.decode(i as u64, &mut digits);
-            space.fill(&digits, &mut added);
-            assert_eq!(&added, expected, "decode at {i}");
-        }
-        // And the odometer agrees with decode.
-        space.decode(0, &mut digits);
+        space.first(&mut digits);
         for (i, expected) in materialized.iter().enumerate() {
             space.fill(&digits, &mut added);
             assert_eq!(&added, expected, "advance at {i}");

@@ -202,42 +202,20 @@ proptest! {
         }
     }
 
-    /// The deterministic-merge contract: the full [`SynthesisOutcome`] is
-    /// invariant across worker-thread counts, for every random protocol.
+    /// The pruning contract: for every random protocol and budget cutoff,
+    /// the pruned engine's [`SynthesisOutcome`] is identical to the
+    /// reference full enumeration — cone-skipped candidates are recounted,
+    /// never dropped, so even a budget that truncates mid-cone cannot
+    /// perturb the counts or the solutions.
     #[test]
-    fn outcome_is_thread_count_invariant(p in arb_empty_protocol(2)) {
-        let config = |threads| SynthesisConfig {
-            max_solutions: 8,
-            threads,
-            ..SynthesisConfig::default()
-        };
-        let sequential = LocalSynthesizer::new(config(1)).synthesize(&p).unwrap();
-        for threads in [2, 8] {
-            let parallel = LocalSynthesizer::new(config(threads)).synthesize(&p).unwrap();
-            prop_assert_eq!(
-                &parallel, &sequential,
-                "outcome diverged at {} threads", threads
-            );
-        }
-    }
-
-    /// The pruning contract: for every random protocol, worker-thread
-    /// count, and budget cutoff, the pruned engine's [`SynthesisOutcome`]
-    /// is identical to the reference full enumeration — cone-skipped
-    /// candidates are recounted, never dropped, so even a budget that
-    /// truncates mid-cone cannot perturb the counts or the solutions.
-    #[test]
-    fn pruning_is_invisible_across_threads_and_budgets(
+    fn pruning_is_invisible_across_budgets(
         p in arb_empty_protocol(3),
-        threads_pick in 0usize..3,
         budget_pick in 0usize..3,
     ) {
-        let threads = [1usize, 2, 8][threads_pick];
         let max_combinations = [7usize, 64, 4096][budget_pick];
         let config = |prune| SynthesisConfig {
             max_solutions: 8,
             max_combinations,
-            threads,
             prune,
             ..SynthesisConfig::default()
         };
@@ -245,8 +223,8 @@ proptest! {
         let pruned = LocalSynthesizer::new(config(true)).synthesize(&p).unwrap();
         prop_assert_eq!(
             &pruned, &full,
-            "pruning perturbed the outcome at {} threads, budget {}",
-            threads, max_combinations
+            "pruning perturbed the outcome at budget {}",
+            max_combinations
         );
     }
 
@@ -261,7 +239,6 @@ proptest! {
     ) {
         let config = SynthesisConfig {
             max_solutions: 8,
-            threads: 4,
             prune: true,
             ..SynthesisConfig::default()
         };
@@ -307,7 +284,6 @@ proptest! {
     ) {
         let config = SynthesisConfig {
             max_solutions: 8,
-            threads: 4,
             ..SynthesisConfig::default()
         };
         let full = LocalSynthesizer::new(config.clone()).synthesize(&p).unwrap();

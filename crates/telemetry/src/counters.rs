@@ -5,22 +5,22 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use serde_json::Value;
 
 /// Counters the fused scan and the livelock DFS flush into — once per
-/// chunk / once per completed search, never per state, so the hot loops
-/// keep counting in plain locals.
+/// completed pass, never per state, so the hot loops keep counting in
+/// plain locals.
 ///
+/// Every value is a function of the instance and the engine's resolved
+/// symmetry mode for a *completed* check (both passes run on one thread).
 /// Two classes live here, and they must not be confused:
 ///
 /// * **deterministic** — `states_visited`, `legit_states`,
 ///   `deadlocks_found`, `dfs_steps`, `dfs_max_depth`, `cancel_polls`,
-///   `orbits_visited`, `canonicalizations` and `frontier_pushes` are pure
-///   functions of the instance (and the engine's resolved symmetry mode)
-///   for a *completed* check, identical for every engine thread count
-///   (scan polls fire on global id strides, the DFS and the reduced paths
-///   are sequential);
+///   `orbits_visited`, `canonicalizations` and `frontier_pushes`, which
+///   the metrics differs compare;
 /// * **scheduling-dependent** — `closure_checks` counts how many
-///   legitimate states actually had their moves re-encoded, and the scan
-///   short-circuits that work per chunk once a chunk finds its first
-///   violation, so the tally depends on how the id range was chunked.
+///   legitimate states actually had their moves re-encoded: up to the
+///   first violation, the dense sweep re-encodes every legitimate state
+///   and the necklace sweep only each orbit's representative, so the
+///   tally differs between symmetry modes.
 ///
 /// [`EngineCountersSnapshot::deterministic_json`] renders only the first
 /// class; the second is surfaced in the campaign metrics document's
@@ -117,8 +117,8 @@ pub struct EngineCountersSnapshot {
 }
 
 impl EngineCountersSnapshot {
-    /// The thread-count-invariant counters as canonical JSON — the values
-    /// a metrics differ may compare across runs. `closure_checks` is
+    /// The deterministic counters as canonical JSON — the values a
+    /// metrics differ may compare across runs. `closure_checks` is
     /// deliberately absent (see [`EngineCounters`]).
     pub fn deterministic_json(&self) -> Value {
         let mut map = std::collections::BTreeMap::new();
@@ -150,23 +150,21 @@ impl EngineCountersSnapshot {
     }
 }
 
-/// Counters the synthesis engine flushes into — once per completed run
-/// (from the canonically merged outcome) plus a per-worker poll tally, so
-/// the candidate-verification loop keeps counting in plain locals.
+/// Counters the synthesis engine flushes into — once per completed run,
+/// so the candidate-verification loop keeps counting in plain locals.
 ///
-/// The same determinism split as [`EngineCounters`] applies:
+/// The same split as [`EngineCounters`] applies:
 ///
 /// * **deterministic** — `resolve_sets_examined`, `combinations_tried`,
 ///   `rejected_invalid`, `rejected_by_deadlock`, `rejected_by_trail` and
-///   `solutions_found` are recomputed from the canonical (enumeration-order)
-///   merge, so they are identical for every thread count;
+///   `solutions_found` describe the outcome, which is the same with
+///   pruning on or off;
 /// * **scheduling-dependent** — `cancel_polls` counts the cooperative
-///   cancellation checks workers performed, including overwork on chunks
-///   that a budget cutoff later discarded; `cones_cut`,
-///   `candidates_skipped` and `delta_reuses` describe the lattice-pruning
-///   machinery, whose work avoidance depends on which worker installed a
-///   cut first (the *verdicts* stay deterministic — only the amount of
-///   skipped work varies).
+///   cancellation checks, including the one that sees a cancellation, so
+///   it depends on when a cancel lands; `cones_cut`, `candidates_skipped`
+///   and `delta_reuses` describe the lattice-pruning machinery, and
+///   differ between prune modes (the *verdicts* stay the same — only the
+///   amount of skipped work differs).
 ///
 /// [`SynthesisCountersSnapshot::deterministic_json`] renders only the first
 /// class.
@@ -174,7 +172,7 @@ impl EngineCountersSnapshot {
 pub struct SynthesisCounters {
     /// `Resolve` sets examined (candidate generation attempted).
     pub resolve_sets_examined: AtomicU64,
-    /// Candidate combinations verified (counted at the canonical cutoff).
+    /// Candidate combinations verified, cone-skipped ones included.
     pub combinations_tried: AtomicU64,
     /// Combinations rejected because the revision failed validation.
     pub rejected_invalid: AtomicU64,
@@ -182,7 +180,7 @@ pub struct SynthesisCounters {
     pub rejected_by_deadlock: AtomicU64,
     /// Combinations rejected by the Theorem 5.14 trail check.
     pub rejected_by_trail: AtomicU64,
-    /// Accepted revisions (within the canonical cutoff).
+    /// Accepted revisions (at most the solution budget).
     pub solutions_found: AtomicU64,
     /// Cancellation polls performed (scheduling-dependent; see type docs).
     pub cancel_polls: AtomicU64,
@@ -257,7 +255,7 @@ pub struct SynthesisCountersSnapshot {
 }
 
 impl SynthesisCountersSnapshot {
-    /// The thread-count-invariant counters as canonical JSON.
+    /// The deterministic counters as canonical JSON.
     /// `cancel_polls`, `cones_cut`, `candidates_skipped` and `delta_reuses`
     /// are deliberately absent (see [`SynthesisCounters`]).
     pub fn deterministic_json(&self) -> Value {

@@ -12,7 +12,7 @@
 //!   [`PhaseSink`] / [`span`] — the hook the pipelines report them through;
 //! * [`EngineCounters`] — the global engine's work counters (states
 //!   visited, deadlocks found, closure checks, DFS depth, cancel polls),
-//!   flushed once per chunk so the scan loop itself only touches plain
+//!   flushed once per pass so the scan loop itself only touches plain
 //!   locals;
 //! * [`Registry`] — named counters, gauges and histograms that snapshot
 //!   to canonical (sorted-key) JSON and render to the Prometheus text
@@ -26,9 +26,10 @@
 //!
 //! **The determinism contract.** Counter *values* describing completed
 //! work (states visited, deadlocks found, DFS steps) are pure functions of
-//! the problem instance and are byte-identical across worker and engine
-//! thread counts. Durations, queue depths, steal counts and closure-check
-//! short-circuit tallies depend on scheduling and are reported separately.
+//! the problem instance and are byte-identical across worker counts.
+//! Durations, queue depths and steal counts depend on scheduling, and
+//! tallies such as closure checks or pruning skips differ between engine
+//! modes; both are reported separately.
 //! Consumers that diff metrics across runs must only compare the former;
 //! the campaign metrics document keeps the two classes in different
 //! sections for exactly this reason.
