@@ -1,7 +1,9 @@
 //! Deadlock-freedom for every ring size: the Theorem 4.2 check.
 
+use std::collections::VecDeque;
+
 use selfstab_graph::{
-    cycles::{simple_cycles, CycleBudget, CycleEnumeration},
+    cycles::{simple_cycles, CycleBudget},
     scc::vertices_on_cycles,
     BitSet, DiGraph,
 };
@@ -40,9 +42,9 @@ impl DeadlockWitness {
 ///
 /// The verdict ([`DeadlockAnalysis::is_free_for_all_k`]) is **exact** — the
 /// theorem is necessary and sufficient — and is computed eagerly from
-/// strongly connected components. The cycles of the induced graph are
-/// diagnostics, enumerated (under a budget) only when asked for, by
-/// [`DeadlockAnalysis::witnesses`] and [`DeadlockAnalysis::deadlock_cycles`].
+/// strongly connected components. Cycles are found only when asked for: a
+/// shortest one by [`DeadlockAnalysis::witness_without`], and Johnson's
+/// enumeration (under a budget) by [`DeadlockAnalysis::witnesses`].
 ///
 /// # Examples
 ///
@@ -117,48 +119,72 @@ impl DeadlockAnalysis {
     ///
     /// Panics if a state of `resolve` is outside the local state space.
     pub fn free_without(&self, resolve: &[LocalStateId]) -> bool {
-        let mut keep = BitSet::full(self.induced.vertex_count());
-        for s in resolve {
-            keep.remove(s.index());
-        }
-        no_bad_cycle(&self.induced.induced(&keep), &self.bad_states)
+        no_bad_cycle(&self.without(resolve), &self.bad_states)
     }
 
-    /// Johnson's enumeration of the simple cycles of the induced RCG, in
-    /// enumeration order, under the default cycle budget. It lists every
-    /// cycle, including those through legitimate local deadlocks only.
-    pub fn deadlock_cycles(&self) -> CycleEnumeration {
-        simple_cycles(&self.induced, CycleBudget::default())
+    /// A counterexample to [`DeadlockAnalysis::free_without`]: `None` iff
+    /// it holds, and otherwise a shortest cycle of the induced RCG without
+    /// `resolve` through an illegitimate local deadlock (the smallest such
+    /// state on a tie), found by breadth-first search after the SCC test.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a state of `resolve` is outside the local state space.
+    pub fn witness_without(&self, resolve: &[LocalStateId]) -> Option<DeadlockWitness> {
+        let g = self.without(resolve);
+        let on_cycles = vertices_on_cycles(&g);
+        self.bad_states
+            .iter()
+            .filter(|&b| on_cycles.contains(b))
+            .filter_map(|b| shortest_cycle_through(&g, b))
+            .min_by_key(Vec::len)
+            .map(|cycle| self.witness(&cycle))
     }
 
-    /// The witness cycles, those of [`DeadlockAnalysis::deadlock_cycles`]
-    /// through an illegitimate local deadlock, shortest first, and whether
-    /// the enumeration budget cut them short (the verdict itself is never
-    /// affected). A free protocol has no witness, and nothing is
-    /// enumerated for it.
+    /// Whether `s` is an illegitimate local deadlock.
+    pub fn is_illegitimate_deadlock(&self, s: LocalStateId) -> bool {
+        self.bad_states.contains(s.index())
+    }
+
+    /// The witness cycles, those of Johnson's enumeration of the induced
+    /// RCG (under the default cycle budget) through an illegitimate local
+    /// deadlock, shortest first, and whether the enumeration budget cut
+    /// them short (the verdict itself is never affected). A free protocol
+    /// has no witness, and nothing is enumerated for it.
     pub fn witnesses(&self) -> (Vec<DeadlockWitness>, bool) {
         if self.free {
             return (Vec::new(), false);
         }
-        let e = self.deadlock_cycles();
+        let e = simple_cycles(&self.induced, CycleBudget::default());
         let mut witnesses: Vec<DeadlockWitness> = e
             .through(&self.bad_states)
-            .map(|cycle| {
-                let ids: Vec<LocalStateId> =
-                    cycle.iter().map(|&v| LocalStateId(v as u32)).collect();
-                let configuration = ids
-                    .iter()
-                    .map(|&s| self.space.value_at(s, self.center))
-                    .collect();
-                DeadlockWitness {
-                    base_ring_size: ids.len(),
-                    cycle: ids,
-                    configuration,
-                }
-            })
+            .map(|cycle| self.witness(cycle))
             .collect();
         witnesses.sort_by_key(|w| w.base_ring_size);
         (witnesses, e.truncated)
+    }
+
+    /// The induced RCG without the states of `resolve`.
+    fn without(&self, resolve: &[LocalStateId]) -> DiGraph {
+        let mut keep = BitSet::full(self.induced.vertex_count());
+        for s in resolve {
+            keep.remove(s.index());
+        }
+        self.induced.induced(&keep)
+    }
+
+    /// The witness of a cycle of the induced RCG.
+    fn witness(&self, cycle: &[usize]) -> DeadlockWitness {
+        let ids: Vec<LocalStateId> = cycle.iter().map(|&v| LocalStateId(v as u32)).collect();
+        let configuration = ids
+            .iter()
+            .map(|&s| self.space.value_at(s, self.center))
+            .collect();
+        DeadlockWitness {
+            base_ring_size: ids.len(),
+            cycle: ids,
+            configuration,
+        }
     }
 
     /// Number of local deadlock states.
@@ -230,6 +256,31 @@ impl DeadlockAnalysis {
 fn no_bad_cycle(induced: &DiGraph, bad_states: &BitSet) -> bool {
     let on_cycles = vertices_on_cycles(induced);
     bad_states.iter().all(|v| !on_cycles.contains(v))
+}
+
+/// A shortest cycle of `g` through `b`, as its vertices from `b` on: a
+/// breadth-first search from `b` stops at the first arc back into `b`.
+fn shortest_cycle_through(g: &DiGraph, b: usize) -> Option<Vec<usize>> {
+    let mut parent = vec![usize::MAX; g.vertex_count()];
+    let mut queue = VecDeque::from([b]);
+    while let Some(u) = queue.pop_front() {
+        for &v in g.successors(u) {
+            let v = v as usize;
+            if v == b {
+                let mut cycle = vec![u];
+                while cycle[cycle.len() - 1] != b {
+                    cycle.push(parent[cycle[cycle.len() - 1]]);
+                }
+                cycle.reverse();
+                return Some(cycle);
+            }
+            if parent[v] == usize::MAX {
+                parent[v] = u;
+                queue.push_back(v);
+            }
+        }
+    }
+    None
 }
 
 impl std::fmt::Display for DeadlockAnalysis {

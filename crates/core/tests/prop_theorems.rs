@@ -162,7 +162,11 @@ proptest! {
     /// `(empty, false)` on a free protocol.
     /// `free_without(R)` is Theorem 4.2 over the deadlocks outside `R`, for
     /// `R` drawn from the illegitimate deadlocks, and `free_without(&[])`
-    /// is the verdict.
+    /// is the verdict. `witness_without(R)` is `None` iff `free_without(R)`
+    /// holds, and otherwise a cycle of local deadlocks outside `R` that
+    /// closes in the RCG, passes through an illegitimate one and spells out
+    /// its configuration; without `R` it is as short as the shortest
+    /// enumerated witness (at d = 3 the enumeration is complete).
     #[test]
     fn deadlock_analysis_matches_the_eager_reference(
         p in arb_protocol(3),
@@ -210,6 +214,30 @@ proptest! {
             .all(|v| !illegit.holds(LocalStateId(v as u32)));
         prop_assert_eq!(a.free_without(&resolve), reference, "resolve {:?}", resolve);
         prop_assert_eq!(a.free_without(&[]), a.is_free_for_all_k());
+
+        for r in [&resolve[..], &[]] {
+            let Some(w) = a.witness_without(r) else {
+                prop_assert!(a.free_without(r), "no witness, yet {:?} leaves a bad cycle", r);
+                continue;
+            };
+            prop_assert!(!a.free_without(r), "a witness, yet {:?} is free", r);
+            let n = w.cycle.len();
+            prop_assert_eq!(w.base_ring_size, n);
+            prop_assert_eq!(w.configuration.len(), n);
+            for (i, &s) in w.cycle.iter().enumerate() {
+                prop_assert!(rcg.graph().has_arc(s.index(), w.cycle[(i + 1) % n].index()));
+                prop_assert!(deadlocks.as_bitset().contains(s.index()) && !r.contains(&s));
+                prop_assert_eq!(
+                    p.space().decode(s),
+                    vec![w.configuration[(i + n - 1) % n], w.configuration[i]]
+                );
+            }
+            prop_assert!(w.cycle.iter().any(|&s| illegit.holds(s)), "{:?}", w);
+        }
+        prop_assert_eq!(
+            a.witness_without(&[]).map(|w| w.base_ring_size),
+            a.witnesses().0.first().map(|w| w.base_ring_size)
+        );
     }
 
     /// `deadlocked_ring_sizes` is exact: it matches global deadlock

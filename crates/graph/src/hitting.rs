@@ -3,25 +3,21 @@
 //! The Section 6 synthesis methodology computes the `Resolve` set as a
 //! *minimal feedback subset* of the deadlock-induced RCG restricted to
 //! illegitimate local states: a minimal set of vertices hitting every "bad"
-//! cycle. We reduce feedback-subset enumeration to minimal-hitting-set
-//! enumeration over the enumerated cycles (restricted to the allowed
-//! vertices of each cycle).
+//! cycle. Synthesis reduces this to minimal-hitting-set enumeration over the
+//! illegitimate states of the bad cycles it has found so far.
 //!
 //! Enumeration is *iterative deepening on set size*: all minimal sets of
-//! size `k` are produced (in lexicographic order) before any set of size
-//! `k + 1` is considered. A set emitted at level `k` can therefore never be
-//! a superset of a set the search has yet to find — so truncation via
-//! `max_sets` is sound: every returned set is genuinely minimal, not merely
-//! minimal among the sets the truncated search happened to visit.
-
-use std::collections::BTreeSet;
+//! size `k` are produced, in lexicographic order, before any set of size
+//! `k + 1` is considered, so truncation via `max_sets` is sound: every
+//! returned set is genuinely minimal, not merely minimal among the sets the
+//! truncated search happened to visit.
 
 /// Enumerates all *minimal* hitting sets of `families`, where each family is
 /// the set of elements allowed to hit it.
 ///
 /// A hitting set picks at least one element from every family; it is minimal
-/// if no proper subset is also a hitting set. Families are given as sorted
-/// element lists. Returns hitting sets as sorted element lists, deduplicated,
+/// if no proper subset is also a hitting set. Families are element lists in
+/// any order. Returns hitting sets as sorted element lists, deduplicated,
 /// ordered by (size, lexicographic).
 ///
 /// `max_sets` bounds the number of returned sets. Because enumeration
@@ -47,88 +43,90 @@ use std::collections::BTreeSet;
 /// assert!(minimal_hitting_sets(&[vec![]], 10).is_empty());
 /// ```
 pub fn minimal_hitting_sets(families: &[Vec<usize>], max_sets: usize) -> Vec<Vec<usize>> {
-    // The cap comes first: with no family, the one hitting set is the
-    // empty set, and a zero cap returns none.
-    if max_sets == 0 || families.iter().any(|f| f.is_empty()) {
-        return Vec::new();
-    }
-    if families.is_empty() {
-        return vec![Vec::new()];
-    }
-
-    // Iterative deepening: level `k` enumerates exactly the minimal hitting
-    // sets of size `k`. A branch whose partial set already covers a
-    // previously found minimal set can only complete to a superset, so it is
-    // pruned; a branch that hits every family *before* reaching size `k` was
-    // already found at a shallower level, so it is not re-emitted.
-    let mut minimal: Vec<Vec<usize>> = Vec::new();
-    for k in 1..=families.len() {
+    let mut elements = families.concat();
+    elements.sort_unstable();
+    elements.dedup();
+    // A minimal hitting set needs a private family per element, so it has
+    // at most one element per family.
+    let mut minimal = Vec::new();
+    for k in 0..=families.len() {
         if minimal.len() >= max_sets {
             break;
         }
-        let mut level: BTreeSet<Vec<usize>> = BTreeSet::new();
-        let mut current: Vec<usize> = Vec::new();
-        search_level(families, &mut current, k, &minimal, &mut level);
-        for set in level {
-            if minimal.len() >= max_sets {
-                break;
-            }
-            // Two distinct sets of equal size cannot contain one another, so
-            // a level is internally superset-free; crossing levels is handled
-            // by the pruning inside `search_level`.
-            minimal.push(set);
-        }
+        search_level(
+            families,
+            &elements,
+            &mut Vec::new(),
+            k,
+            max_sets,
+            &mut minimal,
+        );
     }
     minimal
 }
 
-/// Depth-limited branch on the first un-hit family: records every hitting
-/// set of size exactly `k` that is not a superset of an already-found
-/// minimal set.
+/// Depth-first search of one level, picking elements in increasing order:
+/// records, in lexicographic order, every hitting set of size exactly `k`
+/// that extends `current` and is not a superset of an already-found minimal
+/// set, until `max_sets` sets are known. Each pick must hit an unhit family,
+/// as every element of a minimal set does when the elements are picked in
+/// order. A branch is cut when it covers a found set, when an unhit family
+/// has no element left above the last pick, or when more pairwise-disjoint
+/// unhit families remain than picks.
 fn search_level(
     families: &[Vec<usize>],
+    elements: &[usize],
     current: &mut Vec<usize>,
     k: usize,
-    minimal: &[Vec<usize>],
-    level: &mut BTreeSet<Vec<usize>>,
+    max_sets: usize,
+    minimal: &mut Vec<Vec<usize>>,
 ) {
-    if covers_some(minimal, current) {
-        return; // any completion is a superset of a known minimal set
-    }
-    let unhit = families
-        .iter()
-        .position(|f| !f.iter().any(|e| current.contains(e)));
-    match unhit {
-        None => {
-            // Hit everything with fewer than `k` picks: this set belongs to
-            // an earlier level (where it was emitted or pruned) — skip.
-            if current.len() == k {
-                let mut set = current.clone();
-                set.sort_unstable();
-                level.insert(set);
-            }
-        }
-        Some(idx) => {
-            if current.len() >= k {
-                return; // size budget exhausted with families still un-hit
-            }
-            // Elements of an un-hit family are never already in `current`
-            // (otherwise the family would be hit), so no dedup is needed.
-            for &e in &families[idx] {
-                current.push(e);
-                search_level(families, current, k, minimal, level);
-                current.pop();
-            }
-        }
-    }
-}
-
-/// Whether `current` is a (non-strict) superset of some already-found
-/// minimal set.
-fn covers_some(minimal: &[Vec<usize>], current: &[usize]) -> bool {
-    minimal
+    if minimal
         .iter()
         .any(|m| m.iter().all(|e| current.contains(e)))
+    {
+        return; // any completion is a superset of a known minimal set
+    }
+    let next = current.last().map_or(0, |&e| e + 1);
+    let unhit: Vec<&Vec<usize>> = families
+        .iter()
+        .filter(|f| !f.iter().any(|e| current.contains(e)))
+        .collect();
+    if unhit.is_empty() {
+        // With fewer than `k` picks the set belongs to an earlier level.
+        if current.len() == k {
+            minimal.push(current.clone());
+        }
+        return;
+    }
+    let (mut packed, mut disjoint, mut last) = (Vec::new(), 0, usize::MAX);
+    for f in &unhit {
+        let left = || f.iter().filter(|&&e| e >= next);
+        let Some(&max) = left().max() else {
+            return;
+        };
+        last = last.min(max);
+        if !left().any(|e| packed.contains(e)) {
+            packed.extend(left());
+            disjoint += 1;
+        }
+    }
+    if disjoint > k - current.len() {
+        return;
+    }
+    for &e in elements[elements.partition_point(|&e| e < next)..]
+        .iter()
+        .take_while(|&&e| e <= last)
+    {
+        if unhit.iter().any(|f| f.contains(&e)) {
+            current.push(e);
+            search_level(families, elements, current, k, max_sets, minimal);
+            current.pop();
+            if minimal.len() >= max_sets {
+                return;
+            }
+        }
+    }
 }
 
 #[cfg(test)]

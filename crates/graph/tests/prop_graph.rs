@@ -131,6 +131,28 @@ proptest! {
         }
     }
 
+    /// Minimal hitting sets are complete: over families drawn from 0..8,
+    /// the result is exactly the minimal hitting sets among all 256
+    /// subsets, in (size, lex) order, truncated at every cap.
+    #[test]
+    fn hitting_sets_are_the_brute_force_minimal_sets(
+        fams in proptest::collection::vec(proptest::collection::vec(0usize..8, 1..5), 0..7)
+    ) {
+        let hits = |mask: u32| fams.iter().all(|f| f.iter().any(|&e| mask >> e & 1 == 1));
+        let mut expected: Vec<Vec<usize>> = (0u32..256)
+            .filter(|&m| hits(m) && (0..8).all(|e| m >> e & 1 == 0 || !hits(m & !(1 << e))))
+            .map(|m| (0..8).filter(|&e| m >> e & 1 == 1).collect())
+            .collect();
+        expected.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+        for cap in 0..=expected.len() + 1 {
+            prop_assert_eq!(
+                minimal_hitting_sets(&fams, cap),
+                &expected[..cap.min(expected.len())],
+                "families {:?}, max_sets {}", &fams, cap
+            );
+        }
+    }
+
     /// Minimal hitting sets depend on the families as a set of sets:
     /// duplicating families, reordering them, or permuting the elements
     /// inside them returns the same sets in the same order, truncated or

@@ -17,13 +17,15 @@
 //!   locality, not on the transition relation, so one [`Rcg`] is built per
 //!   protocol and shared by every candidate's deadlock re-check
 //!   ([`DeadlockAnalysis::analyze_prepared`]). One [`DeadlockAnalysis`] of
-//!   the input protocol supplies the bad cycles the `Resolve` sets must
-//!   hit and their exact Theorem 4.2 re-check
-//!   ([`DeadlockAnalysis::free_without`]), which every returned set passes:
-//!   every candidate is deadlock-free by construction.
+//!   the input protocol re-checks each `Resolve` set exactly (Theorem 4.2)
+//!   and hands back a shortest bad cycle the set leaves
+//!   ([`DeadlockAnalysis::witness_without`]); the sets grow from these
+//!   counterexamples until every one passes, so every candidate is
+//!   deadlock-free by construction.
 //! * **Cancellation** — a cooperative [`CancelToken`] is polled once per
-//!   candidate; on cancellation the verified prefix is kept, so no solution
-//!   below the cancel point is lost.
+//!   round of the `Resolve`-set search and once per candidate; on
+//!   cancellation the verified prefix is kept, so no solution below the
+//!   cancel point is lost.
 //! * **Monotone lattice pruning** (`prune`, on by default) — a candidate
 //!   rejected by a qualifying trail certifies a *cut*: the trail's used
 //!   t-arcs form a pseudo-livelock union whose presence dooms **every**
@@ -39,7 +41,6 @@
 //!   delta-applied LTG per run ([`Ltg::retarget`]) instead of from-scratch
 //!   analyses. See DESIGN.md §14.
 
-use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 use std::sync::atomic::Ordering;
 
@@ -282,107 +283,18 @@ impl LocalSynthesizer {
         LocalSynthesizer { config }
     }
 
-    /// Computes the candidate `Resolve` sets: minimal sets of illegitimate
-    /// local deadlocks hitting every RCG cycle (over local deadlocks) that
-    /// passes through an illegitimate state.
+    /// Computes the candidate `Resolve` sets: the first `max_resolve_sets`
+    /// minimal sets of illegitimate local deadlocks hitting every RCG cycle
+    /// (over local deadlocks) that passes through an illegitimate state, in
+    /// (size, lex) order.
     ///
     /// Every returned set passes the exact Theorem 4.2 re-check
-    /// ([`DeadlockAnalysis::free_without`]), so the result is correct even
-    /// if cycle enumeration was truncated, and every candidate built on a
+    /// ([`DeadlockAnalysis::free_without`]), so every candidate built on a
     /// returned set is deadlock-free for every ring size.
     pub fn resolve_sets(&self, protocol: &Protocol, rcg: &Rcg) -> Vec<Vec<LocalStateId>> {
         let deadlocks = DeadlockAnalysis::analyze_prepared(protocol, rcg);
-        self.resolve_sets_capped(protocol, &deadlocks, self.config.max_resolve_sets)
-    }
-
-    /// [`LocalSynthesizer::resolve_sets`] from the protocol's deadlock
-    /// analysis, with an explicit cap — the engine requests one extra set
-    /// so truncation of the set list is observable.
-    fn resolve_sets_capped(
-        &self,
-        protocol: &Protocol,
-        deadlocks: &DeadlockAnalysis,
-        cap: usize,
-    ) -> Vec<Vec<LocalStateId>> {
-        if cap == 0 {
-            return Vec::new();
-        }
-        // No bad cycle exists, so the enumeration would find no family.
-        // Otherwise every set, the empty one included, meets the re-check
-        // below.
-        if deadlocks.is_free_for_all_k() {
-            return vec![Vec::new()];
-        }
-        let legit = protocol.legit();
-        let enumeration = deadlocks.deadlock_cycles();
-
-        // Families: each bad cycle's illegitimate deadlocks, sorted and
-        // folded into one entry per distinct family, in first-occurrence
-        // order, with the number of cycles that produced it; a truncated
-        // enumeration repeats a few families thousands of times. The search
-        // returns the per-cycle answer: a set hits a family iff it hits
-        // every copy, and each level is collected in (size, lex) order
-        // whatever the element order. It branches on the first family the
-        // partial set misses, which is never a copy, so first-occurrence
-        // order walks the per-cycle search tree (lex order can walk a far
-        // larger one).
-        let mut distinct: Vec<Vec<usize>> = Vec::new();
-        let mut cycles_of: Vec<usize> = Vec::new();
-        let mut position: BTreeMap<Vec<usize>, usize> = BTreeMap::new();
-        for cycle in &enumeration.cycles {
-            let mut bad: Vec<usize> = cycle
-                .iter()
-                .copied()
-                .filter(|&v| !legit.holds(LocalStateId(v as u32)))
-                .collect();
-            if bad.is_empty() {
-                continue;
-            }
-            bad.sort_unstable();
-            match position.entry(bad) {
-                Entry::Occupied(at) => cycles_of[*at.get()] += 1,
-                Entry::Vacant(slot) => {
-                    distinct.push(slot.key().clone());
-                    cycles_of.push(1);
-                    slot.insert(distinct.len() - 1);
-                }
-            }
-        }
-        let sets = minimal_hitting_sets(&distinct, cap);
-
-        // Exact re-verification (covers the truncated-enumeration case):
-        // removing the Resolve states must leave no bad cycle.
-        let mut sets: Vec<Vec<LocalStateId>> = sets
-            .into_iter()
-            .map(|s| {
-                s.into_iter()
-                    .map(|v| LocalStateId(v as u32))
-                    .collect::<Vec<_>>()
-            })
-            .filter(|resolve: &Vec<LocalStateId>| deadlocks.free_without(resolve))
-            .collect();
-        // Hitting-set coverage ordering: every minimal hitting set hits
-        // every family, so rank by the summed family degree of the set's
-        // states, counted per bad cycle (each family weighs its
-        // multiplicity) — dense resolve states constrain the most cycles,
-        // which front-loads rejections (and, under pruning, cut
-        // installations). The stable sort keeps the hitting-set enumeration
-        // order on ties, and the order is part of the canonical
-        // enumeration: it is applied identically with pruning on or off.
-        let weight = |set: &[LocalStateId]| -> usize {
-            set.iter()
-                .map(|s| {
-                    distinct
-                        .iter()
-                        .zip(&cycles_of)
-                        .filter(|(f, _)| f.binary_search(&s.index()).is_ok())
-                        .map(|(_, &cycles)| cycles)
-                        .sum::<usize>()
-                })
-                .sum()
-        };
-        sets.sort_by_key(|s| std::cmp::Reverse(weight(s)));
-        sets
+        let cap = self.config.max_resolve_sets;
+        resolve_sets_capped(&deadlocks, cap, &CancelToken::new()).unwrap_or_default()
     }
 
     /// Candidate recovery transitions out of `state`: every changed value
@@ -472,18 +384,19 @@ impl LocalSynthesizer {
 
         // One extra set makes truncation of the set list itself observable.
         let cap = self.config.max_resolve_sets;
-        let sets = self.resolve_sets_capped(protocol, &deadlocks, cap.saturating_add(1));
-        let sets_truncated = sets.len() > cap;
-        let sets = &sets[..sets.len().min(cap)];
+        let sets = resolve_sets_capped(&deadlocks, cap.saturating_add(1), cancel);
+        let cancelled = sets.is_none();
+        let sets = sets.unwrap_or_default();
 
         let mut outcome = SynthesisOutcome {
             solutions: Vec::new(),
             resolve_sets_tried: 0,
             combinations_tried: 0,
             rejected_by_trail: 0,
-            truncated: sets_truncated,
-            cancelled: false,
+            truncated: cancelled || sets.len() > cap,
+            cancelled,
         };
+        let sets = &sets[..sets.len().min(cap)];
         let mut rejected_invalid: u64 = 0;
         let mut rejected_by_deadlock: u64 = 0;
         let mut tally = Tally::default();
@@ -618,6 +531,46 @@ impl LocalSynthesizer {
     }
 }
 
+/// [`LocalSynthesizer::resolve_sets`] from the protocol's deadlock
+/// analysis, with an explicit cap (the engine asks for one extra set, so
+/// that truncation of the list is observable), or `None` once `cancel`
+/// fires. Each round takes the first `cap` minimal hitting sets of the bad
+/// cycles found so far (none at first), each cycle as its illegitimate
+/// deadlocks; the first set that leaves a bad cycle adds that
+/// cycle, and the loop ends when every set passes. A new cycle is missed by
+/// a set that hits every known one, so the loop ends. At its fixed point
+/// the list is the first `cap` minimal resolve sets over *all* bad cycles,
+/// whichever cycles were found: a minimal resolve set `T` ahead of the last
+/// returned set contains a minimal hitting set of the known cycles that is
+/// no later than `T`, so was returned, so passed, so is `T` itself.
+fn resolve_sets_capped(
+    deadlocks: &DeadlockAnalysis,
+    cap: usize,
+    cancel: &CancelToken,
+) -> Option<Vec<Vec<LocalStateId>>> {
+    let mut families: Vec<Vec<usize>> = Vec::new();
+    loop {
+        if cancel.is_cancelled() {
+            return None;
+        }
+        let sets: Vec<Vec<LocalStateId>> = minimal_hitting_sets(&families, cap)
+            .into_iter()
+            .map(|s| s.into_iter().map(|v| LocalStateId(v as u32)).collect())
+            .collect();
+        let Some(witness) = sets.iter().find_map(|s| deadlocks.witness_without(s)) else {
+            return Some(sets);
+        };
+        families.push(
+            witness
+                .cycle
+                .into_iter()
+                .filter(|&s| deadlocks.is_illegitimate_deadlock(s))
+                .map(LocalStateId::index)
+                .collect(),
+        );
+    }
+}
+
 /// The cut list of one synthesis run: culpable added-transition subsets
 /// certified by a trail rejection. An installed cut `C` proves that every
 /// candidate protocol containing all of `C` admits a qualifying contiguous
@@ -640,23 +593,10 @@ impl LocalSynthesizer {
 ///   uncertified — either way the full engine gives it the trail verdict.
 ///
 /// Cuts are stored with their base transitions stripped (the base is part
-/// of every candidate of every `Resolve` set), sorted for subset tests.
+/// of every candidate of every `Resolve` set). No installed cut lies inside
+/// a new one: it would lie inside the candidate whose trail certified the
+/// new cut, and that candidate would have been skipped unverified.
 type Cuts = Vec<Vec<LocalTransition>>;
-
-/// Installs a sorted cut unless an installed cut already subsumes it (its
-/// cone contains the new one's). Returns `true` when the cut was installed.
-fn install_cut(cuts: &mut Cuts, cut: Vec<LocalTransition>) -> bool {
-    if cuts.iter().any(|c| is_sorted_subset(c, &cut)) {
-        return false;
-    }
-    cuts.push(cut);
-    true
-}
-
-/// `a ⊆ b` for sorted, deduplicated transition slices.
-fn is_sorted_subset(a: &[LocalTransition], b: &[LocalTransition]) -> bool {
-    a.iter().all(|t| b.binary_search(t).is_ok())
-}
 
 /// A run's work tallies, flushed into the matching [`SynthesisCounters`]
 /// (the *verdicts* are the same with pruning on or off; only how much
@@ -819,11 +759,10 @@ fn verify_candidate_pruned(
                     .into_iter()
                     .filter(|&t| !ctx.protocol.has_transition(t))
                     .collect();
-                let projected = project_cut(&cut, ctx.resolve, ctx.space.per_state);
-                if install_cut(cuts, cut) {
-                    tally.cones_cut += 1;
-                    p.projected.extend(projected);
-                }
+                p.projected
+                    .extend(project_cut(&cut, ctx.resolve, ctx.space.per_state));
+                cuts.push(cut);
+                tally.cones_cut += 1;
             }
         }
         return Verdict::Trail;
@@ -956,16 +895,15 @@ mod tests {
         assert!(sets.contains(&vec![s10]));
     }
 
-    /// These inputs overrun Johnson's cycle budget, so their hitting-set
-    /// families come from a truncated enumeration that repeats a few
-    /// distinct families thousands of times. The resolve sets are the ones
-    /// the per-cycle search returned. Agreement over d = 4 and 5 gets none:
-    /// every hitting set of its truncated families fails the exact
-    /// re-check. (Searched in lex order, agreement's distinct families ran
-    /// past 30 s at d = 5; in first-occurrence order they take 10 µs.)
+    /// These inputs overrun Johnson's cycle budget, which no longer bounds
+    /// the resolve sets. Sum-not-three over d = 4 and five-coloring keep
+    /// their one set. Agreement over d = 4 and 5, which got none from a
+    /// truncated enumeration, gets a list in (size, lex) order whose every
+    /// set leaves no bad cycle and stops doing so once any state is dropped.
     #[test]
-    fn truncated_cycle_enumerations_keep_their_resolve_sets() {
-        // (d, legit predicate, the windows of the one resolve set, if any)
+    fn resolve_sets_do_not_depend_on_a_cycle_budget() {
+        // (d, legit predicate, the windows of the one resolve set, or none
+        // where only the properties of the list are checked)
         let cases: [(usize, &str, &[[u8; 2]]); 4] = [
             (4, "x[r] + x[r-1] != 3", &[[0, 3], [1, 2], [2, 1], [3, 0]]),
             (
@@ -977,25 +915,37 @@ mod tests {
             (5, "x[r] == x[r-1]", &[]),
         ];
         for (d, legit, windows) in cases {
-            let p = empty("truncated", d, legit);
+            let p = empty("budget", d, legit);
             let rcg = Rcg::build(&p);
+            let deadlocks = DeadlockAnalysis::analyze_prepared(&p, &rcg);
             assert!(
-                DeadlockAnalysis::analyze_prepared(&p, &rcg)
-                    .deadlock_cycles()
-                    .truncated,
+                deadlocks.witnesses().1,
                 "`{legit}` over d={d} must overrun the cycle budget"
             );
-            let sp = p.space();
-            let expected: Vec<Vec<LocalStateId>> = if windows.is_empty() {
-                Vec::new()
-            } else {
-                vec![windows.iter().map(|w| sp.encode(w)).collect()]
-            };
-            assert_eq!(
-                LocalSynthesizer::default().resolve_sets(&p, &rcg),
-                expected,
-                "`{legit}` over d={d}"
-            );
+            let sets = LocalSynthesizer::default().resolve_sets(&p, &rcg);
+            if !windows.is_empty() {
+                let sp = p.space();
+                let set: Vec<LocalStateId> = windows.iter().map(|w| sp.encode(w)).collect();
+                assert_eq!(sets, vec![set], "`{legit}` over d={d}");
+            }
+            assert!(!sets.is_empty(), "`{legit}` over d={d}");
+            for pair in sets.windows(2) {
+                assert!(
+                    (pair[0].len(), &pair[0]) < (pair[1].len(), &pair[1]),
+                    "`{legit}` over d={d}: {pair:?} out of (size, lex) order"
+                );
+            }
+            for set in &sets {
+                assert!(deadlocks.free_without(set), "`{legit}` d={d} {set:?}");
+                for i in 0..set.len() {
+                    let mut smaller = set.clone();
+                    smaller.remove(i);
+                    assert!(
+                        !deadlocks.free_without(&smaller),
+                        "`{legit}` d={d}: {set:?} is not minimal"
+                    );
+                }
+            }
         }
     }
 
@@ -1150,6 +1100,21 @@ mod tests {
         assert!(out.solutions().is_empty());
     }
 
+    /// A pre-cancelled token stops the resolve-set search itself, before any
+    /// set is tried: empty agreement over d = 8 needs many rounds of it.
+    #[test]
+    fn pre_cancelled_token_stops_the_resolve_set_search() {
+        let p = empty("agreement", 8, "x[r] == x[r-1]");
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let out = LocalSynthesizer::default()
+            .synthesize_metered(&p, &cancel, None, None)
+            .unwrap();
+        assert!(out.cancelled());
+        assert!(out.truncated());
+        assert_eq!(out.resolve_sets_tried(), 0);
+    }
+
     /// The defensive u8 guard (protocol domains are already capped at 255
     /// by construction, so the error path is exercised directly).
     #[test]
@@ -1265,21 +1230,6 @@ mod tests {
             per_state: &per_state,
         };
         assert_eq!(space.checked_total(), Some(0));
-    }
-
-    /// The cut list is append-only and subsumption-deduplicated.
-    #[test]
-    fn cut_list_dedups_by_subsumption() {
-        let t = |s: u32, v: u8| LocalTransition::new(LocalStateId(s), v);
-        let mut cuts = Cuts::new();
-        assert!(install_cut(&mut cuts, vec![t(0, 1), t(1, 2)]));
-        // A superset cone is subsumed by the installed cut.
-        assert!(!install_cut(&mut cuts, vec![t(0, 1), t(1, 2), t(2, 0)]));
-        // The exact same cut is subsumed too.
-        assert!(!install_cut(&mut cuts, vec![t(0, 1), t(1, 2)]));
-        // A *subset* is new information (a wider cone) and is installed.
-        assert!(install_cut(&mut cuts, vec![t(0, 1)]));
-        assert_eq!(cuts.len(), 2);
     }
 
     /// Cut projection maps transitions to digit constraints, rejects cuts

@@ -4,11 +4,7 @@ use proptest::prelude::*;
 use selfstab_core::deadlock::DeadlockAnalysis;
 use selfstab_core::rcg::Rcg;
 use selfstab_global::CancelToken;
-use selfstab_graph::{
-    cycles::{simple_cycles, CycleBudget},
-    hitting::minimal_hitting_sets,
-    scc::vertices_on_cycles,
-};
+use selfstab_graph::scc::vertices_on_cycles;
 use selfstab_protocol::{Domain, LocalStateId, LocalTransition, Locality, Protocol};
 use selfstab_synth::{GlobalSynthesizer, LocalSynthesizer, SynthesisConfig};
 
@@ -64,31 +60,30 @@ fn arb_protocol(d: usize) -> impl Strategy<Value = Protocol> {
         )
 }
 
-/// Reference resolve sets, computed per cycle from public pieces: one
-/// unsorted family per enumerated bad cycle, the hitting-set search over
-/// all of them (the empty set when there is none), the exact Theorem 4.2
-/// re-check, and a stable sort by the per-cycle family degree of each set.
+/// Reference resolve sets by brute force: every subset of the illegitimate
+/// local deadlocks (at most 9 at d ≤ 3) that leaves no illegitimate state on
+/// a cycle of the deadlock-induced RCG, by the SCC test on the RCG itself;
+/// then the minimal ones, in (size, lex) order, the first
+/// `max_resolve_sets` of them.
 fn reference_resolve_sets(p: &Protocol, max_resolve_sets: usize) -> Vec<Vec<LocalStateId>> {
     let rcg = Rcg::build(p);
     let illegit = p.legit().negated();
-    let cycles = simple_cycles(&rcg.induced(&p.local_deadlocks()), CycleBudget::default());
-    let families: Vec<Vec<usize>> = cycles
-        .cycles
+    let bad: Vec<LocalStateId> = p
+        .illegitimate_deadlocks()
+        .as_bitset()
         .iter()
-        .map(|c| {
-            c.iter()
-                .copied()
-                .filter(|&v| illegit.holds(LocalStateId(v as u32)))
-                .collect::<Vec<usize>>()
-        })
-        .filter(|f| !f.is_empty())
+        .map(|v| LocalStateId(v as u32))
         .collect();
-    let mut sets: Vec<Vec<LocalStateId>> = minimal_hitting_sets(&families, max_resolve_sets)
-        .into_iter()
-        .map(|s| s.into_iter().map(|v| LocalStateId(v as u32)).collect())
-        .filter(|resolve: &Vec<LocalStateId>| {
+    let subset = |mask: u32| -> Vec<LocalStateId> {
+        (0..bad.len())
+            .filter(|&i| mask >> i & 1 == 1)
+            .map(|i| bad[i])
+            .collect()
+    };
+    let free: Vec<u32> = (0..1u32 << bad.len())
+        .filter(|&mask| {
             let mut remaining = p.local_deadlocks().as_bitset().clone();
-            for s in resolve {
+            for s in subset(mask) {
                 remaining.remove(s.index());
             }
             vertices_on_cycles(&rcg.graph().induced(&remaining))
@@ -96,25 +91,28 @@ fn reference_resolve_sets(p: &Protocol, max_resolve_sets: usize) -> Vec<Vec<Loca
                 .all(|v| !illegit.holds(LocalStateId(v as u32)))
         })
         .collect();
-    let weight = |set: &[LocalStateId]| -> usize {
-        set.iter()
-            .map(|s| families.iter().filter(|f| f.contains(&s.index())).count())
-            .sum()
-    };
-    sets.sort_by_key(|s| std::cmp::Reverse(weight(s)));
+    let mut sets: Vec<Vec<LocalStateId>> = free
+        .iter()
+        .filter(|&&mask| {
+            free.iter()
+                .all(|&other| other == mask || other & mask != other)
+        })
+        .map(|&mask| subset(mask))
+        .collect();
+    sets.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+    sets.truncate(max_resolve_sets);
     sets
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The resolve sets, and their order, are those of the per-cycle
+    /// The resolve sets, and their order, are those of the brute-force
     /// reference, over random protocols whose deadlock sets vary, and each
-    /// set leaves no bad cycle. (d stays at most 3: the reference searches
-    /// one family per cycle, which takes seconds in a debug build once the
-    /// enumeration reaches its budget.)
+    /// set leaves no bad cycle. (d stays at most 3, so the reference tries
+    /// at most 2^9 subsets.)
     #[test]
-    fn resolve_sets_match_the_per_cycle_reference(
+    fn resolve_sets_match_the_brute_force_reference(
         p in prop_oneof![arb_protocol(2), arb_protocol(3)],
         max_resolve_sets in 1usize..5,
     ) {
