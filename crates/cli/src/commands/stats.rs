@@ -83,8 +83,9 @@ pub fn run(raw: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
 /// `phases_us` carried by the terminal `done`/`failed`/`timed_out`
 /// records. Jobs without a terminal state render as `pending` with zero
 /// phase time — they are the restart's re-enqueue set, not measured
-/// work. A cache `hit` renders as `done` with zero phase time: the cache
-/// answered it, and no phase ran.
+/// work. A `hit` record renders as `done` with zero phase time: the cache
+/// answered it, and no phase ran. Servers write one only for a job that
+/// adopts a snapshot-restored document (older journals hold one per hit).
 fn serve_journal_stats(
     path: &std::path::Path,
     args: &Args,

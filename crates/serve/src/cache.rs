@@ -36,13 +36,14 @@
 //! restarted server therefore answers repeat traffic from cache
 //! immediately instead of re-verifying its whole working set.
 //!
-//! **Journaled bodies.** Each completed entry also carries one bit for the
-//! server's job journal ([`crate::journal`]): whether the journal already
-//! holds this body, so that a hit can journal a reference to it instead
-//! of a copy. Journal replay restores entries with the bit set; snapshot
-//! replay and [`ResultCache::fulfill`] restore them clear; the server sets
-//! it after its `done` append, and a hit on a clear entry sets it under
-//! the cache lock. Without a journal the bit is never read.
+//! **Owning jobs.** Each completed entry names the job whose `done`
+//! result it holds, so a hit is a read: it answers with that job's id, as
+//! a coalesced submit answers with the id of the job computing the key.
+//! [`ResultCache::fulfill`] names the job that computed the document, and
+//! journal replay the job that the journal restored with it. A snapshot
+//! entry names no job; the first lookup that finds it names the caller's
+//! job instead ([`Lookup::Adopted`]), and that caller makes the job
+//! resolve (and journals it) before any other submit can see the name.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -67,19 +68,19 @@ pub struct CachedDoc {
 /// What a submit found under its cache key.
 #[derive(Debug)]
 pub enum Lookup {
-    /// A completed document: serve it, enqueue nothing. `journaled` is
-    /// whether the journal held this body before the lookup. The lookup
-    /// marks the entry journaled either way, because a caller that
-    /// journals the hit writes the body itself when it was not.
-    Hit {
-        doc: Arc<CachedDoc>,
-        journaled: bool,
-    },
+    /// A completed document, the result of job `job`: answer with that
+    /// id, enqueue nothing.
+    Hit { job: u64, doc: Arc<CachedDoc> },
+    /// A completed document that no job named (restored from the
+    /// snapshot): the lookup named the caller's freshly minted `job` its
+    /// owner, and the caller makes that job resolve to `doc`.
+    Adopted { job: u64, doc: Arc<CachedDoc> },
     /// Another request is already computing this key; the id is that
     /// request's job. Coalesce onto it, enqueue nothing.
     InFlight(u64),
-    /// Nothing cached; the key is now reserved for the caller's job id.
-    Miss,
+    /// Nothing cached; the key is now reserved for the caller's freshly
+    /// minted `job`.
+    Miss(u64),
 }
 
 enum Entry {
@@ -87,8 +88,9 @@ enum Entry {
         doc: Arc<CachedDoc>,
         bytes: usize,
         last_used: u64,
-        /// The server's journal already holds this body.
-        journaled: bool,
+        /// The job whose result this is; `None` for a snapshot entry that
+        /// no lookup has adopted yet.
+        job: Option<u64>,
     },
     InFlight {
         job: u64,
@@ -103,18 +105,6 @@ struct CacheInner {
     tick: u64,
     /// The write-through snapshot appender, if snapshotting is on.
     snapshot: Option<selfstab_campaign::Journal>,
-}
-
-/// Where an inserted document comes from, which decides its snapshot
-/// write-through and its `journaled` bit.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Origin {
-    /// Computed by a pool job: written through, not yet journaled.
-    Computed,
-    /// Replayed from the snapshot file at boot.
-    Snapshot,
-    /// Replayed from the job journal at boot.
-    Journal,
 }
 
 /// The cache. All operations take one short mutex; the documents
@@ -177,14 +167,11 @@ impl ResultCache {
             ) else {
                 continue;
             };
-            cache.insert(
-                key,
-                Arc::new(CachedDoc {
-                    body: body.to_owned(),
-                    exit_code: code as u8,
-                }),
-                Origin::Snapshot,
-            );
+            let doc = Arc::new(CachedDoc {
+                body: body.to_owned(),
+                exit_code: code as u8,
+            });
+            cache.insert(key, doc, None, false);
             cache.snapshot_restored.fetch_add(1, Ordering::Relaxed);
         }
         // Compact: rewrite the file to exactly the entries that survived
@@ -218,18 +205,20 @@ impl ResultCache {
         Ok(cache)
     }
 
-    /// Inserts a result the job journal replayed, marked journaled and
+    /// Inserts the result of job `job`, which the job journal replayed,
     /// without touching the snapshot file (the journal already holds
     /// these bytes durably). Budget enforcement is identical to
     /// [`ResultCache::fulfill`].
-    pub(crate) fn insert_journaled(&self, key: &str, doc: Arc<CachedDoc>) {
-        self.insert(key, doc, Origin::Journal);
+    pub(crate) fn insert_journaled(&self, key: &str, doc: Arc<CachedDoc>, job: u64) {
+        self.insert(key, doc, Some(job), false);
     }
 
-    /// Looks up `key`; on a miss, atomically reserves the key for
-    /// `job_id` so concurrent identical submits coalesce instead of
-    /// duplicating work.
-    pub fn lookup_or_reserve(&self, key: &str, job_id: u64) -> Lookup {
+    /// Looks up `key`. A completed entry is a hit on the job it names, or
+    /// is adopted by a job `mint` numbers when it names none; on a miss,
+    /// the key is atomically reserved for a job `mint` numbers, so
+    /// concurrent identical submits coalesce instead of duplicating work.
+    /// `mint` runs under the cache lock, at most once.
+    pub fn lookup_or_reserve(&self, key: &str, mint: impl FnOnce() -> u64) -> Lookup {
         let mut inner = self.inner.lock().expect("cache poisoned");
         inner.tick += 1;
         let tick = inner.tick;
@@ -237,14 +226,18 @@ impl ResultCache {
             Some(Entry::Done {
                 doc,
                 last_used,
-                journaled,
+                job,
                 ..
             }) => {
                 *last_used = tick;
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Lookup::Hit {
-                    doc: Arc::clone(doc),
-                    journaled: std::mem::replace(journaled, true),
+                let doc = Arc::clone(doc);
+                match *job {
+                    Some(job) => Lookup::Hit { job, doc },
+                    None => Lookup::Adopted {
+                        job: *job.insert(mint()),
+                        doc,
+                    },
                 }
             }
             Some(Entry::InFlight { job }) => {
@@ -252,45 +245,31 @@ impl ResultCache {
                 Lookup::InFlight(*job)
             }
             None => {
+                let job = mint();
                 inner
                     .entries
-                    .insert(key.to_owned(), Entry::InFlight { job: job_id });
+                    .insert(key.to_owned(), Entry::InFlight { job });
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                Lookup::Miss
+                Lookup::Miss(job)
             }
         }
     }
 
-    /// Resolves an in-flight reservation with its completed document and
-    /// enforces the byte budget (evicting least-recently-used completed
-    /// entries; a document larger than the whole budget is simply not
-    /// retained). With a snapshot configured, the document is also written
-    /// through as a CRC-framed record.
-    pub fn fulfill(&self, key: &str, doc: Arc<CachedDoc>) {
-        self.insert(key, doc, Origin::Computed);
-    }
-
-    /// Records that the journal now holds `doc` for `key`, so later hits
-    /// journal a reference to it. A no-op when the entry has since been
-    /// evicted or replaced by another document.
-    pub(crate) fn mark_journaled(&self, key: &str, doc: &Arc<CachedDoc>) {
-        let mut inner = self.inner.lock().expect("cache poisoned");
-        if let Some(Entry::Done {
-            doc: held,
-            journaled,
-            ..
-        }) = inner.entries.get_mut(key)
-        {
-            if Arc::ptr_eq(held, doc) {
-                *journaled = true;
-            }
-        }
+    /// Resolves the in-flight reservation with job `job`'s completed
+    /// document and names `job` its owner, so later hits answer with its
+    /// id: the caller publishes the job as done (journaled, when a
+    /// journal is configured) first. Enforces the byte budget (evicting
+    /// least-recently-used completed entries; a document larger than the
+    /// whole budget is simply not retained). With a snapshot configured,
+    /// the document is also written through as a CRC-framed record.
+    pub fn fulfill(&self, key: &str, doc: Arc<CachedDoc>, job: u64) {
+        self.insert(key, doc, Some(job), true);
     }
 
     /// The shared insert path. Only a computed document is written
     /// through to the snapshot (a replayed one would double every record
-    /// at boot), and only a journal-replayed one starts journaled.
-    fn insert(&self, key: &str, doc: Arc<CachedDoc>, origin: Origin) {
+    /// at boot).
+    fn insert(&self, key: &str, doc: Arc<CachedDoc>, job: Option<u64>, write_through: bool) {
         let bytes = doc.body.len();
         let mut inner = self.inner.lock().expect("cache poisoned");
         inner.tick += 1;
@@ -305,7 +284,7 @@ impl ResultCache {
             }
             return;
         }
-        if origin == Origin::Computed {
+        if write_through {
             if let Some(snapshot) = &inner.snapshot {
                 snapshot.event(&snapshot_record(key, &doc));
             }
@@ -316,7 +295,7 @@ impl ResultCache {
                 doc,
                 bytes,
                 last_used: tick,
-                journaled: origin == Origin::Journal,
+                job,
             },
         ) {
             inner.bytes -= bytes;
@@ -405,15 +384,15 @@ mod tests {
     #[test]
     fn miss_reserves_then_hit_serves() {
         let c = cache(1024);
-        assert!(matches!(c.lookup_or_reserve("k", 1), Lookup::Miss));
+        assert!(matches!(c.lookup_or_reserve("k", || 1), Lookup::Miss(1)));
         // A racer coalesces onto job 1.
-        match c.lookup_or_reserve("k", 2) {
+        match c.lookup_or_reserve("k", || 2) {
             Lookup::InFlight(job) => assert_eq!(job, 1),
             other => panic!("expected coalesce, got {other:?}"),
         }
-        c.fulfill("k", doc("result"));
-        match c.lookup_or_reserve("k", 3) {
-            Lookup::Hit { doc: d, .. } => assert_eq!(d.body, "result"),
+        c.fulfill("k", doc("result"), 1);
+        match c.lookup_or_reserve("k", || 3) {
+            Lookup::Hit { job, doc: d } => assert_eq!((job, d.body.as_str()), (1, "result")),
             other => panic!("expected hit, got {other:?}"),
         }
         let stats = c.stats_json();
@@ -426,30 +405,30 @@ mod tests {
     #[test]
     fn abandon_reopens_the_key() {
         let c = cache(1024);
-        assert!(matches!(c.lookup_or_reserve("k", 1), Lookup::Miss));
+        assert!(matches!(c.lookup_or_reserve("k", || 1), Lookup::Miss(_)));
         c.abandon("k");
-        assert!(matches!(c.lookup_or_reserve("k", 2), Lookup::Miss));
+        assert!(matches!(c.lookup_or_reserve("k", || 2), Lookup::Miss(_)));
         // Abandon never drops a completed document.
-        c.fulfill("k", doc("done"));
+        c.fulfill("k", doc("done"), 2);
         c.abandon("k");
-        assert!(matches!(c.lookup_or_reserve("k", 3), Lookup::Hit { .. }));
+        assert!(matches!(c.lookup_or_reserve("k", || 3), Lookup::Hit { .. }));
     }
 
     #[test]
     fn lru_eviction_respects_the_byte_budget() {
         let c = cache(10);
         for (key, body) in [("a", "aaaa"), ("b", "bbbb")] {
-            assert!(matches!(c.lookup_or_reserve(key, 0), Lookup::Miss));
-            c.fulfill(key, doc(body));
+            assert!(matches!(c.lookup_or_reserve(key, || 0), Lookup::Miss(_)));
+            c.fulfill(key, doc(body), 0);
         }
         // Touch `a` so `b` is the LRU victim.
-        assert!(matches!(c.lookup_or_reserve("a", 0), Lookup::Hit { .. }));
-        assert!(matches!(c.lookup_or_reserve("c", 0), Lookup::Miss));
-        c.fulfill("c", doc("cccc"));
-        assert!(matches!(c.lookup_or_reserve("a", 0), Lookup::Hit { .. }));
-        assert!(matches!(c.lookup_or_reserve("c", 0), Lookup::Hit { .. }));
+        assert!(matches!(c.lookup_or_reserve("a", || 0), Lookup::Hit { .. }));
+        assert!(matches!(c.lookup_or_reserve("c", || 0), Lookup::Miss(_)));
+        c.fulfill("c", doc("cccc"), 0);
+        assert!(matches!(c.lookup_or_reserve("a", || 0), Lookup::Hit { .. }));
+        assert!(matches!(c.lookup_or_reserve("c", || 0), Lookup::Hit { .. }));
         assert!(
-            matches!(c.lookup_or_reserve("b", 9), Lookup::Miss),
+            matches!(c.lookup_or_reserve("b", || 9), Lookup::Miss(_)),
             "b was evicted"
         );
         let stats = c.stats_json();
@@ -460,9 +439,9 @@ mod tests {
     #[test]
     fn documents_over_the_whole_budget_are_not_retained() {
         let c = cache(4);
-        assert!(matches!(c.lookup_or_reserve("big", 0), Lookup::Miss));
-        c.fulfill("big", doc("way too large"));
-        assert!(matches!(c.lookup_or_reserve("big", 1), Lookup::Miss));
+        assert!(matches!(c.lookup_or_reserve("big", || 0), Lookup::Miss(_)));
+        c.fulfill("big", doc("way too large"), 0);
+        assert!(matches!(c.lookup_or_reserve("big", || 1), Lookup::Miss(_)));
         assert_eq!(c.stats_json()["bytes"], 0u64);
     }
 
@@ -472,49 +451,41 @@ mod tests {
         // to retain must give the old bytes back — `bytes` reports live
         // entries, not a high-water mark.
         let c = cache(8);
-        assert!(matches!(c.lookup_or_reserve("k", 0), Lookup::Miss));
-        c.fulfill("k", doc("eight!!!"));
+        assert!(matches!(c.lookup_or_reserve("k", || 0), Lookup::Miss(_)));
+        c.fulfill("k", doc("eight!!!"), 0);
         assert_eq!(c.stats_json()["bytes"], 8u64);
-        c.fulfill("k", doc("far more than the whole budget"));
-        assert!(matches!(c.lookup_or_reserve("k", 1), Lookup::Miss));
+        c.fulfill("k", doc("far more than the whole budget"), 0);
+        assert!(matches!(c.lookup_or_reserve("k", || 1), Lookup::Miss(_)));
         assert_eq!(c.stats_json()["bytes"], 0u64);
         assert_eq!(c.stats_json()["evictions"], 1u64);
     }
 
-    /// The `journaled` flag of a hit on `key`, which the lookup then sets.
-    fn hit_journaled(c: &ResultCache, key: &str) -> bool {
-        match c.lookup_or_reserve(key, 0) {
-            Lookup::Hit { journaled, .. } => journaled,
+    /// The owning job a hit on `key` answers with; the hit mints no id.
+    fn hit_owner(c: &ResultCache, key: &str) -> u64 {
+        match c.lookup_or_reserve(key, || panic!("a hit on {key} minted an id")) {
+            Lookup::Hit { job, .. } => job,
             other => panic!("expected hit, got {other:?}"),
         }
     }
 
     #[test]
-    fn the_journaled_bit_follows_the_body_onto_the_journal() {
+    fn each_entry_names_the_job_that_owns_it() {
         let c = cache(1024);
-        // A computed document is not journaled until the server says so;
-        // the first hit claims it (that hit's record carries the body).
-        assert!(matches!(c.lookup_or_reserve("a", 1), Lookup::Miss));
-        c.fulfill("a", doc("alpha"));
-        assert!(!hit_journaled(&c, "a"));
-        assert!(hit_journaled(&c, "a"), "later hits refer to it");
+        // A computed document names the job that computed it, for every
+        // hit after it.
+        assert!(matches!(c.lookup_or_reserve("a", || 1), Lookup::Miss(1)));
+        c.fulfill("a", doc("alpha"), 1);
+        assert_eq!(hit_owner(&c, "a"), 1);
+        assert_eq!(hit_owner(&c, "a"), 1);
 
-        // The pool's mark lands only on the document it journaled.
-        assert!(matches!(c.lookup_or_reserve("b", 2), Lookup::Miss));
-        let journaled = doc("beta");
-        c.fulfill("b", Arc::clone(&journaled));
-        c.fulfill("b", doc("beta"));
-        c.mark_journaled("b", &journaled);
-        assert!(!hit_journaled(&c, "b"), "a replaced entry starts clear");
+        // A replacing document names its own job.
+        c.fulfill("a", doc("alpha"), 2);
+        assert_eq!(hit_owner(&c, "a"), 2);
 
-        let d = doc("gamma");
-        c.fulfill("c", Arc::clone(&d));
-        c.mark_journaled("c", &d);
-        assert!(hit_journaled(&c, "c"));
-
-        // Journal replay restores entries journaled.
-        c.insert_journaled("d", doc("delta"));
-        assert!(hit_journaled(&c, "d"));
+        // Journal replay names the job the journal restored.
+        c.insert_journaled("d", doc("delta"), 9);
+        assert_eq!(hit_owner(&c, "d"), 9);
+        assert_eq!(c.stats_json()["hits"], 4u64);
     }
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -535,23 +506,26 @@ mod tests {
                 selfstab_campaign::FsyncPolicy::Always,
             )
             .unwrap();
-            assert!(matches!(c.lookup_or_reserve("a", 0), Lookup::Miss));
-            c.fulfill("a", doc("alpha"));
-            assert!(matches!(c.lookup_or_reserve("b", 1), Lookup::Miss));
-            c.fulfill("b", doc("beta"));
+            assert!(matches!(c.lookup_or_reserve("a", || 0), Lookup::Miss(_)));
+            c.fulfill("a", doc("alpha"), 0);
+            assert!(matches!(c.lookup_or_reserve("b", || 1), Lookup::Miss(_)));
+            c.fulfill("b", doc("beta"), 0);
         }
         let reg = Registry::new();
         let c =
             ResultCache::with_snapshot(1024, &reg, &path, selfstab_campaign::FsyncPolicy::Always)
                 .unwrap();
-        match c.lookup_or_reserve("a", 0) {
-            Lookup::Hit { doc: d, journaled } => {
-                assert_eq!(d.body, "alpha");
-                assert!(!journaled, "the snapshot is not the journal");
-            }
-            other => panic!("expected restored hit, got {other:?}"),
+        // A restored entry names no job: the first lookup adopts it for
+        // the job it mints, and later hits answer with that job.
+        match c.lookup_or_reserve("a", || 7) {
+            Lookup::Adopted { job, doc: d } => assert_eq!((job, d.body.as_str()), (7, "alpha")),
+            other => panic!("expected an adopted hit, got {other:?}"),
         }
-        assert!(matches!(c.lookup_or_reserve("b", 0), Lookup::Hit { .. }));
+        assert_eq!(hit_owner(&c, "a"), 7);
+        assert!(matches!(
+            c.lookup_or_reserve("b", || 8),
+            Lookup::Adopted { job: 8, .. }
+        ));
         let stats = c.stats_json();
         assert_eq!(stats["snapshot_restored"], 2u64);
         assert_eq!(stats["bytes"], 9u64);
@@ -570,8 +544,8 @@ mod tests {
             )
             .unwrap();
             for (k, b) in [("a", "aaaa"), ("b", "bbbb"), ("c", "cccc")] {
-                assert!(matches!(c.lookup_or_reserve(k, 0), Lookup::Miss));
-                c.fulfill(k, doc(b));
+                assert!(matches!(c.lookup_or_reserve(k, || 0), Lookup::Miss(_)));
+                c.fulfill(k, doc(b), 0);
             }
         }
         // Reboot with a budget that only fits two entries: replay must
@@ -584,10 +558,16 @@ mod tests {
             selfstab_campaign::FsyncPolicy::Always,
         )
         .unwrap();
-        assert!(matches!(c.lookup_or_reserve("a", 0), Lookup::Miss));
+        assert!(matches!(c.lookup_or_reserve("a", || 0), Lookup::Miss(_)));
         c.abandon("a");
-        assert!(matches!(c.lookup_or_reserve("b", 0), Lookup::Hit { .. }));
-        assert!(matches!(c.lookup_or_reserve("c", 0), Lookup::Hit { .. }));
+        assert!(matches!(
+            c.lookup_or_reserve("b", || 0),
+            Lookup::Adopted { .. }
+        ));
+        assert!(matches!(
+            c.lookup_or_reserve("c", || 0),
+            Lookup::Adopted { .. }
+        ));
         drop(c);
         let frames = selfstab_campaign::journal::replay_frames(&path).unwrap();
         let keys: Vec<&str> = frames
@@ -610,10 +590,10 @@ mod tests {
                 selfstab_campaign::FsyncPolicy::Always,
             )
             .unwrap();
-            assert!(matches!(c.lookup_or_reserve("a", 0), Lookup::Miss));
-            c.fulfill("a", doc("alpha"));
-            assert!(matches!(c.lookup_or_reserve("b", 1), Lookup::Miss));
-            c.fulfill("b", doc("beta"));
+            assert!(matches!(c.lookup_or_reserve("a", || 0), Lookup::Miss(_)));
+            c.fulfill("a", doc("alpha"), 0);
+            assert!(matches!(c.lookup_or_reserve("b", || 1), Lookup::Miss(_)));
+            c.fulfill("b", doc("beta"), 0);
         }
         // Tear the final record in half, as a crash mid-write would.
         let bytes = std::fs::read(&path).unwrap();
@@ -625,9 +605,12 @@ mod tests {
             selfstab_campaign::FsyncPolicy::Always,
         )
         .unwrap();
-        assert!(matches!(c.lookup_or_reserve("a", 0), Lookup::Hit { .. }));
+        assert!(matches!(
+            c.lookup_or_reserve("a", || 0),
+            Lookup::Adopted { .. }
+        ));
         assert!(
-            matches!(c.lookup_or_reserve("b", 0), Lookup::Miss),
+            matches!(c.lookup_or_reserve("b", || 0), Lookup::Miss(_)),
             "the torn record is gone, not resurrected"
         );
         assert_eq!(c.stats_json()["snapshot_restored"], 1u64);

@@ -17,19 +17,17 @@
 //! {"ev":"done","id":3,"exit_code":0,"body":"…","phases_us":{…}}
 //! {"ev":"failed","id":3,"status":500,"message":"…","phases_us":{…}}
 //! {"ev":"timed_out","id":3,"partial":"…","phases_us":{…}}
-//! {"ev":"hit","id":4,"kind":"verify","key":"…"}
-//! {"ev":"hit","id":5,"kind":"verify","key":"…","exit_code":0,"body":"…"}
+//! {"ev":"hit","id":4,"kind":"verify","key":"…","exit_code":0,"body":"…"}
 //! ```
 //!
-//! A `hit` is a submit the result cache answered: one record, written
-//! before the response, that is the job's acceptance and its result at
-//! once. It names the result by cache key and resolves to the last body
-//! the journal held for that key before it (a `done` joined to its
-//! `submitted` key, or an earlier body-carrying `hit`). It carries `body`
-//! and `exit_code` only when the journal holds no body for the key yet,
-//! as on the first hit after a boot that restored a cache snapshot into a
-//! fresh journal. A reference therefore always points backwards in the
-//! file, so a torn tail can drop a reference but never its target.
+//! A cache hit is a read and writes nothing: it answers with the id of
+//! the job whose result the cache holds, and the cache names a job only
+//! once its `done` record is on disk. Only a snapshot-restored document,
+//! which no job computed, is written: the first submit that finds it
+//! becomes its job, with one body-carrying `hit` record (acceptance and
+//! result in one) before the response. Older binaries wrote a body-less
+//! `hit` per hit; replay resolves each to the last body its key held
+//! before it, so a torn tail can drop a reference but never its target.
 //!
 //! Terminal records carry the job's per-phase time breakdown
 //! (`phases_us`) so `selfstab stats` can cross-tab service traffic the
@@ -56,9 +54,11 @@
 //!
 //! The header's `version` is the format: 2 added the `hit` record, and a
 //! version-1 file (which has none) replays unchanged. [`open`] refuses a
-//! journal from a newer binary. Older binaries never read the version
-//! and skip `hit` records, so downgrading over a journal that holds them
-//! is unsupported: its hit ids would 404 and could be handed out again.
+//! journal from a newer binary. Version-1 binaries never read the
+//! version and skip `hit` records, so downgrading over a journal that
+//! holds them is unsupported: the ids of adopted snapshot entries (and
+//! of every hit in an older version-2 journal) would 404 and could be
+//! handed out again.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
@@ -112,21 +112,17 @@ pub fn submitted_event(id: u64, kind: JobKind, key: &str, request: &Value) -> Va
     })
 }
 
-/// The record of a submit answered from cache: its acceptance and its
-/// result in one. `body` is the cached document when the journal holds
-/// no body for `key` yet, and `None` when the record can refer to one.
-pub fn hit_event(id: u64, kind: JobKind, key: &str, body: Option<&CachedDoc>) -> Value {
-    match body {
-        None => json!({"ev": "hit", "id": id, "kind": kind.name(), "key": key}),
-        Some(doc) => json!({
-            "ev": "hit",
-            "id": id,
-            "kind": kind.name(),
-            "key": key,
-            "exit_code": doc.exit_code,
-            "body": doc.body.as_str(),
-        }),
-    }
+/// The record of a job that adopted a snapshot-restored cache entry: its
+/// acceptance and its result, `doc`, in one.
+pub fn hit_event(id: u64, kind: JobKind, key: &str, doc: &CachedDoc) -> Value {
+    json!({
+        "ev": "hit",
+        "id": id,
+        "kind": kind.name(),
+        "key": key,
+        "exit_code": doc.exit_code,
+        "body": doc.body.as_str(),
+    })
 }
 
 /// The terminal record of a job that reached `state`, carrying its
@@ -235,10 +231,11 @@ impl ServeReplay {
 /// only resolvable if its acceptance survived too, so replay can never
 /// invent a job the client was never told about.
 ///
-/// Each `hit` becomes a `Done` job whose document is the last body the
-/// journal held for its key before the hit, so a hit id resolves to the
-/// same bytes across a restart. A reference with no body before it
-/// restores no job, but its id still advances `next_id`.
+/// Each `hit` becomes a `Done` job whose document is the body it carries
+/// or, for a reference from an older journal, the last body the journal
+/// held for its key before it, so a hit id resolves to the same bytes
+/// across a restart. A reference with no body before it restores no job,
+/// but its id still advances `next_id`.
 ///
 /// # Errors
 ///
@@ -416,17 +413,16 @@ mod tests {
             partial: "{\"partial\":true,\"rows\":[]}\n".to_owned(),
         };
         append(&j, 3, &timed_out, json!({"livelock_dfs": 7}));
-        j.event(&hit_event(
-            4,
-            JobKind::Verify,
-            "h:verify:4..4:1000000:auto",
-            None,
-        ));
+        // The reference form that earlier version-2 binaries wrote per
+        // hit: no longer written, still replayed.
+        j.event(
+            &json!({"ev": "hit", "id": 4, "kind": "verify", "key": "h:verify:4..4:1000000:auto"}),
+        );
         j.event(&hit_event(
             5,
             JobKind::Verify,
             "h:verify:5..5:1000000:auto",
-            Some(&doc),
+            &doc,
         ));
         j.sync();
         drop(j);
@@ -482,23 +478,24 @@ mod tests {
         let path = tmp("hits.jsonl");
         let (j, _) = open(&path, FsyncPolicy::Always).unwrap();
         let submit = |id, key| j.event(&submitted_event(id, JobKind::Verify, key, &json!({})));
-        let hit = |id, key, body: Option<&CachedDoc>| {
-            j.event(&hit_event(id, JobKind::Sweep, key, body));
+        // The reference records an earlier version-2 binary wrote.
+        let hit = |id: u64, key: &str| {
+            j.event(&json!({"ev": "hit", "id": id, "kind": "sweep", "key": key}));
         };
         submit(1, "k");
         append(&j, 1, &done("first"), json!({}));
-        hit(2, "k", None);
+        hit(2, "k");
         submit(3, "k");
-        hit(4, "k", None); // job 3 has not finished: still job 1's body
+        hit(4, "k"); // job 3 has not finished: still job 1's body
         append(&j, 3, &done("second"), json!({}));
-        hit(5, "k", None);
+        hit(5, "k");
         let carried = CachedDoc {
             body: "snapshot".to_owned(),
             exit_code: 2,
         };
-        hit(6, "warm", Some(&carried));
-        hit(7, "warm", None);
-        hit(8, "never-journaled", None);
+        j.event(&hit_event(6, JobKind::Sweep, "warm", &carried));
+        hit(7, "warm");
+        hit(8, "never-journaled");
         j.sync();
         drop(j);
 

@@ -36,8 +36,10 @@
 //! the spec ([`selfstab_core::spec_hash`] — whitespace-, comment- and
 //! declaration-order-invariant) combined with every input the document
 //! depends on (kind, K range, state budget, symmetry mode). A repeated
-//! question is answered from memory without touching the worker pool,
-//! and N clients racing the same cold key coalesce onto one pool job.
+//! question is a read: it is answered from memory with the id of the job
+//! that computed the document, touching neither the worker pool nor the
+//! journal, and N clients racing the same cold key coalesce onto one pool
+//! job.
 //!
 //! Work runs on a persistent FIFO pool
 //! ([`selfstab_campaign::ServicePool`]) under per-request deadlines via

@@ -11,15 +11,18 @@
 //! **Submit flow** (`POST /v1/jobs`): parse → admission gate
 //! ([`Admission`]: per-kind caps and the memory watchdog's shed level —
 //! rejections are `429` + `Retry-After`) → validate ([`JobRequest`]) →
-//! consult the content-addressed cache. A hit answers immediately with a
-//! `done` job backed by the cached document — no pool work — and, when a
-//! journal is configured, appends one `hit` record before answering: a
-//! reference to the body the journal already holds for the key, or the
-//! body itself when it holds none yet. A key already in flight coalesces
-//! onto the computing job's id, which is journaled already. Only a true
-//! miss journals a `submitted` record, durable **before** the `202`
-//! reaches the client, and enqueues pool work under a [`CancelToken`]
-//! linked to the drain token and carrying the request deadline.
+//! consult the content-addressed cache. A hit is a read: it answers `200`
+//! with the id of the job whose result the cache holds, just as a key
+//! already in flight coalesces onto the computing job's id, and it mints
+//! no id, builds no job and writes nothing. The pool names a job in the
+//! cache only once the job is `done` and its `done` record is appended,
+//! so every id a hit hands out already resolves, durably. The first hit
+//! on a snapshot-restored document, which no job computed, adopts it: one
+//! `done` job and, with a journal, one body-carrying `hit` record before
+//! the answer. Only a true miss journals a `submitted` record, durable
+//! **before** the `202` reaches the client, and enqueues pool work under a
+//! [`CancelToken`] linked to the drain token and carrying the request
+//! deadline.
 //!
 //! **Crash recovery**: at boot, a configured journal is replayed
 //! ([`crate::journal::replay`]) — jobs with terminal records become
@@ -248,9 +251,10 @@ impl ServeState {
             self.jobs_replayed.fetch_add(1, Ordering::Relaxed);
             if let Some(state) = job.terminal {
                 if let JobState::Done { doc } = &state {
-                    // The result resolves again AND warms the cache,
-                    // marked journaled: later hits refer to these bytes.
-                    self.cache.insert_journaled(&job.key, Arc::clone(doc));
+                    // The result resolves again AND warms the cache, named
+                    // by this job: later hits answer with its id.
+                    self.cache
+                        .insert_journaled(&job.key, Arc::clone(doc), job.id);
                 }
                 self.insert_replayed(job.id, job.kind, &job.key, state);
                 continue;
@@ -259,17 +263,19 @@ impl ServeState {
                 Ok(request) => {
                     let entry =
                         self.insert_replayed(job.id, request.kind, &job.key, JobState::Queued);
-                    match self.cache.lookup_or_reserve(&job.key, job.id) {
-                        Lookup::Hit { doc, .. } => {
+                    match self.cache.lookup_or_reserve(&job.key, || job.id) {
+                        Lookup::Hit { doc, .. } | Lookup::Adopted { doc, .. } => {
                             // The snapshot (or an earlier replayed job)
                             // already has the bytes: terminal without pool
                             // work, journaled so the *next* restart needs
-                            // no re-run either.
+                            // no re-run either. No request is served before
+                            // the boot ends, so no hit sees the adopted
+                            // name before the job is done.
                             let done = JobState::Done { doc };
                             append(job.id, &done);
                             *entry.state.lock().expect("job state poisoned") = done;
                         }
-                        Lookup::InFlight(_) | Lookup::Miss => {
+                        Lookup::InFlight(_) | Lookup::Miss(_) => {
                             // Accepted before the crash: admission caps
                             // never apply ("no accepted job is ever lost"
                             // outranks them).
@@ -483,9 +489,9 @@ impl ServeState {
     /// appends (fsync included under `--fsync always`) as one
     /// `serve/journal_append_us` sample. `build` runs only when a journal
     /// is configured, since a computed job's `done` record copies the
-    /// whole body (as does the first `hit` on a key the journal holds no
-    /// body for); a site with nothing to append (a drained job) records
-    /// no sample.
+    /// whole body (as does the `hit` of a job that adopts a snapshot
+    /// entry); a site with nothing to append (a drained job) records no
+    /// sample.
     fn journal_event<R: IntoIterator<Item = Value>>(&self, build: impl FnOnce() -> R) {
         let Some(journal) = &self.journal else {
             return;
@@ -508,9 +514,10 @@ impl ServeState {
             return error_response(503, "draining", "server is draining")
                 .with_header("retry-after", DRAIN_RETRY_AFTER_SECS);
         }
-        // The request root opens here; if the submit is rejected the
-        // lane is simply dropped with it.
-        let lane = TraceCollector::with_origin(self.origin);
+        // The request root opens here. Its lane is built only once the
+        // cache says the submit creates a job: a hit, a coalesced or a
+        // rejected submit records no span.
+        let opened = Instant::now();
         let body: Value = match std::str::from_utf8(&req.body)
             .map_err(|_| "body is not UTF-8".to_owned())
             .and_then(|s| serde_json::from_str(s).map_err(|e| e.to_string()))
@@ -522,7 +529,7 @@ impl ServeState {
         };
         // Admission gates on the cheap kind extraction, before the
         // expensive spec parse — shed traffic costs almost nothing.
-        let admission_ts = lane.now_us();
+        let admitting = Instant::now();
         let admitted_kind = match body["kind"].as_str().and_then(JobKind::from_name) {
             Some(kind) => match self.admission.admit(kind) {
                 Ok(()) => Some(kind),
@@ -535,71 +542,34 @@ impl ServeState {
             // its precise 400.
             None => None,
         };
-        let admission_us = lane.now_us().saturating_sub(admission_ts);
-        let admission_args = json!({"pending": self.admission.pending_json()});
-        let release_on_reject = |response: Response| {
+        let admitted = Instant::now();
+        let release_admission = || {
             if let Some(kind) = admitted_kind {
                 self.admission.release(kind);
             }
-            response
         };
         let request = match JobRequest::from_json(&body) {
             Ok(r) => r,
             Err(e) => {
-                return release_on_reject(error_response(e.status(), e.code(), e.message()));
+                release_admission();
+                return error_response(e.status(), e.code(), e.message());
             }
         };
         self.jobs_submitted.fetch_add(1, Ordering::Relaxed);
-
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         let key = request.cache_key();
-        // Spans record on `tid` = job id, so the admission span waits for
-        // the id.
-        let trace = JobTrace {
-            trace_id: trace_id.to_owned(),
-            job: id,
-            lane,
-        };
-        trace.lane.complete(
-            "admission",
-            "admission",
-            id,
-            admission_ts,
-            admission_us,
-            admission_args,
-        );
-        // The table lock spans reserve + insert so a coalesced submit
-        // never hands out a job id before that job is observable. Lock
+        // The table lock spans lookup + insert, so no submit hands out a
+        // job id before that job is observable: a miss or an adoption
+        // inserts its job before any other submit can find the key. Lock
         // order is always table → cache; the pool side touches the cache
         // alone, so the nesting cannot deadlock.
-        let cache_ts = trace.lane.now_us();
+        let looking_up = Instant::now();
         let mut jobs = self.jobs.lock().expect("job table poisoned");
-        match self.cache.lookup_or_reserve(&key, id) {
-            Lookup::Hit { doc, journaled } => {
-                // Served entirely from cache: a `done` job exists for
-                // uniform polling, but nothing touches the pool. One `hit`
-                // record makes the id resolve across a restart exactly
-                // like a computed job's; it carries the body only when the
-                // journal holds none for this key yet.
-                trace.since("cache_lookup", "cache", cache_ts, json!({"outcome": "hit"}));
-                let body = (!journaled).then_some(&*doc);
-                self.journal_event(|| Some(hit_event(id, request.kind, &key, body)));
-                let done = JobState::Done { doc };
-                if let Some(kind) = admitted_kind {
-                    self.admission.release(kind);
-                }
-                trace.lane.finish();
-                let entry = Arc::new(JobEntry {
-                    id,
-                    kind: request.kind,
-                    cache_key: key,
-                    state: Mutex::new(done),
-                    telemetry: JobTelemetry::default(),
-                    cached: true,
-                    trace: Some(trace),
-                });
-                jobs.insert(id, entry);
-                json_response(200, json!({"id": id, "status": "done", "cached": true}))
+        let mint = || self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
+        let (id, adopted) = match self.cache.lookup_or_reserve(&key, mint) {
+            Lookup::Hit { job, .. } => {
+                drop(jobs);
+                release_admission();
+                return json_response(200, json!({"id": job, "status": "done", "cached": true}));
             }
             Lookup::InFlight(job) => {
                 // Coalesced onto an already-journaled job: this submit
@@ -607,41 +577,62 @@ impl ServeState {
                 // The coalescing job keeps its own trace; this request's
                 // id rides only in the response header, and the join is
                 // visible as a span on the computing job's lane.
-                if let Some(entry) = jobs.get(&job) {
-                    if let Some(job_trace) = &entry.trace {
-                        let args = json!({"coalesced_trace_id": trace_id});
-                        job_trace.since("coalesced_submit", "cache", cache_ts, args);
-                    }
+                if let Some(trace) = jobs.get(&job).and_then(|entry| entry.trace.as_ref()) {
+                    let args = json!({"coalesced_trace_id": trace_id});
+                    trace.since("coalesced_submit", "cache", looking_up, args);
                 }
-                if let Some(kind) = admitted_kind {
-                    self.admission.release(kind);
-                }
-                json_response(
+                drop(jobs);
+                release_admission();
+                return json_response(
                     202,
                     json!({"id": job, "status": "queued", "coalesced": true}),
-                )
-            }
-            Lookup::Miss => {
-                trace.since(
-                    "cache_lookup",
-                    "cache",
-                    cache_ts,
-                    json!({"outcome": "miss"}),
                 );
+            }
+            Lookup::Adopted { job, doc } => (job, Some(doc)),
+            Lookup::Miss(job) => (job, None),
+        };
+        // Spans record on `tid` = job id, so the lane waits for the id.
+        let trace = JobTrace {
+            trace_id: trace_id.to_owned(),
+            job: id,
+            lane: TraceCollector::with_origin(self.origin, opened),
+        };
+        let args = json!({"pending": self.admission.pending_json()});
+        trace.span("admission", "admission", admitting, admitted, args);
+        let outcome = if adopted.is_some() { "hit" } else { "miss" };
+        trace.since(
+            "cache_lookup",
+            "cache",
+            looking_up,
+            json!({"outcome": outcome}),
+        );
+        let entry = Arc::new(JobEntry {
+            id,
+            kind: request.kind,
+            cache_key: key,
+            state: Mutex::new(JobState::Queued),
+            telemetry: JobTelemetry::default(),
+            cached: adopted.is_some(),
+            trace: Some(trace),
+        });
+        jobs.insert(id, Arc::clone(&entry));
+        let key = &entry.cache_key;
+        match adopted {
+            Some(doc) => {
+                // A snapshot-restored document that no job computed this
+                // boot: this submit's job adopts it, done without pool
+                // work. Its `hit` record carries the body, so the id
+                // resolves across a restart like a computed job's; later
+                // hits answer with this id and write nothing.
+                self.journal_event(|| Some(hit_event(id, request.kind, key, &doc)));
+                self.settle(&entry, JobState::Done { doc });
+                json_response(200, json!({"id": id, "status": "done", "cached": true}))
+            }
+            None => {
                 // Durability point: the acceptance is on disk before the
                 // client hears 202, so a crash after this line can only
                 // delay the job, never lose it.
-                self.journal_event(|| Some(submitted_event(id, request.kind, &key, &body)));
-                let entry = Arc::new(JobEntry {
-                    id,
-                    kind: request.kind,
-                    cache_key: key,
-                    state: Mutex::new(JobState::Queued),
-                    telemetry: JobTelemetry::default(),
-                    cached: false,
-                    trace: Some(trace),
-                });
-                jobs.insert(id, Arc::clone(&entry));
+                self.journal_event(|| Some(submitted_event(id, request.kind, key, &body)));
                 drop(jobs);
                 self.enqueue(request, entry);
                 json_response(202, json!({"id": id, "status": "queued", "cached": false}))
@@ -658,7 +649,6 @@ impl ServeState {
         let state = Arc::clone(self);
         let refused = Arc::clone(&entry);
         let enqueued = Instant::now();
-        let enqueued_us = entry.trace.as_ref().map(|t| t.lane.now_us());
         let accepted = self.pool.submit(move || {
             *entry.state.lock().expect("job state poisoned") = JobState::Running;
             // Queue wait: enqueue to first execution, one histogram
@@ -671,8 +661,8 @@ impl ServeState {
                     entry.kind.name()
                 ))
                 .record(waited_us);
-            if let (Some(trace), Some(ts)) = (&entry.trace, enqueued_us) {
-                trace.since("queue_wait", "pool", ts, Value::Null);
+            if let Some(trace) = &entry.trace {
+                trace.since("queue_wait", "pool", enqueued, Value::Null);
             }
             // Panic isolation with deterministic retry: a panicked attempt
             // (organic or chaos-injected) backs off and re-executes, up to
@@ -700,11 +690,7 @@ impl ServeState {
                 }
             };
             let next = match outcome {
-                ExecOutcome::Done(doc) => {
-                    let doc = Arc::new(doc);
-                    state.cache.fulfill(key, Arc::clone(&doc));
-                    JobState::Done { doc }
-                }
+                ExecOutcome::Done(doc) => JobState::Done { doc: Arc::new(doc) },
                 ExecOutcome::Cancelled { partial } => {
                     state.cache.abandon(key);
                     // A drain is a shutdown, not an outcome: never
@@ -723,11 +709,11 @@ impl ServeState {
             state.journal_event(|| {
                 terminal_event(entry.id, &next, entry.telemetry.phases.snapshot().to_json())
             });
-            if let JobState::Done { doc } = &next {
-                // The `done` record is appended: later hits on this key
-                // can refer to it. (A hit between `fulfill` and here found
-                // the key unjournaled and carried the body.)
-                state.cache.mark_journaled(key, doc);
+            let done = match &next {
+                JobState::Done { doc } => Some(Arc::clone(doc)),
+                _ => None,
+            };
+            if let Some(doc) = &done {
                 let wall_us = exec_started.elapsed().as_micros() as u64;
                 state.append_registry_row(&request, &entry, doc, wall_us);
             }
@@ -740,6 +726,11 @@ impl ServeState {
                 ))
                 .record(exec_started.elapsed().as_micros() as u64);
             state.settle(&entry, next);
+            if let Some(doc) = done {
+                // Done and journaled: only now may the cache name the job,
+                // so every id a hit hands out already resolves, durably.
+                state.cache.fulfill(key, doc, entry.id);
+            }
         });
         if !accepted {
             // The drain shut the pool after `submit` checked for it: park
@@ -750,8 +741,8 @@ impl ServeState {
         }
     }
 
-    /// Moves a job out of the pool's hands into its final `state`: closes
-    /// its trace root, publishes the state, and frees its admission slot.
+    /// Moves a job into its final `state`: closes its trace root,
+    /// publishes the state, and frees its admission slot.
     fn settle(&self, entry: &JobEntry, state: JobState) {
         if let Some(trace) = &entry.trace {
             trace.lane.finish();

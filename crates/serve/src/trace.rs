@@ -8,7 +8,9 @@
 //! admission gate, cache lookup, queue wait, and the engine's `Phase`
 //! spans all record into it. `GET /v1/jobs/:id/trace` renders one job's
 //! lane; the server-wide `--trace` file interleaves every job's lane in
-//! a single document.
+//! a single document. A cache hit creates no job and records no span:
+//! the id it answers with is the computing job's, so its trace is that
+//! job's lane.
 //!
 //! Nesting is by containment, the Chrome trace-event model: all of a
 //! job's spans share `pid` 1 and `tid` = job id, timestamps are measured
@@ -28,6 +30,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 use selfstab_telemetry::TraceCollector;
 use serde_json::{json, Value};
@@ -114,11 +117,23 @@ impl JobTrace {
         events
     }
 
-    /// Records a span named `name` on the job's lane, from `ts_us` (see
-    /// [`TraceCollector::now_us`]) to now.
-    pub fn since(&self, name: &'static str, cat: &'static str, ts_us: u64, args: Value) {
-        let dur_us = self.lane.now_us().saturating_sub(ts_us);
+    /// Records a span named `name` on the job's lane, from `from` to `to`.
+    pub fn span(
+        &self,
+        name: &'static str,
+        cat: &'static str,
+        from: Instant,
+        to: Instant,
+        args: Value,
+    ) {
+        let ts_us = self.lane.micros_at(from);
+        let dur_us = self.lane.micros_at(to).saturating_sub(ts_us);
         self.lane.complete(name, cat, self.job, ts_us, dur_us, args);
+    }
+
+    /// Records a span named `name` on the job's lane, from `from` to now.
+    pub fn since(&self, name: &'static str, cat: &'static str, from: Instant, args: Value) {
+        self.span(name, cat, from, Instant::now(), args);
     }
 }
 

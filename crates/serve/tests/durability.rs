@@ -210,13 +210,42 @@ fn warm_cache_snapshot_answers_repeat_traffic_without_pool_work() {
     assert_eq!(s.executed(), 0);
 }
 
-/// Submits `body`, which must be a cache hit; returns its job id.
+/// Submits `body`, which must be a cache hit; returns the job id it
+/// answers with.
 fn submit_hit(state: &Arc<ServeState>, body: &str) -> u64 {
     let resp = state.handle(&request("POST", "/v1/jobs", body));
     assert_eq!(resp.status, 200, "a repeat submit is answered from cache");
     let doc = body_json(&resp.body);
     assert_eq!(doc["cached"], true);
+    assert_eq!(doc["status"], "done");
     doc["id"].as_u64().unwrap()
+}
+
+/// Submits `body` cold and waits for its job; then waits until the cache
+/// names that job, since the pool publishes the job before the cache
+/// does (a submit in between coalesces onto the same id). Returns the id.
+fn computed(state: &Arc<ServeState>, body: &str) -> u64 {
+    let resp = state.handle(&request("POST", "/v1/jobs", body));
+    assert_eq!(resp.status, 202, "a cold submit is queued");
+    let id = body_json(&resp.body)["id"].as_u64().unwrap();
+    assert_eq!(await_job(state, id), "done");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let resp = state.handle(&request("POST", "/v1/jobs", body));
+        assert_eq!(
+            body_json(&resp.body)["id"],
+            id,
+            "every answer names job {id}"
+        );
+        if resp.status == 200 {
+            return id;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "job {id} never reached the cache"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// The journal's `hit` records, in file order.
@@ -229,41 +258,122 @@ fn hit_records(journal: &Path) -> Vec<Value> {
         .collect()
 }
 
+fn file_len(path: &Path) -> u64 {
+    std::fs::metadata(path).unwrap().len()
+}
+
 #[test]
-fn a_hit_that_refers_to_a_journaled_body_resolves_after_restart() {
-    let journal = tmp("hit-reference.jsonl");
+fn a_hit_storm_answers_the_computing_jobs_id_and_writes_nothing() {
+    let journal = tmp("hit-storm.jsonl");
     let _ = std::fs::remove_file(&journal);
 
     let s = state_with(journaled_config(&journal));
     let body = submit_body("verify", ", \"k\": 4");
-    let resp = s.handle(&request("POST", "/v1/jobs", &body));
-    let cold = body_json(&resp.body)["id"].as_u64().unwrap();
-    assert_eq!(await_job(&s, cold), "done");
-    let hit = submit_hit(&s, &body);
-    let (_, before) = result_bytes(&s, hit);
+    let id = computed(&s, &body);
+    let len = file_len(&journal);
+    for _ in 0..100 {
+        assert_eq!(submit_hit(&s, &body), id, "a hit answers with the job's id");
+    }
+    assert_eq!(file_len(&journal), len, "a hit writes nothing");
+    assert!(hit_records(&journal).is_empty());
+
+    // Hits mint no id: the next cold submit gets the next one.
+    let cold = submit_body("verify", ", \"k\": 5");
+    let resp = s.handle(&request("POST", "/v1/jobs", &cold));
+    assert_eq!(resp.status, 202);
+    let next = body_json(&resp.body)["id"].as_u64().unwrap();
+    assert_eq!(next, id + 1);
+    assert_eq!(await_job(&s, next), "done");
     s.begin_drain();
     s.shutdown_pool();
     drop(s);
 
-    // The `done` record already holds the body: the hit only names it.
-    let hits = hit_records(&journal);
-    assert_eq!(hits.len(), 1);
-    assert_eq!(hits[0]["id"], hit);
-    assert!(hits[0]["body"].is_null(), "{}", hits[0]);
+    let s = state_with(journaled_config(&journal));
+    let (status, bytes) = result_bytes(&s, id);
+    assert_eq!(status, 200);
+    assert_eq!(String::from_utf8(bytes).unwrap(), cli_document(4));
+    assert_eq!(s.executed(), 0, "nothing re-runs");
+}
+
+#[test]
+fn every_id_a_hit_hands_out_resolves_at_once() {
+    // Resubmit a key from several threads while its job runs and
+    // completes: the cache names the job only once it is done and
+    // journaled, so every `200` answer's id serves its document at once.
+    let journal = tmp("hit-race.jsonl");
+    let _ = std::fs::remove_file(&journal);
+    let s = state_with(journaled_config(&journal));
+    let body = submit_body("sweep", ", \"k\": 2, \"to\": 7");
+    let resp = s.handle(&request("POST", "/v1/jobs", &body));
+    assert_eq!(resp.status, 202);
+    let id = body_json(&resp.body)["id"].as_u64().unwrap();
+    let served: Vec<Vec<u8>> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..4)
+            .map(|_| {
+                scope.spawn(|| {
+                    let deadline = Instant::now() + Duration::from_secs(30);
+                    let mut served = Vec::new();
+                    while served.len() < 20 {
+                        let resp = s.handle(&request("POST", "/v1/jobs", &body));
+                        let answer = body_json(&resp.body);
+                        assert_eq!(answer["id"], id, "{answer}");
+                        match resp.status {
+                            200 => {
+                                let (status, bytes) = result_bytes(&s, id);
+                                assert_eq!(status, 200, "a hit's id resolves at once");
+                                served.push(bytes);
+                            }
+                            202 => assert!(Instant::now() < deadline, "job {id} never finished"),
+                            other => panic!("{other}: {answer}"),
+                        }
+                    }
+                    served
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .flat_map(|t| t.join().unwrap())
+            .collect()
+    });
+    assert_eq!(served.len(), 80);
+    let (status, bytes) = result_bytes(&s, id);
+    assert_eq!(status, 200);
+    assert!(served.iter().all(|seen| *seen == bytes));
+    assert!(hit_records(&journal).is_empty());
+}
+
+#[test]
+fn a_hit_that_refers_to_a_journaled_body_resolves_after_restart() {
+    let journal = tmp("hit-replayed.jsonl");
+    let _ = std::fs::remove_file(&journal);
 
     let s = state_with(journaled_config(&journal));
-    let (status, after) = result_bytes(&s, hit);
-    assert_eq!(status, 200, "the hit id resolves across a restart");
+    let body = submit_body("verify", ", \"k\": 4");
+    let id = computed(&s, &body);
+    let (_, before) = result_bytes(&s, id);
+    s.begin_drain();
+    s.shutdown_pool();
+    drop(s);
+
+    // Replay names the job in the cache: a hit answers with its id, reads
+    // the same bytes, and neither runs nor journals anything.
+    let len = file_len(&journal);
+    let s = state_with(journaled_config(&journal));
+    assert_eq!(submit_hit(&s, &body), id);
+    let (status, after) = result_bytes(&s, id);
+    assert_eq!(status, 200, "the id resolves across a restart");
     assert_eq!(after, before, "byte-identical across restart");
     assert_eq!(String::from_utf8(after).unwrap(), cli_document(4));
     assert_eq!(s.executed(), 0);
+    assert_eq!(file_len(&journal), len);
     let resp = s.handle(&request(
         "POST",
         "/v1/jobs",
         &submit_body("verify", ", \"k\": 5"),
     ));
     let next = body_json(&resp.body)["id"].as_u64().unwrap();
-    assert!(next > hit, "fresh submits never reuse a hit's id");
+    assert_eq!(next, id + 1, "fresh submits continue the id space");
 }
 
 #[test]
@@ -281,42 +391,42 @@ fn the_first_hit_into_a_fresh_journal_carries_the_body() {
         fsync: FsyncPolicy::Always,
         ..ServeConfig::default()
     });
-    let resp = s.handle(&request("POST", "/v1/jobs", &body));
-    let id = body_json(&resp.body)["id"].as_u64().unwrap();
-    assert_eq!(await_job(&s, id), "done");
+    computed(&s, &body);
     s.begin_drain();
     s.shutdown_pool();
     drop(s);
 
-    // Boot warm into a fresh journal: the journal holds no body for the
-    // key, so the first hit carries it and the second refers to it.
+    // Boot warm into a fresh journal: no job computed the restored
+    // document, so the first hit adopts it under a new id and journals
+    // the body once; later hits answer with that id and write nothing.
     let s = state_with(ServeConfig {
         cache_snapshot: Some(snapshot.clone()),
         ..journaled_config(&journal)
     });
     let first = submit_hit(&s, &body);
-    let second = submit_hit(&s, &body);
+    let len = file_len(&journal);
+    assert_eq!(submit_hit(&s, &body), first);
+    assert_eq!(file_len(&journal), len);
     let (_, before) = result_bytes(&s, first);
-    assert_eq!(result_bytes(&s, second).1, before);
     s.begin_drain();
     s.shutdown_pool();
     drop(s);
     let hits = hit_records(&journal);
-    assert_eq!(hits.len(), 2);
+    assert_eq!(hits.len(), 1);
+    assert_eq!(hits[0]["id"], first);
     assert_eq!(
         hits[0]["body"].as_str().map(str::as_bytes),
         Some(&before[..])
     );
-    assert!(hits[1]["body"].is_null(), "{}", hits[1]);
 
-    // The journal alone, without the snapshot, resolves both.
+    // The journal alone, without the snapshot, resolves the id and names
+    // it in the cache.
     let s = state_with(journaled_config(&journal));
-    for id in [first, second] {
-        let (status, after) = result_bytes(&s, id);
-        assert_eq!(status, 200, "hit {id} resolves across a restart");
-        assert_eq!(after, before, "hit {id} is byte-identical");
-    }
+    let (status, after) = result_bytes(&s, first);
+    assert_eq!(status, 200, "the adopted id resolves across a restart");
+    assert_eq!(after, before);
     assert_eq!(String::from_utf8(before).unwrap(), cli_document(4));
+    assert_eq!(submit_hit(&s, &body), first);
     assert_eq!(s.executed(), 0);
 }
 

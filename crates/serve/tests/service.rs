@@ -152,6 +152,7 @@ fn repeated_submit_is_served_from_cache_without_pool_work() {
     let doc = body_json(&second.body);
     assert_eq!(doc["cached"], true);
     let id2 = doc["id"].as_u64().unwrap();
+    assert_eq!(id2, id, "a hit answers with the computing job's id");
 
     // Hit counter moved; the pool executed nothing new.
     let stats = body_json(&s.handle(&request("GET", "/v1/cache/stats", "")).body);

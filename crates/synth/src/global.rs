@@ -113,12 +113,7 @@ impl GlobalSynthesizer {
             let space = ComboSpace {
                 per_state: &per_state,
             };
-            // An overflowing combination space cannot be streamed exactly;
-            // the budget cap below would stop it anyway, so clamp to the
-            // budget rather than erroring the whole baseline run.
-            let total = space
-                .checked_total()
-                .unwrap_or(self.config.max_combinations as u64);
+            let total = space.total();
             let mut digits = Vec::new();
             let mut added = Vec::new();
             space.first(&mut digits);

@@ -97,13 +97,6 @@ pub enum SynthesisError {
         /// The offending domain size.
         domain_size: usize,
     },
-    /// The candidate cross-product of a `Resolve` set overflows `u64`, so
-    /// the mixed-radix index cannot address every combination — silently
-    /// saturating would make the scan enumerate garbage indices.
-    CombinationSpaceTooLarge {
-        /// Number of states in the offending `Resolve` set.
-        resolve_states: usize,
-    },
 }
 
 impl fmt::Display for SynthesisError {
@@ -114,12 +107,6 @@ impl fmt::Display for SynthesisError {
                 "domain has {domain_size} values, but candidate enumeration \
                  is limited to {} (u8 value range)",
                 u8::MAX as usize + 1
-            ),
-            SynthesisError::CombinationSpaceTooLarge { resolve_states } => write!(
-                f,
-                "the candidate combination space of a {resolve_states}-state \
-                 Resolve set overflows the u64 index range; no budget can \
-                 enumerate it exactly"
             ),
         }
     }
@@ -212,16 +199,17 @@ pub(crate) struct ComboSpace<'a> {
 }
 
 impl ComboSpace<'_> {
-    /// Number of combinations, or `None` when the product overflows `u64`
-    /// — the odometer runs for exactly this many steps, so a saturated
-    /// count must be a typed error at the caller, never a count of
-    /// garbage. An empty `Resolve` set has exactly one, empty, combination;
-    /// a state with zero options yields `Some(0)` (immediately
-    /// unsatisfiable, and the odometer must not be started).
-    pub(crate) fn checked_total(&self) -> Option<u64> {
+    /// Number of combinations, saturating at `u64::MAX`. Both engines
+    /// verify at most their `max_combinations` budget, a `usize`, so a
+    /// saturated count only ever means "more than the budget": the
+    /// odometer never steps past a prefix it can address. An empty
+    /// `Resolve` set has exactly one, empty, combination; a state with
+    /// zero options yields 0 (immediately unsatisfiable, and the odometer
+    /// must not be started).
+    pub(crate) fn total(&self) -> u64 {
         self.per_state
             .iter()
-            .try_fold(1u64, |acc, opts| acc.checked_mul(opts.len() as u64))
+            .fold(1u64, |acc, opts| acc.saturating_mul(opts.len() as u64))
     }
 
     /// Sets `digits` to combination 0, one zero digit per state.
@@ -435,11 +423,7 @@ impl LocalSynthesizer {
             let space = ComboSpace {
                 per_state: &per_state,
             };
-            let Some(total) = space.checked_total() else {
-                return Err(SynthesisError::CombinationSpaceTooLarge {
-                    resolve_states: resolve.len(),
-                });
-            };
+            let total = space.total();
             let comb_left = (self.config.max_combinations - outcome.combinations_tried) as u64;
             let allowed = total.min(comb_left);
 
@@ -1199,29 +1183,34 @@ mod tests {
         }
     }
 
-    /// Satellite regression: a combination space whose product overflows
-    /// `u64` is a typed error, not a saturated count that the odometer
-    /// would run past.
+    /// A resolve set whose candidate product overflows `u64` is scanned to
+    /// the budget like any other: its count saturates, so the engine
+    /// verifies a prefix of it instead of refusing the protocol. Empty
+    /// agreement over ten values has a 45-state resolve set.
     #[test]
-    fn combo_space_overflow_is_detected_not_saturated() {
+    fn an_overflowing_combination_space_is_scanned_to_the_budget() {
         let t = |v: u8| LocalTransition::new(LocalStateId(0), v);
         // 2^64 combinations: 64 states with 2 options each.
         let per_state: Vec<Vec<LocalTransition>> = (0..64).map(|_| vec![t(0), t(1)]).collect();
-        let space = ComboSpace {
-            per_state: &per_state,
-        };
-        assert_eq!(space.checked_total(), None);
-        // One state fewer fits exactly.
-        let space = ComboSpace {
-            per_state: &per_state[..63],
-        };
-        assert_eq!(space.checked_total(), Some(1u64 << 63));
-        let err = SynthesisError::CombinationSpaceTooLarge { resolve_states: 64 };
-        assert!(err.to_string().contains("64-state"), "{err}");
+        let total = |per_state| ComboSpace { per_state }.total();
+        assert_eq!(total(&per_state), u64::MAX);
+        assert_eq!(total(&per_state[..63]), 1u64 << 63);
+
+        let p = empty("agreement", 10, "x[r] == x[r-1]");
+        let out = LocalSynthesizer::new(SynthesisConfig {
+            max_combinations: 64,
+            ..SynthesisConfig::default()
+        })
+        .synthesize(&p)
+        .expect("an overflowing space is scanned, not refused");
+        assert_eq!(out.resolve_sets_tried(), 1);
+        assert_eq!(out.combinations_tried(), 64);
+        assert!(out.truncated());
+        assert!(!out.solutions().is_empty());
     }
 
     /// Satellite regression: a resolve state with zero candidate options
-    /// yields `Some(0)` (immediately unsatisfiable).
+    /// yields 0 (immediately unsatisfiable).
     #[test]
     fn zero_option_state_is_immediately_unsatisfiable() {
         let t = |v: u8| LocalTransition::new(LocalStateId(0), v);
@@ -1229,7 +1218,7 @@ mod tests {
         let space = ComboSpace {
             per_state: &per_state,
         };
-        assert_eq!(space.checked_total(), Some(0));
+        assert_eq!(space.total(), 0);
     }
 
     /// Cut projection maps transitions to digit constraints, rejects cuts
@@ -1271,7 +1260,7 @@ mod tests {
         let space = ComboSpace {
             per_state: &per_state,
         };
-        assert_eq!(space.checked_total(), Some(6));
+        assert_eq!(space.total(), 6);
         let mut materialized: Vec<Vec<LocalTransition>> = vec![Vec::new()];
         for opts in &per_state {
             let mut next = Vec::new();

@@ -8,7 +8,8 @@
 //! interleave in one document.
 //!
 //! Each collector records inside a *window*: it opens when the
-//! collector is created and closes at [`TraceCollector::finish`]. Every
+//! collector is created (or at the instant [`TraceCollector::with_origin`]
+//! names) and closes at [`TraceCollector::finish`]. Every
 //! event is clipped into the window when it is recorded, under the lock
 //! that closes it, so a root span drawn over [`TraceCollector::window`]
 //! contains every event — the Chrome trace-event nesting-by-containment
@@ -78,12 +79,14 @@ impl TraceCollector {
         }
     }
 
-    /// A collector whose window opens now, on `origin`'s timeline, so
-    /// collectors sharing an origin align in one document.
-    pub fn with_origin(origin: Instant) -> Self {
+    /// A collector whose window opens at `opened`, on `origin`'s
+    /// timeline, so collectors sharing an origin align in one document. A
+    /// lane built after the work it frames began opens where that work
+    /// did.
+    pub fn with_origin(origin: Instant, opened: Instant) -> Self {
         TraceCollector {
             origin,
-            start_us: origin.elapsed().as_micros() as u64,
+            start_us: opened.saturating_duration_since(origin).as_micros() as u64,
             state: Mutex::default(),
         }
     }
@@ -94,7 +97,8 @@ impl TraceCollector {
         self.micros_at(Instant::now())
     }
 
-    fn micros_at(&self, at: Instant) -> u64 {
+    /// Microseconds from the origin to `at` (0 for an earlier instant).
+    pub fn micros_at(&self, at: Instant) -> u64 {
         at.saturating_duration_since(self.origin).as_micros() as u64
     }
 
@@ -293,7 +297,7 @@ mod tests {
     fn spans_clip_into_the_window() {
         let origin = Instant::now();
         std::thread::sleep(Duration::from_millis(2));
-        let t = TraceCollector::with_origin(origin);
+        let t = TraceCollector::with_origin(origin, Instant::now());
         // A span may have started timing before the window opened...
         t.complete("coalesced_submit", "cache", 7, 0, t.now_us(), Value::Null);
         let phases = PhaseTimes::new();
@@ -334,7 +338,8 @@ mod tests {
 
     #[test]
     fn finish_is_idempotent_and_documents_render() {
-        let t = TraceCollector::with_origin(Instant::now());
+        let now = Instant::now();
+        let t = TraceCollector::with_origin(now, now);
         t.finish();
         let first = t.window();
         assert!(first.1 > first.0, "a closed window is never empty");
